@@ -1,26 +1,13 @@
 // Storage-engine micro-benchmarks (google-benchmark): component costs of
 // the LSM engine on this host. Not a paper figure — supporting data for
 // DESIGN.md's substrate claims.
-//
-// Before the google-benchmark suites run, main() executes the sharded
-// write-path gates (pass/fail, like bench_micro_obs): 8-thread PutMany at
-// write_shards=8 vs write_shards=1 side-by-side, a WAL group-commit
-// cross-shard overlap check from the trace ring, and an effective ns/op
-// budget. The binary exits non-zero when a gate fails. --trace-out=FILE
-// additionally writes the gate run's spans as Chrome trace_event JSON.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstring>
 #include <memory>
-#include <span>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
-#include "obs/trace.h"
 #include "storage/bloom.h"
 #include "storage/env.h"
 #include "storage/kvstore.h"
@@ -160,204 +147,6 @@ void BM_BloomFilterProbe(benchmark::State& state) {
 }
 BENCHMARK(BM_BloomFilterProbe);
 
-// ---------------------------------------------------------------------------
-// Sharded write-path gates (pass/fail; run before the benchmark suites)
-// ---------------------------------------------------------------------------
-
-// Effective aggregate cost ceiling for the 8-thread sharded run: generous
-// enough for a loaded single-core builder, tight enough to catch a
-// sync-per-put or lock-convoy regression (those blow past 100 µs/op).
-constexpr double kShardedPutBudgetNs = 50000.0;
-
-constexpr int kGateThreads = 8;
-constexpr int kGateBatch = 50;           // entries per PutMany call
-constexpr int kGateBatchesPerThread = 50;  // 8 * 50 * 50 = 20k kvps per rep
-
-/// One timed rep: `threads` writers each PutMany disjoint 1 KB kvps into a
-/// fresh store with `write_shards` shards. Returns kvps/s.
-double RunShardedPutRep(int write_shards) {
-  std::unique_ptr<Env> env = NewMemEnv();
-  Options options;
-  options.env = env.get();
-  options.write_buffer_size = 64 << 20;  // keep flushes out of the timing
-  options.write_shards = write_shards;
-  auto store = KVStore::Open(options, "/gate").MoveValueUnsafe();
-
-  std::string value(1000, 'v');
-  std::atomic<bool> go{false};
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kGateThreads);
-  for (int t = 0; t < kGateThreads; ++t) {
-    threads.emplace_back([&, t] {
-      while (!go.load(std::memory_order_acquire)) {
-      }
-      std::vector<std::string> keys(kGateBatch);
-      std::vector<iotdb::storage::KvEntry> entries(kGateBatch);
-      for (int b = 0; b < kGateBatchesPerThread; ++b) {
-        for (int j = 0; j < kGateBatch; ++j) {
-          char key[32];
-          snprintf(key, sizeof(key), "t%02db%04dk%04d", t, b, j);
-          keys[j] = key;
-          entries[j] = {iotdb::Slice(keys[j]), iotdb::Slice(value)};
-        }
-        if (!store
-                 ->PutMany(WriteOptions(),
-                           std::span<const iotdb::storage::KvEntry>(
-                               entries.data(), entries.size()))
-                 .ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
-    });
-  }
-  auto start = std::chrono::steady_clock::now();
-  go.store(true, std::memory_order_release);
-  for (auto& th : threads) th.join();
-  auto end = std::chrono::steady_clock::now();
-  if (failures.load() > 0) return 0.0;
-  double seconds = std::chrono::duration<double>(end - start).count();
-  double total_kvps = static_cast<double>(kGateThreads) * kGateBatch *
-                      kGateBatchesPerThread;
-  return seconds > 0 ? total_kvps / seconds : 0.0;
-}
-
-/// Best of two reps (back-to-back runs on a shared builder are noisy).
-double RunShardedPut(int write_shards) {
-  return std::max(RunShardedPutRep(write_shards),
-                  RunShardedPutRep(write_shards));
-}
-
-/// True when two WAL group-commit spans with different shard ids overlap
-/// in time anywhere in the trace ring.
-bool GroupCommitSpansOverlapAcrossShards() {
-  struct Span {
-    uint64_t start;
-    uint64_t end;
-    uint64_t shard;
-  };
-  std::vector<Span> spans;
-  for (const iotdb::obs::TraceEvent& ev :
-       iotdb::obs::TraceBuffer::Snapshot()) {
-    if (ev.name == nullptr ||
-        strcmp(ev.name, "storage.wal.group_commit") != 0) {
-      continue;
-    }
-    spans.push_back(
-        {ev.start_micros, ev.start_micros + ev.duration_micros,
-         ev.arg_value});
-  }
-  std::sort(spans.begin(), spans.end(),
-            [](const Span& a, const Span& b) { return a.start < b.start; });
-  uint64_t open_end = 0;
-  uint64_t open_shard = 0;
-  bool have_open = false;
-  for (const Span& s : spans) {
-    if (have_open && s.start < open_end && s.shard != open_shard) {
-      return true;
-    }
-    if (!have_open || s.end > open_end) {
-      open_end = s.end;
-      open_shard = s.shard;
-      have_open = true;
-    }
-  }
-  return false;
-}
-
-/// Runs the gates; returns the number of failures.
-int RunShardGates(const char* trace_out) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  // Ideal scaling on an 8-way host is 8x; demand a honest fraction of the
-  // parallelism this host actually has, capped at the issue's 3x bar.
-  const double required_ratio =
-      std::min(3.0, 0.75 * static_cast<double>(
-                               std::min(8u, std::max(1u, hw))));
-
-  printf("--- sharded write path gates (%d threads, %u hw threads) ---\n",
-         kGateThreads, hw);
-
-  // Trace the sharded run so the overlap check (and --trace-out) sees the
-  // per-shard WAL group-commit spans.
-  iotdb::obs::TraceBuffer::StartTracing();
-  const double kvps_sharded = RunShardedPut(8);
-  const bool overlap = GroupCommitSpansOverlapAcrossShards();
-  std::string trace_json;
-  if (trace_out != nullptr) {
-    trace_json = iotdb::obs::TraceBuffer::ToChromeTraceJson();
-  }
-  iotdb::obs::TraceBuffer::StopTracing();
-  const double kvps_single = RunShardedPut(1);
-
-  printf("  %-44s %10.0f kvps/s\n", "PutMany 8 threads, write_shards=1",
-         kvps_single);
-  printf("  %-44s %10.0f kvps/s\n", "PutMany 8 threads, write_shards=8",
-         kvps_sharded);
-  const double ratio = kvps_single > 0 ? kvps_sharded / kvps_single : 0.0;
-  const double ns_per_op =
-      kvps_sharded > 0 ? 1e9 / kvps_sharded : 1e18;
-
-  int failures = 0;
-  printf("  [%s] shard scaling: %.2fx (required %.2fx)\n",
-         ratio >= required_ratio ? "PASS" : "FAIL", ratio, required_ratio);
-  if (ratio < required_ratio) failures++;
-
-  if (hw >= 2) {
-    printf("  [%s] WAL group-commit spans overlap across >=2 shards\n",
-           overlap ? "PASS" : "FAIL");
-    if (!overlap) failures++;
-  } else {
-    printf("  [SKIP] span overlap check (single hardware thread%s)\n",
-           overlap ? "; overlap seen anyway" : "");
-  }
-
-  printf("  [%s] effective sharded put cost: %.0f ns/op (budget %.0f)\n",
-         ns_per_op < kShardedPutBudgetNs ? "PASS" : "FAIL", ns_per_op,
-         kShardedPutBudgetNs);
-  if (ns_per_op >= kShardedPutBudgetNs) failures++;
-
-  if (trace_out != nullptr) {
-    FILE* f = fopen(trace_out, "w");
-    if (f != nullptr) {
-      fwrite(trace_json.data(), 1, trace_json.size(), f);
-      fclose(f);
-      printf("  trace written to %s (%zu bytes); open in Perfetto\n",
-             trace_out, trace_json.size());
-    } else {
-      printf("  could not write trace to %s\n", trace_out);
-    }
-  }
-  printf("\n");
-  return failures;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // Split off flags google-benchmark does not know (it aborts on them).
-  const char* trace_out = nullptr;
-  bool skip_gates = false;
-  std::vector<char*> bench_argv;
-  for (int i = 0; i < argc; ++i) {
-    if (strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-    } else if (strcmp(argv[i], "--skip-gates") == 0) {
-      skip_gates = true;
-    } else {
-      bench_argv.push_back(argv[i]);
-    }
-  }
-
-  int failures = skip_gates ? 0 : RunShardGates(trace_out);
-
-  int bench_argc = static_cast<int>(bench_argv.size());
-  benchmark::Initialize(&bench_argc, bench_argv.data());
-  if (benchmark::ReportUnrecognizedArguments(bench_argc,
-                                             bench_argv.data())) {
-    return 1;
-  }
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return failures == 0 ? 0 : 1;
-}
+BENCHMARK_MAIN();

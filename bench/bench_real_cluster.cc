@@ -43,7 +43,6 @@ using namespace iotdb;  // NOLINT — bench brevity
 int main(int argc, char** argv) {
   uint64_t total_kvps = 40000;
   int substations = 2;
-  int write_shards = 0;  // 0 = auto (hardware concurrency)
   bool scrub = false;
   bool net_faults = false;
   std::string report_dir;
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
       total_kvps = strtoull(argv[i] + 7, nullptr, 10);
     } else if (strncmp(argv[i], "--subs=", 7) == 0) {
       substations = atoi(argv[i] + 7);
-    } else if (strncmp(argv[i], "--write-shards=", 15) == 0) {
-      write_shards = atoi(argv[i] + 15);
     } else if (strcmp(argv[i], "--scrub") == 0) {
       scrub = true;
     } else if (strcmp(argv[i], "--net-faults") == 0) {
@@ -83,7 +80,6 @@ int main(int argc, char** argv) {
     cluster_options.replication_factor = 3;
     cluster_options.shard_key_fn = iot::TpcxIotShardKey;
     cluster_options.storage_options.background_scrub = scrub;
-    cluster_options.storage_options.write_shards = write_shards;
     if (net_faults) {
       cluster_options.enable_net_fault_injection = true;
       cluster_options.net_fault_seed = 42;
@@ -102,7 +98,6 @@ int main(int argc, char** argv) {
     config.num_driver_instances = substations;
     config.total_kvps = total_kvps;
     config.batch_size = 500;
-    config.write_shards = write_shards;
     config.min_run_seconds = 0;      // host-scale run
     config.min_per_sensor_rate = 0;
     if (net_faults) {

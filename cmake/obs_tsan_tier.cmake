@@ -36,7 +36,7 @@ if(rc)
 endif()
 
 # The cross-layer causal-tracing tests drive a real replicated cluster
-# (driver thread -> shard group commit -> channel mailbox -> replica
+# (driver thread -> group commit -> channel mailbox -> replica
 # apply), exactly the cross-thread interplay TSan exists to check.
 message(STATUS "obs_tsan tier: running obs_cluster_tests under TSan")
 execute_process(

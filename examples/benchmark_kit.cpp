@@ -4,10 +4,8 @@
 // computation, and the executive summary / full disclosure report.
 //
 // Usage: ./build/examples/benchmark_kit [substations] [total_kvps] [nodes]
-//                                       [write_shards]
 // Defaults are scaled down to finish in seconds; a publishable run would
-// use 1800 s floors and a billion kvps. write_shards 0 = auto (one write
-// shard per hardware thread).
+// use 1800 s floors and a billion kvps.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -25,7 +23,6 @@ int main(int argc, char** argv) {
   int substations = argc > 1 ? atoi(argv[1]) : 2;
   uint64_t total_kvps = argc > 2 ? strtoull(argv[2], nullptr, 10) : 60000;
   int nodes = argc > 3 ? atoi(argv[3]) : 3;
-  int write_shards = argc > 4 ? atoi(argv[4]) : 0;
 
   printf("TPCx-IoT reproduction kit: %d substations, %llu kvps, %d-node "
          "SUT\n\n",
@@ -36,7 +33,6 @@ int main(int argc, char** argv) {
   cluster_options.num_nodes = nodes;
   cluster_options.replication_factor = 3;
   cluster_options.shard_key_fn = iot::TpcxIotShardKey;
-  cluster_options.storage_options.write_shards = write_shards;
   auto sut = cluster::Cluster::Start(cluster_options).MoveValueUnsafe();
 
   // Kit files under checksum: the workload parameter file. Build it, hash
@@ -58,7 +54,6 @@ int main(int argc, char** argv) {
   config.num_driver_instances = substations;
   config.total_kvps = total_kvps;
   config.batch_size = 500;
-  config.write_shards = write_shards;
   config.min_run_seconds = 0;      // scaled-down reproduction floors
   config.min_per_sensor_rate = 0;  // (a compliant run uses 1800 s / 20)
   config.kit_files = {{"/kit/workload.properties", digest}};
@@ -76,10 +71,10 @@ int main(int argc, char** argv) {
       iot::PricedConfiguration::ReferenceGatewayConfig(nodes);
   iot::SutDescription sut_description;
   sut_description.nodes = nodes;
+  const storage::Options& store = cluster_options.storage_options;
   sut_description.tunables =
-      "write_buffer_size=4MB l0_stall_trigger=12 write_shards=" +
-      std::string(write_shards == 0 ? "auto"
-                                    : std::to_string(write_shards)) +
+      "write_buffer_size=" + std::to_string(store.write_buffer_size >> 20) +
+      "MB l0_stall_trigger=" + std::to_string(store.l0_stall_trigger) +
       " (engine defaults)";
 
   printf("%s\n",

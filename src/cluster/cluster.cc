@@ -342,7 +342,7 @@ void Cluster::HandleReplicaMessage(int node_id, Message msg) {
   switch (msg.kind) {
     case MessageKind::kWriteRequest: {
       // Sequence numbers are assigned per node store, so each replica
-      // ingests the shared rows directly (vectorized, shard-routed).
+      // ingests the shared rows directly (one vectorized PutMany).
       // The message's trace header becomes the mailbox thread's current
       // context, so the storage write path below links its group-commit
       // spans into the originating op's flow; the apply also gets its own

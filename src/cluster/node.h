@@ -109,8 +109,8 @@ class Node {
                     uint64_t kvps, uint64_t bytes);
 
   /// Vectorized variant of ApplyBatch: hands the shared replicated rows
-  /// straight to KVStore::PutMany, which routes them to write shards in a
-  /// single pass — no intermediate per-replica WriteBatch copy.
+  /// straight to KVStore::PutMany, which commits them as one batch — no
+  /// intermediate per-replica WriteBatch copy.
   Status ApplyRows(
       const std::vector<std::pair<std::string, std::string>>& rows,
       bool as_primary, uint64_t kvps, uint64_t bytes);

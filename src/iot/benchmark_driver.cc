@@ -107,12 +107,19 @@ void BenchmarkDriver::InjectScheduledCorruption() {
   // rot dies with the obsolete file and never threatens live data. Such
   // vacuous injections are discounted and re-rolled so the schedule
   // reliably exercises detection.
+  auto is_live = [node, vlog_target](const std::string& path) {
+    return vlog_target ? node->store()->IsLiveVlogFile(path)
+                       : node->store()->IsLiveTableFile(path);
+  };
   for (int attempt = 0; attempt < 5; ++attempt) {
+    // Only files the store has installed are victims: an in-flight flush or
+    // compaction output is on disk before it is live, so the scrub below
+    // would skip it and a later background read would find the damage.
     auto victim_file = cluster_->fault_env()->CorruptRandomFile(
         node->data_dir(),
         vlog_target ? storage::FileClass::kVlog
                     : storage::FileClass::kSSTable,
-        config_.fault_corrupt_bits);
+        config_.fault_corrupt_bits, is_live);
     if (!victim_file.ok()) {
       IOTDB_LOG(Warn) << "fault schedule: bit-rot injection failed: "
                       << victim_file.status().ToString();
@@ -135,10 +142,7 @@ void BenchmarkDriver::InjectScheduledCorruption() {
                     << report.files_checked << " files, quarantined "
                     << report.quarantined_files;
     if (report.quarantined_files > 0) break;
-    const bool still_live =
-        vlog_target ? node->store()->IsLiveVlogFile(victim_file.ValueOrDie())
-                    : node->store()->IsLiveTableFile(victim_file.ValueOrDie());
-    if (still_live) {
+    if (is_live(victim_file.ValueOrDie())) {
       // The damaged file is live yet verified clean: a genuine miss the
       // FDR must warn about, not a race to paper over.
       break;

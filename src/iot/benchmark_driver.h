@@ -35,12 +35,6 @@ struct BenchmarkConfig {
   size_t batch_size = 200;
   uint64_t seed = 42;
 
-  /// Storage write shards per node (`store.write_shards` in kit
-  /// properties): disclosed SUT tunable forwarded to
-  /// storage::Options::write_shards by whoever builds the cluster.
-  /// 0 = auto (hardware concurrency).
-  int write_shards = 0;
-
   /// Runtime requirement floors. Paper-faithful values are 1800 s and
   /// 20 kvps/s/sensor; in-process reproduction runs scale these down and
   /// must say so in the report.

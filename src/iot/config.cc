@@ -8,7 +8,6 @@ namespace iot {
 Result<BenchmarkConfig> LoadBenchmarkConfig(const Properties& props) {
   static const std::set<std::string> kKnownKeys = {
       "driver_instances",     "total_kvps",         "batch_size",
-      "store.write_shards",
       "seed",                 "min_run_seconds",    "min_per_sensor_rate",
       "min_rows_per_query",   "enforce_query_rows", "skip_warmup",
       "repeatability_tolerance", "timeline.cadence_ms",
@@ -32,8 +31,6 @@ Result<BenchmarkConfig> LoadBenchmarkConfig(const Properties& props) {
       props.GetInt("total_kvps",
                    static_cast<int64_t>(Rules::kDefaultTotalKvps)));
   IOTDB_ASSIGN_OR_RETURN(int64_t batch_size, props.GetInt("batch_size", 200));
-  IOTDB_ASSIGN_OR_RETURN(int64_t write_shards,
-                         props.GetInt("store.write_shards", 0));
   IOTDB_ASSIGN_OR_RETURN(int64_t seed, props.GetInt("seed", 42));
   IOTDB_ASSIGN_OR_RETURN(
       config.min_run_seconds,
@@ -166,14 +163,9 @@ Result<BenchmarkConfig> LoadBenchmarkConfig(const Properties& props) {
   if (batch_size < 1) {
     return Status::InvalidArgument("batch_size must be >= 1");
   }
-  if (write_shards < 0 || write_shards > 64) {
-    return Status::InvalidArgument(
-        "store.write_shards must be in [0, 64] (0 = auto)");
-  }
   config.num_driver_instances = static_cast<int>(instances);
   config.total_kvps = static_cast<uint64_t>(total_kvps);
   config.batch_size = static_cast<size_t>(batch_size);
-  config.write_shards = static_cast<int>(write_shards);
   config.seed = static_cast<uint64_t>(seed);
   return config;
 }
@@ -184,9 +176,6 @@ Properties BenchmarkConfigToProperties(const BenchmarkConfig& config) {
             std::to_string(config.num_driver_instances));
   props.Set("total_kvps", std::to_string(config.total_kvps));
   props.Set("batch_size", std::to_string(config.batch_size));
-  if (config.write_shards != 0) {
-    props.Set("store.write_shards", std::to_string(config.write_shards));
-  }
   props.Set("seed", std::to_string(config.seed));
   props.Set("min_run_seconds", std::to_string(config.min_run_seconds));
   props.Set("min_per_sensor_rate",

@@ -14,8 +14,6 @@ namespace iot {
 ///   driver_instances      (1)      number of simulated power substations
 ///   total_kvps            (1e9)    kvps per workload execution
 ///   batch_size            (200)    client write buffer in kvps
-///   store.write_shards    (0)      storage write shards per node
-///                                  (0 = auto, hardware concurrency)
 ///   seed                  (42)
 ///   min_run_seconds       (1800)
 ///   min_per_sensor_rate   (20)

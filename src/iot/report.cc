@@ -1,9 +1,7 @@
 #include "iot/report.h"
 
-#include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <map>
 #include <sstream>
 
 #include "iot/run_timeline.h"
@@ -80,50 +78,6 @@ void AppendRunTimeline(std::string* out, const WorkloadExecution& warmup,
                static_cast<unsigned long long>(dip.flush_bytes),
                static_cast<unsigned long long>(dip.scrub_bytes),
                static_cast<long long>(dip.hint_queue_depth));
-  }
-
-  // Write-shard balance over the measured window (Figure 15's skew view at
-  // the shard level): per-shard put totals from the storage.shard<i>.puts
-  // series, plus the hottest shard as a percentage of the per-shard mean.
-  std::map<std::string, uint64_t> shard_puts;
-  for (const obs::TimelineInterval& interval : measured.timeline.intervals) {
-    for (const auto& [name, value] : interval.delta.counters) {
-      constexpr const char kPrefix[] = "storage.shard";
-      constexpr const char kSuffix[] = ".puts";
-      const size_t prefix_len = sizeof(kPrefix) - 1;
-      const size_t suffix_len = sizeof(kSuffix) - 1;
-      if (name.size() <= prefix_len + suffix_len) continue;
-      if (name.compare(0, prefix_len, kPrefix) != 0) continue;
-      if (name.compare(name.size() - suffix_len, suffix_len, kSuffix) != 0) {
-        continue;
-      }
-      shard_puts[name.substr(prefix_len,
-                             name.size() - prefix_len - suffix_len)] +=
-          value;
-    }
-  }
-  if (!shard_puts.empty()) {
-    uint64_t total = 0;
-    uint64_t max_puts = 0;
-    for (const auto& [id, puts] : shard_puts) {
-      total += puts;
-      max_puts = std::max(max_puts, puts);
-    }
-    double imbalance = 100.0;
-    if (total > 0) {
-      imbalance = 100.0 * static_cast<double>(max_puts) /
-                  (static_cast<double>(total) /
-                   static_cast<double>(shard_puts.size()));
-    }
-    std::string detail;
-    for (const auto& [id, puts] : shard_puts) {
-      if (!detail.empty()) detail += ", ";
-      detail += "shard" + id + "=" + std::to_string(puts);
-    }
-    AppendLine(out,
-               "  Write-shard balance: %zu shards, hottest at %.0f%% of "
-               "mean (%s)",
-               shard_puts.size(), imbalance, detail.c_str());
   }
 }
 

@@ -12,7 +12,7 @@ thread_local OpBreadcrumb* tls_breadcrumb = nullptr;
 
 const char* StageName(Stage stage) {
   switch (stage) {
-    case Stage::kShardQueueWait: return "shard_queue_wait";
+    case Stage::kCommitQueueWait: return "commit_queue_wait";
     case Stage::kVlog: return "vlog";
     case Stage::kWalSync: return "wal_sync";
     case Stage::kCommitWait: return "commit_wait";

@@ -14,7 +14,7 @@ namespace obs {
 ///
 /// Two disjoint groups compose an op's wall time, depending on which thread
 /// executes the storage work:
-///  - storage stages (shard queue wait, vlog, WAL sync, commit wait) are
+///  - storage stages (commit queue wait, vlog, WAL sync, commit wait) are
 ///    accumulated by the thread that runs KVStore::PutMany/Write — the
 ///    driver thread in single-store mode, a replica mailbox thread under
 ///    replication;
@@ -25,18 +25,18 @@ namespace obs {
 /// critical-path reconciliation in the FDR sums only the group the op
 /// actually executed on its own thread.
 enum class Stage : int {
-  kShardQueueWait = 0,  // time queued behind the shard's group-commit leader
-  kVlog,                // value-log separation + sync (leader, per group)
-  kWalSync,             // WAL append + sync (leader, per group)
-  kCommitWait,          // memtable insert + sequence publication + handoff
-  kFanoutSend,          // building + sending replica write requests
-  kQuorumWait,          // waiting for W acks (includes straggler tolerance)
-  kRetryBackoff,        // driver retry sleeps on Unavailable/TimedOut
+  kCommitQueueWait = 0,  // time queued behind the group-commit leader
+  kVlog,                 // value-log separation + sync (leader, per group)
+  kWalSync,              // WAL append + sync (leader, per group)
+  kCommitWait,           // memtable insert + sequence publication + handoff
+  kFanoutSend,           // building + sending replica write requests
+  kQuorumWait,           // waiting for W acks (includes straggler tolerance)
+  kRetryBackoff,         // driver retry sleeps on Unavailable/TimedOut
 };
 
 inline constexpr int kNumStages = 7;
 
-/// Stable lowercase stage slug ("shard_queue_wait", ...), used for registry
+/// Stable lowercase stage slug ("commit_queue_wait", ...), used for registry
 /// instrument names, slowops.json keys, and FDR rows.
 const char* StageName(Stage stage);
 

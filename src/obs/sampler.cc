@@ -60,26 +60,6 @@ std::string NodeIdFromCounterName(const std::string& name) {
   return id;
 }
 
-/// Extracts "<i>" from "storage.shard<i>.puts"; empty when the name does
-/// not match.
-std::string ShardIdFromCounterName(const std::string& name) {
-  constexpr const char kPrefix[] = "storage.shard";
-  constexpr const char kSuffix[] = ".puts";
-  const size_t prefix_len = sizeof(kPrefix) - 1;
-  const size_t suffix_len = sizeof(kSuffix) - 1;
-  if (name.size() <= prefix_len + suffix_len) return "";
-  if (name.compare(0, prefix_len, kPrefix) != 0) return "";
-  if (name.compare(name.size() - suffix_len, suffix_len, kSuffix) != 0) {
-    return "";
-  }
-  std::string id =
-      name.substr(prefix_len, name.size() - prefix_len - suffix_len);
-  for (char c : id) {
-    if (c < '0' || c > '9') return "";
-  }
-  return id;
-}
-
 }  // namespace
 
 std::string Timeline::ToJson() const {
@@ -161,21 +141,7 @@ std::string Timeline::ToJson() const {
       out += "\":";
       out += std::to_string(value);
     }
-    out += "},\"shard_puts\":{";
-    bool first_shard = true;
-    for (const auto& [name, value] : interval.delta.counters) {
-      std::string id = ShardIdFromCounterName(name);
-      if (id.empty()) continue;
-      if (!first_shard) out += ',';
-      first_shard = false;
-      out += '"';
-      out += id;
-      out += "\":";
-      out += std::to_string(value);
-    }
-    out += "},\"shard_imbalance_pct\":";
-    out += std::to_string(interval.GaugeValue("storage.shard.imbalance"));
-    out += '}';
+    out += "}}";
   }
   out += "]}";
   return out;

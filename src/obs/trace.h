@@ -15,7 +15,7 @@ namespace obs {
 
 /// Causal identity of one request-scoped span. A context is minted at the
 /// op's entry point (the driver), derived (`Child`) at every hop the op
-/// takes — shard group-commit leader, channel message, replica apply — and
+/// takes — group-commit leader, channel message, replica apply — and
 /// recorded alongside the span so the exporter can reconstruct the
 /// parent→child tree and draw cross-thread flow arrows. `trace_id == 0`
 /// means "not part of a traced op"; ids are process-unique, never reused.

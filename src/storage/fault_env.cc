@@ -331,15 +331,17 @@ Status FaultInjectionEnv::CorruptFile(const std::string& path, int bits) {
 }
 
 Result<std::string> FaultInjectionEnv::CorruptRandomFile(
-    const std::string& dir, FileClass file_class, int bits) {
+    const std::string& dir, FileClass file_class, int bits,
+    const std::function<bool(const std::string&)>& eligible) {
   std::vector<std::string> candidates;
   {
     IOTDB_ASSIGN_OR_RETURN(auto names, target_->ListDir(dir));
     std::sort(names.begin(), names.end());  // determinism across Env impls
     for (const std::string& name : names) {
-      if (ClassifyFile(name) == file_class) {
-        candidates.push_back(dir + "/" + name);
-      }
+      if (ClassifyFile(name) != file_class) continue;
+      std::string path = dir + "/" + name;
+      if (eligible && !eligible(path)) continue;
+      candidates.push_back(std::move(path));
     }
   }
   if (candidates.empty()) {

@@ -2,6 +2,7 @@
 #define IOTDB_STORAGE_FAULT_ENV_H_
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -119,10 +120,12 @@ class FaultInjectionEnv final : public Env {
   Status CorruptFile(const std::string& path, int bits);
 
   /// Picks a seeded-random live file of `file_class` under `dir` and flips
-  /// `bits` of its bits. Returns the victim's path, or NotFound when the
-  /// directory holds no file of that class.
-  Result<std::string> CorruptRandomFile(const std::string& dir,
-                                        FileClass file_class, int bits);
+  /// `bits` of its bits. When `eligible` is set, only paths it accepts are
+  /// candidates. Returns the victim's path, or NotFound when no candidate
+  /// exists.
+  Result<std::string> CorruptRandomFile(
+      const std::string& dir, FileClass file_class, int bits,
+      const std::function<bool(const std::string&)>& eligible = nullptr);
 
   FaultCounters counters() const;
   void ResetCounters();

@@ -5,7 +5,6 @@
 #include <cinttypes>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include "common/logging.h"
 #include "obs/attribution.h"
@@ -24,7 +23,6 @@ namespace {
 
 constexpr size_t kMaxGroupCommitBytes = 1 << 20;  // 1 MiB
 constexpr uint64_t kMaxOutputFileBytes = 2 << 20;  // 2 MiB per compaction out
-constexpr int kMaxWriteShards = 64;
 
 std::string ToHex(const Slice& s) {
   static const char kHex[] = "0123456789abcdef";
@@ -68,27 +66,6 @@ bool ParseFileName(const std::string& name, uint64_t* number,
   }
   *number = strtoull(name.substr(0, dot).c_str(), nullptr, 10);
   *suffix = name.substr(dot + 1);
-  return true;
-}
-
-/// Parses "wal-<shard>-<number>.log" WAL partition names. The exact ".log"
-/// suffix check keeps ".log.quarantined" files out of every live-file scan.
-bool ParseWalFileName(const std::string& name, int* shard, uint64_t* number) {
-  if (name.rfind("wal-", 0) != 0) return false;
-  size_t dash = name.find('-', 4);
-  if (dash == std::string::npos || dash == 4) return false;
-  for (size_t i = 4; i < dash; ++i) {
-    if (!isdigit(static_cast<unsigned char>(name[i]))) return false;
-  }
-  size_t dot = name.find('.', dash + 1);
-  if (dot == std::string::npos || dot == dash + 1) return false;
-  for (size_t i = dash + 1; i < dot; ++i) {
-    if (!isdigit(static_cast<unsigned char>(name[i]))) return false;
-  }
-  if (name.substr(dot) != ".log") return false;
-  *shard = atoi(name.substr(4, dash - 4).c_str());
-  *number = strtoull(name.substr(dash + 1, dot - dash - 1).c_str(), nullptr,
-                     10);
   return true;
 }
 
@@ -217,27 +194,6 @@ KVStore::KVStore(const Options& options, const std::string& name)
       registry.GetCounter("storage.vlog.gc_rewritten_records");
   obs_.vlog_recovery_dropped_pointers =
       registry.GetCounter("storage.vlog.recovery_dropped_pointers");
-  obs_.shard_imbalance = registry.GetGauge("storage.shard.imbalance");
-
-  int nshards = options_.write_shards;
-  if (nshards <= 0) {
-    nshards = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  nshards = std::clamp(nshards, 1, kMaxWriteShards);
-  options_.write_shards = nshards;
-  shards_.reserve(static_cast<size_t>(nshards));
-  for (int i = 0; i < nshards; ++i) {
-    auto shard = std::make_unique<WriteShard>();
-    shard->id = i;
-    char prefix[32];
-    snprintf(prefix, sizeof(prefix), "storage.shard%d.", i);
-    shard->obs_puts = registry.GetCounter(std::string(prefix) + "puts");
-    shard->obs_stall_micros =
-        registry.GetCounter(std::string(prefix) + "stall_micros");
-    shard->obs_wal_bytes =
-        registry.GetCounter(std::string(prefix) + "wal_bytes");
-    shards_.push_back(std::move(shard));
-  }
 }
 
 KVStore::~KVStore() {
@@ -249,22 +205,14 @@ KVStore::~KVStore() {
     }
   }
   background_pool_->Shutdown();
-  for (auto& shard : shards_) {
-    if (shard->log_file != nullptr) shard->log_file->Close();
-    if (shard->mem != nullptr) shard->mem->Unref();
-    if (shard->imm != nullptr) shard->imm->Unref();
-  }
+  if (log_file_ != nullptr) log_file_->Close();
+  if (mem_ != nullptr) mem_->Unref();
+  if (imm_ != nullptr) imm_->Unref();
 }
 
 std::string KVStore::LogFileName(uint64_t number) const {
   char buf[32];
   snprintf(buf, sizeof(buf), "/%08" PRIu64 ".log", number);
-  return dbname_ + buf;
-}
-
-std::string KVStore::WalFileName(int shard, uint64_t number) const {
-  char buf[48];
-  snprintf(buf, sizeof(buf), "/wal-%d-%08" PRIu64 ".log", shard, number);
   return dbname_ + buf;
 }
 
@@ -294,18 +242,6 @@ Status KVStore::Destroy(const Options& options, const std::string& name) {
   return Status::OK();
 }
 
-int KVStore::ShardForKey(const Slice& key) const {
-  if (shards_.size() == 1) return 0;
-  // FNV-1a: cheap, stable across runs (routing must be a pure function of
-  // the key so recovery and reads find what writes stored).
-  uint64_t h = 1469598103934665603ull;
-  for (size_t i = 0; i < key.size(); ++i) {
-    h ^= static_cast<uint8_t>(key[i]);
-    h *= 1099511628211ull;
-  }
-  return static_cast<int>(h % shards_.size());
-}
-
 Status KVStore::Recover() {
   IOTDB_RETURN_NOT_OK(env_->CreateDir(dbname_));
 
@@ -320,53 +256,33 @@ Status KVStore::Recover() {
     IOTDB_RETURN_NOT_OK(RecoverVlogFiles());
   }
 
-  for (auto& shard : shards_) {
-    shard->mem = new MemTable(icmp_);
-    shard->mem->Ref();
-  }
+  mem_ = new MemTable(icmp_);
+  mem_->Ref();
 
-  // Collect WAL partitions (and legacy single-WAL files) not yet
-  // represented by flushed tables. A shard id at or past the current count
-  // comes from a previous incarnation with more shards: replay it — the
-  // records re-route by the current hash — then delete it below.
+  // Replay every WAL not yet represented by flushed tables, oldest first:
+  // one WAL chain, so file order is commit order.
   IOTDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(dbname_));
-  std::vector<std::string> wal_paths;
+  std::vector<uint64_t> logs;
   uint64_t max_file_number = next_file_number_.load(std::memory_order_relaxed);
   for (const std::string& f : files) {
     uint64_t number;
-    int shard_id;
     std::string suffix;
-    if (ParseWalFileName(f, &shard_id, &number)) {
-      uint64_t keep = 0;
-      auto it = recovered_wal_keeps_.find(shard_id);
-      if (it != recovered_wal_keeps_.end()) keep = it->second;
-      if (number >= keep) wal_paths.push_back(dbname_ + "/" + f);
-      max_file_number = std::max(max_file_number, number + 1);
-    } else if (ParseFileName(f, &number, &suffix) && suffix == "log" &&
-               number >= log_number_) {
-      wal_paths.push_back(dbname_ + "/" + f);
+    if (ParseFileName(f, &number, &suffix) && suffix == "log" &&
+        number >= log_number_) {
+      logs.push_back(number);
       max_file_number = std::max(max_file_number, number + 1);
     }
   }
   next_file_number_.store(max_file_number, std::memory_order_relaxed);
+  std::sort(logs.begin(), logs.end());
 
-  // Merge-replay all partitions in global sequence order: every batch
-  // carries the sequence block it was allocated, blocks are disjoint, so a
-  // sort by first sequence reconstructs commit order across shards.
-  std::vector<std::pair<SequenceNumber, std::string>> records;
   uint64_t dropped_bytes = 0;
-  for (const std::string& path : wal_paths) {
-    IOTDB_RETURN_NOT_OK(ReadLogRecords(path, &records, &dropped_bytes));
-  }
-  std::sort(records.begin(), records.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   uint64_t dropped_pointers = 0;
   SequenceNumber max_sequence = visible_seq_.load(std::memory_order_relaxed);
-  for (const auto& [seq, contents] : records) {
-    IOTDB_RETURN_NOT_OK(
-        ReplayBatch(Slice(contents), &dropped_pointers, &max_sequence));
+  for (uint64_t number : logs) {
+    IOTDB_RETURN_NOT_OK(ReplayLogFile(number, &dropped_bytes,
+                                      &dropped_pointers, &max_sequence));
   }
-  seq_alloc_.store(max_sequence, std::memory_order_relaxed);
   visible_seq_.store(max_sequence, std::memory_order_release);
   if (dropped_pointers > 0) {
     IOTDB_LOG(Warn) << "WAL replay dropped " << dropped_pointers
@@ -385,37 +301,28 @@ Status KVStore::Recover() {
     }
   }
 
-  // Fresh WAL partition per shard.
-  for (auto& shard : shards_) {
-    uint64_t number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-    IOTDB_ASSIGN_OR_RETURN(
-        shard->log_file,
-        env_->NewWritableFile(WalFileName(shard->id, number)));
-    shard->log = std::make_unique<log::Writer>(shard->log_file.get());
-    shard->log_number = number;
-    shard->wal_keep.store(number, std::memory_order_release);
-  }
-  // Every legacy WAL was replayed (and is flushed below), so anything below
-  // next_file is deletable; the threshold only matters for pre-shard files.
-  log_number_ = next_file_number_.load(std::memory_order_relaxed);
+  logfile_number_ = next_file_number_.fetch_add(1, std::memory_order_relaxed);
+  IOTDB_ASSIGN_OR_RETURN(log_file_,
+                         env_->NewWritableFile(LogFileName(logfile_number_)));
+  log_ = std::make_unique<log::Writer>(log_file_.get());
+  // The replayed entries are flushed below before any manifest records
+  // this threshold, so the replayed WALs become deletable.
+  log_number_ = logfile_number_;
 
   {
     std::unique_lock<std::mutex> lock(mu_);
     if (options_.value_separation) {
       IOTDB_RETURN_NOT_OK(OpenVlogWriterLocked());
     }
-    // Flush replayed entries before the old WAL partitions become
-    // deletable; the fresh partitions do not contain them.
-    for (auto& shard : shards_) {
-      if (shard->mem->NumEntries() == 0) continue;
+    if (mem_->NumEntries() > 0) {
       {
-        std::lock_guard<std::mutex> shard_lock(shard->mu);
-        shard->imm = shard->mem;
-        shard->has_imm.store(true, std::memory_order_release);
-        shard->mem = new MemTable(icmp_);
-        shard->mem->Ref();
+        std::lock_guard<std::mutex> write_lock(write_mu_);
+        imm_ = mem_;
+        has_imm_.store(true, std::memory_order_release);
+        mem_ = new MemTable(icmp_);
+        mem_->Ref();
       }
-      IOTDB_RETURN_NOT_OK(FlushShard(shard.get(), &lock));
+      IOTDB_RETURN_NOT_OK(FlushImmutable(&lock));
     }
     SyncL0CountLocked();
     IOTDB_RETURN_NOT_OK(WriteManifest());
@@ -424,20 +331,18 @@ Status KVStore::Recover() {
   return Status::OK();
 }
 
-Status KVStore::ReadLogRecords(
-    const std::string& path,
-    std::vector<std::pair<SequenceNumber, std::string>>* records,
-    uint64_t* dropped_bytes) {
+Status KVStore::ReplayLogFile(uint64_t number, uint64_t* dropped_bytes,
+                              uint64_t* dropped_pointers,
+                              SequenceNumber* max_sequence) {
+  const std::string path = LogFileName(number);
   IOTDB_ASSIGN_OR_RETURN(auto file, env_->NewSequentialFile(path));
   LogCorruptionReporter reporter;
   log::Reader reader(file.get(), &reporter, /*checksum=*/true, path);
   Slice record;
   std::string scratch;
-  WriteBatch batch;
   while (reader.ReadRecord(&record, &scratch)) {
     if (record.size() < 12) continue;
-    IOTDB_RETURN_NOT_OK(WriteBatch::SetContents(&batch, record));
-    records->emplace_back(batch.sequence(), record.ToString());
+    IOTDB_RETURN_NOT_OK(ReplayBatch(record, dropped_pointers, max_sequence));
   }
   *dropped_bytes += reporter.dropped_bytes;
   return Status::OK();
@@ -445,19 +350,16 @@ Status KVStore::ReadLogRecords(
 
 Status KVStore::ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
                             SequenceNumber* max_sequence) {
-  // WAL replay: entries hash-route to the *current* shard layout (the WAL
-  // partition they were read from is irrelevant — routing is a pure
-  // function of the key, and the shard count may have changed between
-  // runs). Under key-value separation a WAL record can outlive the vlog
-  // record it points at (torn vlog tail, rot): a pointer that no longer
-  // dereferences cleanly is dropped — the key falls back to its previous
-  // version or NotFound, never to garbage bytes. The per-entry sequence
-  // numbering still advances for dropped entries so surviving entries keep
-  // the exact sequence the WAL assigned them.
-  class Router final : public WriteBatch::Handler {
+  // Under key-value separation a WAL record can outlive the vlog record it
+  // points at (torn vlog tail, rot): a pointer that no longer dereferences
+  // cleanly is dropped — the key falls back to its previous version or
+  // NotFound, never to garbage bytes. The per-entry sequence numbering
+  // still advances for dropped entries so surviving entries keep the exact
+  // sequence the WAL assigned them.
+  class Replayer final : public WriteBatch::Handler {
    public:
-    Router(KVStore* store, vlog::VlogReader* reader, SequenceNumber seq)
-        : store_(store), reader_(reader), seq_(seq) {}
+    Replayer(MemTable* mem, vlog::VlogReader* reader, SequenceNumber seq)
+        : mem_(mem), reader_(reader), seq_(seq) {}
 
     void Put(const Slice& key, const Slice& value) override {
       if (reader_ != nullptr) {
@@ -471,21 +373,17 @@ Status KVStore::ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
           }
         }
       }
-      Mem(key)->Add(seq_++, ValueType::kValue, key, value);
+      mem_->Add(seq_++, ValueType::kValue, key, value);
     }
 
     void Delete(const Slice& key) override {
-      Mem(key)->Add(seq_++, ValueType::kDeletion, key, Slice());
+      mem_->Add(seq_++, ValueType::kDeletion, key, Slice());
     }
 
     uint64_t dropped_pointers() const { return dropped_pointers_; }
 
    private:
-    MemTable* Mem(const Slice& key) {
-      return store_->shards_[store_->ShardForKey(key)]->mem;
-    }
-
-    KVStore* const store_;
+    MemTable* const mem_;
     vlog::VlogReader* const reader_;
     SequenceNumber seq_;
     uint64_t dropped_pointers_ = 0;
@@ -493,11 +391,11 @@ Status KVStore::ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
 
   WriteBatch batch;
   IOTDB_RETURN_NOT_OK(WriteBatch::SetContents(&batch, contents));
-  Router router(this,
-                options_.value_separation ? vlog_reader_.get() : nullptr,
-                batch.sequence());
-  IOTDB_RETURN_NOT_OK(batch.Iterate(&router));
-  *dropped_pointers += router.dropped_pointers();
+  Replayer replayer(mem_,
+                    options_.value_separation ? vlog_reader_.get() : nullptr,
+                    batch.sequence());
+  IOTDB_RETURN_NOT_OK(batch.Iterate(&replayer));
+  *dropped_pointers += replayer.dropped_pointers();
   if (batch.Count() > 0) {
     SequenceNumber last = batch.sequence() + batch.Count() - 1;
     *max_sequence = std::max(*max_sequence, last);
@@ -544,11 +442,6 @@ Status KVStore::WriteManifest() {
   out << "last_sequence " << visible_seq_.load(std::memory_order_relaxed)
       << "\n";
   out << "log_number " << log_number_ << "\n";
-  out << "wal_shards " << shards_.size() << "\n";
-  for (const auto& shard : shards_) {
-    out << "shard_log " << shard->id << " "
-        << shard->wal_keep.load(std::memory_order_acquire) << "\n";
-  }
   out << "vlog_sep " << (options_.value_separation ? 1 : 0) << "\n";
   for (const auto& vf : vlog_files_) {
     out << "vlog " << vf.number << " " << vf.size << " " << vf.dead_bytes
@@ -586,20 +479,8 @@ Status KVStore::LoadManifest(bool* found) {
       SequenceNumber last_sequence;
       in >> last_sequence;
       visible_seq_.store(last_sequence, std::memory_order_relaxed);
-      seq_alloc_.store(last_sequence, std::memory_order_relaxed);
     } else if (tag == "log_number") {
       in >> log_number_;
-    } else if (tag == "wal_shards") {
-      // Informational: the previous incarnation's shard count. Recovery
-      // re-routes by the current hash, so a mismatch is fine.
-      size_t previous_shards;
-      in >> previous_shards;
-    } else if (tag == "shard_log") {
-      int shard_id;
-      uint64_t keep;
-      in >> shard_id >> keep;
-      if (shard_id < 0) return Status::Corruption("bad manifest shard id");
-      recovered_wal_keeps_[shard_id] = keep;
     } else if (tag == "vlog_sep") {
       int sep;
       in >> sep;
@@ -671,18 +552,7 @@ void KVStore::RemoveObsoleteFiles() {
   if (!listing.ok()) return;
   for (const std::string& name : listing.ValueOrDie()) {
     uint64_t number;
-    int shard_id;
     std::string suffix;
-    if (ParseWalFileName(name, &shard_id, &number)) {
-      // A partition is deletable once its shard's flushed threshold passed
-      // it — or once its shard no longer exists (count shrank; recovery
-      // replayed and flushed it already).
-      bool keep =
-          shard_id < static_cast<int>(shards_.size()) &&
-          number >= shards_[shard_id]->wal_keep.load(std::memory_order_acquire);
-      if (!keep) env_->RemoveFile(dbname_ + "/" + name).ok();
-      continue;
-    }
     if (!ParseFileName(name, &number, &suffix)) continue;
     bool keep = true;
     if (suffix == "log") {
@@ -802,9 +672,8 @@ bool KVStore::IsLiveTableFile(const std::string& path) {
   return false;
 }
 
-Status KVStore::VerifyWalTail(int shard, uint64_t number,
-                              uint64_t* dropped_bytes) {
-  const std::string path = WalFileName(shard, number);
+Status KVStore::VerifyWalTail(uint64_t number, uint64_t* dropped_bytes) {
+  const std::string path = LogFileName(number);
   IOTDB_ASSIGN_OR_RETURN(auto file, env_->NewSequentialFile(path));
   LogCorruptionReporter reporter;
   log::Reader reader(file.get(), &reporter, /*checksum=*/true, path);
@@ -823,21 +692,19 @@ Status KVStore::VerifyIntegrity(ScrubReport* report) {
   ScrubReport* rep = report != nullptr ? report : &local;
 
   std::unique_lock<std::mutex> lock(mu_);
-  // Walk each shard's live WAL tail holding that shard's mutex with its
-  // leader drained, so the flushed prefix is stable under the walk. The
-  // live WAL is checked but never quarantined: its records also live in
-  // the memtable, and rotation retires it naturally.
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
-    shard->cv.wait(shard_lock, [&] { return !shard->leader_active; });
-    if (shard->log_file == nullptr) continue;
-    shard->log_file->Flush().ok();
-    uint64_t number = shard->log_number;
+  {
+    // Walk the live WAL tail holding the write queue with its leader
+    // drained, so the flushed prefix is stable under the walk. The live
+    // WAL is checked but never quarantined: its records also live in the
+    // memtable, and rotation retires it naturally.
+    std::unique_lock<std::mutex> write_lock(write_mu_);
+    write_cv_.wait(write_lock, [this] { return !leader_active_; });
+    log_file_->Flush().ok();
     IOTDB_RETURN_NOT_OK(
-        VerifyWalTail(shard->id, number, &rep->wal_dropped_bytes));
+        VerifyWalTail(logfile_number_, &rep->wal_dropped_bytes));
     // The WAL tail walk is scrub work too: count its bytes so the paced
     // scrub accounting (and the FDR injected-vs-detected math) stays honest.
-    auto wal_size = env_->FileSize(WalFileName(shard->id, number));
+    auto wal_size = env_->FileSize(LogFileName(logfile_number_));
     if (wal_size.ok()) {
       rep->bytes_checked += wal_size.ValueOrDie();
       if (obs::Enabled()) {
@@ -900,24 +767,6 @@ Status KVStore::Delete(const WriteOptions& options, const Slice& key) {
   return Write(options, &batch);
 }
 
-void KVStore::PublishSequence(SequenceNumber first, SequenceNumber last) {
-  std::lock_guard<std::mutex> lock(seq_publish_mu_);
-  SequenceNumber visible = visible_seq_.load(std::memory_order_relaxed);
-  if (first != visible + 1) {
-    // An earlier-sequenced block on another shard is still committing:
-    // buffer this one so visibility stays a contiguous sequence prefix.
-    pending_publish_[first] = last;
-    return;
-  }
-  SequenceNumber newest = last;
-  auto it = pending_publish_.begin();
-  while (it != pending_publish_.end() && it->first == newest + 1) {
-    newest = it->second;
-    it = pending_publish_.erase(it);
-  }
-  visible_seq_.store(newest, std::memory_order_release);
-}
-
 Status KVStore::BackgroundErrorSnapshot() {
   std::lock_guard<std::mutex> lock(error_mu_);
   return background_error_;
@@ -928,180 +777,71 @@ void KVStore::SetBackgroundError(const Status& s) {
   if (background_error_.ok()) background_error_ = s;
 }
 
-void KVStore::NotifyAllShards() {
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    shard->cv.notify_all();
-  }
-}
-
-std::vector<std::unique_lock<std::mutex>> KVStore::FreezeAllShards() {
-  // Ascending index order (the only multi-shard acquisition in the store).
-  // Waiting out a leader is safe: an active leader finishes with only its
-  // own shard mutex (it clears leader_active before ever touching mu_),
-  // and no new leader can start on a shard whose mutex we already hold.
-  std::vector<std::unique_lock<std::mutex>> guards;
-  guards.reserve(shards_.size());
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
-    shard->cv.wait(shard_lock, [&] { return !shard->leader_active; });
-    guards.push_back(std::move(shard_lock));
-  }
-  return guards;
-}
-
-Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
-  const int nshards = static_cast<int>(shards_.size());
-  if (nshards == 1 || batch->Count() <= 1) {
-    int target = 0;
-    if (nshards > 1 && batch->Count() == 1) {
-      // Single-entry batch: route it whole, no split needed.
-      class FirstKey final : public WriteBatch::Handler {
-       public:
-        void Put(const Slice& key, const Slice&) override { Capture(key); }
-        void Delete(const Slice& key) override { Capture(key); }
-        std::string key;
-        bool has = false;
-
-       private:
-        void Capture(const Slice& k) {
-          if (!has) {
-            key = k.ToString();
-            has = true;
-          }
-        }
-      } first;
-      batch->Iterate(&first).ok();
-      if (first.has) target = ShardForKey(Slice(first.key));
-    }
-    return CommitToShard(shards_[target].get(), options, batch);
-  }
-
-  // Split by shard. Each per-shard sub-batch commits atomically on its own
-  // WAL partition; cross-shard visibility is published in sequence order
-  // as the sub-batches complete (see the header contract).
-  std::vector<WriteBatch> parts(static_cast<size_t>(nshards));
-  class Splitter final : public WriteBatch::Handler {
-   public:
-    Splitter(const KVStore* store, std::vector<WriteBatch>* parts)
-        : store_(store), parts_(parts) {}
-
-    void Put(const Slice& key, const Slice& value) override {
-      (*parts_)[store_->ShardForKey(key)].Put(key, value);
-    }
-
-    void Delete(const Slice& key) override {
-      (*parts_)[store_->ShardForKey(key)].Delete(key);
-    }
-
-   private:
-    const KVStore* const store_;
-    std::vector<WriteBatch>* const parts_;
-  } splitter(this, &parts);
-  IOTDB_RETURN_NOT_OK(batch->Iterate(&splitter));
-
-  int only_shard = -1;
-  int populated = 0;
-  for (int i = 0; i < nshards; ++i) {
-    if (parts[i].Count() > 0) {
-      only_shard = i;
-      populated++;
-    }
-  }
-  if (populated == 0) {
-    return CommitToShard(shards_[0].get(), options, batch);
-  }
-  if (populated == 1) {
-    // All keys landed on one shard: commit the caller's batch unsplit so
-    // its exact entry order (and full atomicity) is preserved.
-    return CommitToShard(shards_[only_shard].get(), options, batch);
-  }
-  Status status;
-  for (int i = 0; i < nshards && status.ok(); ++i) {
-    if (parts[i].Count() == 0) continue;
-    status = CommitToShard(shards_[i].get(), options, &parts[i]);
-  }
-  return status;
+void KVStore::WakeWriters() {
+  std::lock_guard<std::mutex> write_lock(write_mu_);
+  write_cv_.notify_all();
 }
 
 Status KVStore::PutMany(const WriteOptions& options,
                         std::span<const KvEntry> entries) {
   if (entries.empty()) return Status::OK();
-  const int nshards = static_cast<int>(shards_.size());
-  if (nshards == 1) {
-    WriteBatch batch;
-    for (const KvEntry& e : entries) batch.Put(e.key, e.value);
-    return CommitToShard(shards_[0].get(), options, &batch);
-  }
-  // One routing pass, one group commit per populated shard.
-  std::vector<WriteBatch> parts(static_cast<size_t>(nshards));
-  for (const KvEntry& e : entries) {
-    parts[ShardForKey(e.key)].Put(e.key, e.value);
-  }
-  Status status;
-  for (int i = 0; i < nshards && status.ok(); ++i) {
-    if (parts[i].Count() == 0) continue;
-    status = CommitToShard(shards_[i].get(), options, &parts[i]);
-  }
-  return status;
+  WriteBatch batch;
+  for (const KvEntry& e : entries) batch.Put(e.key, e.value);
+  return Write(options, &batch);
 }
 
-Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
-                              WriteBatch* batch) {
+Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
   WriterState w(batch, options.sync || options_.wal_sync);
   const bool tracing = obs::TraceBuffer::Enabled();
   if (tracing) w.ctx = obs::CurrentTraceContext();
-  // Attribution: time queued behind the shard's leader (for a follower
-  // that is the op's whole storage latency — the leader commits its rows).
-  // Clock reads are gated on an installed breadcrumb so unattributed ops
-  // pay only the TLS load.
+  // Attribution: time queued behind the group-commit leader (for a
+  // follower that is the op's whole storage latency — the leader commits
+  // its rows). Clock reads are gated on an installed breadcrumb so
+  // unattributed ops pay only the TLS load.
   obs::OpBreadcrumb* bc = obs::CurrentBreadcrumb();
   const uint64_t queue_t0 = bc != nullptr ? options_.clock->NowMicros() : 0;
 
-  std::unique_lock<std::mutex> lock(shard->mu);
-  shard->writers.push_back(&w);
-  while (!w.done && &w != shard->writers.front()) {
+  std::unique_lock<std::mutex> lock(write_mu_);
+  writers_.push_back(&w);
+  while (!w.done && &w != writers_.front()) {
     w.cv.wait(lock);
   }
   if (w.done) {
     if (bc != nullptr) {
-      obs::AddStageMicros(obs::Stage::kShardQueueWait,
+      obs::AddStageMicros(obs::Stage::kCommitQueueWait,
                           options_.clock->NowMicros() - queue_t0);
     }
     return w.status;
   }
 
-  // This thread is the shard's group-commit leader. Write stalls
+  // This thread is the group-commit leader. Write stalls
   // (MakeRoomForWrite) count as queue wait too: time the op spent blocked
   // before its commit could proceed.
   bool switched = false;
-  Status status = MakeRoomForWrite(shard, &lock, &switched);
+  Status status = MakeRoomForWrite(&lock, &switched);
   if (bc != nullptr) {
-    obs::AddStageMicros(obs::Stage::kShardQueueWait,
+    obs::AddStageMicros(obs::Stage::kCommitQueueWait,
                         options_.clock->NowMicros() - queue_t0);
   }
   WriterState* last_writer = &w;
   bool separated_commit = false;
   uint64_t group_commit_ts = 0;  // WAL-commit wall time, for follower links
   if (status.ok()) {
-    WriteBatch* updates = BuildBatchGroup(shard, &last_writer);
+    WriteBatch* updates = BuildBatchGroup(&last_writer);
     const int batch_count = updates->Count();
     if (batch_count > 0) {
-      // Sequence discipline: one fetch_add allocates the whole group's
-      // block — no store mutex anywhere on the hot path.
-      const SequenceNumber first_seq =
-          seq_alloc_.fetch_add(static_cast<uint64_t>(batch_count),
-                               std::memory_order_relaxed) +
-          1;
+      // Only the leader (or the GC re-put, which waits it out) numbers
+      // groups, so the group continues right after the published prefix.
+      const SequenceNumber first_seq = VisibleSequence() + 1;
       const SequenceNumber last_seq =
           first_seq + static_cast<SequenceNumber>(batch_count) - 1;
       updates->SetSequence(first_seq);
 
-      // The WAL append and memtable insert happen outside the shard mutex:
-      // new writers queue behind last_writer, and only the leader touches
-      // this shard's log. leader_active keeps memtable switches (and the
-      // GC freeze) from pulling the shard out from under us.
-      shard->leader_active = true;
+      // The WAL append and memtable insert happen outside write_mu_: new
+      // writers queue behind last_writer, and only the leader touches the
+      // log. leader_active_ keeps memtable switches (and the GC re-put)
+      // from pulling the memtable out from under us.
+      leader_active_ = true;
       lock.unlock();
       WriteBatch* to_commit = updates;
       const uint64_t vlog_t0 =
@@ -1110,8 +850,8 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
               : 0;
       if (options_.value_separation) {
         // Key-value separation: divert large values into the active vlog
-        // file and commit a batch of pointers instead. vlog_mu_ serialises
-        // leaders of different shards appending to the shared active file.
+        // file and commit a batch of pointers instead. vlog_mu_ keeps the
+        // seal/roll, GC and scrub paths off the active file meanwhile.
         // The vlog bytes are flushed (synced when the commit syncs)
         // *before* the WAL record referencing them, so a replayable
         // pointer always has its record on disk.
@@ -1121,10 +861,10 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
           status = OpenVlogWriterVlogHeld();
         }
         if (status.ok()) {
-          status = SeparateBatch(updates, &shard->sep_batch);
+          status = SeparateBatch(updates, &sep_batch_);
         }
         if (status.ok()) {
-          to_commit = &shard->sep_batch;
+          to_commit = &sep_batch_;
           status = w.sync ? vlog_writer_->Sync() : vlog_writer_->Flush();
         }
         if (status.ok()) separated_commit = true;
@@ -1136,20 +876,18 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
       const bool observe = obs::Enabled();
       uint64_t t0 = (observe || tracing) ? options_.clock->NowMicros() : 0;
       if (status.ok()) {
-        status = shard->log->AddRecord(to_commit->Contents());
+        status = log_->AddRecord(to_commit->Contents());
       }
       uint64_t t1 = observe ? options_.clock->NowMicros() : 0;
       if (status.ok() && w.sync) {
-        status = shard->log_file->Sync();
+        status = log_file_->Sync();
       } else if (status.ok()) {
-        status = shard->log_file->Flush();
+        status = log_file_->Flush();
       }
       uint64_t wal_end = 0;
       if (observe || tracing) {
         // One commit, two sinks, zero extra clock reads: the histograms
-        // get the append/sync split, the trace ring the whole span. The
-        // shard id is the span arg so a trace viewer shows group commits
-        // on different shards overlapping.
+        // get the append/sync split, the trace ring the whole span.
         uint64_t t2 = options_.clock->NowMicros();
         wal_end = t2;
         if (observe) {
@@ -1166,19 +904,15 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
           // below.
           obs::TraceBuffer::Record("storage.wal.group_commit", t0, t2 - t0,
                                    w.ctx.valid() ? w.ctx.Child()
-                                                 : obs::TraceContext(),
-                                   "shard",
-                                   static_cast<uint64_t>(shard->id));
+                                                 : obs::TraceContext());
         }
       }
       if (status.ok()) {
-        status = to_commit->InsertInto(shard->mem);
+        status = to_commit->InsertInto(mem_);
       }
-      const uint64_t wal_bytes = to_commit->Contents().size();
-      // Publish even when the commit failed (the pre-shard store burned
-      // failed groups' sequences too): an unpublished hole would stall
-      // every later block's visibility forever.
-      PublishSequence(first_seq, last_seq);
+      // Publish even when the commit failed: the WAL may hold part of the
+      // record, so its sequences must never be handed out again.
+      visible_seq_.store(last_seq, std::memory_order_release);
       if (bc != nullptr && wal_end != 0) {
         // Commit wait: memtable insert + sequence publication, the leader
         // work after the WAL hits disk.
@@ -1186,35 +920,28 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
                             options_.clock->NowMicros() - wal_end);
       }
       lock.lock();
-      shard->leader_active = false;
-      shard->cv.notify_all();
+      leader_active_ = false;
+      write_cv_.notify_all();
 
       if (status.ok()) {
-        shard->puts.Add(static_cast<uint64_t>(batch_count));
-        shard->wal_bytes.Add(wal_bytes);
         counters_.puts.Add(static_cast<uint64_t>(batch_count));
-        if (observe) {
-          obs_.puts->Add(static_cast<uint64_t>(batch_count));
-          shard->obs_puts->Add(static_cast<uint64_t>(batch_count));
-          shard->obs_wal_bytes->Add(wal_bytes);
-        }
+        if (observe) obs_.puts->Add(static_cast<uint64_t>(batch_count));
       }
     }
-    if (updates == &shard->tmp_batch) shard->tmp_batch.Clear();
-    shard->sep_batch.Clear();
+    if (updates == &tmp_batch_) tmp_batch_.Clear();
+    sep_batch_.Clear();
   }
 
   while (true) {
-    WriterState* ready = shard->writers.front();
-    shard->writers.pop_front();
+    WriterState* ready = writers_.front();
+    writers_.pop_front();
     if (ready != &w) {
       if (tracing && ready->ctx.valid() && group_commit_ts != 0) {
         // Leader handoff: this follower's rows rode the leader's group
         // commit. A zero-duration join event parented under the follower's
         // op keeps its trace flow-connected across the handoff.
         obs::TraceBuffer::Record("storage.group_commit.join",
-                                 group_commit_ts, 0, ready->ctx.Child(),
-                                 "shard", static_cast<uint64_t>(shard->id));
+                                 group_commit_ts, 0, ready->ctx.Child());
       }
       ready->status = status;
       ready->done = true;
@@ -1222,13 +949,13 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
     }
     if (ready == last_writer) break;
   }
-  if (!shard->writers.empty()) {
-    shard->writers.front()->cv.notify_one();
+  if (!writers_.empty()) {
+    writers_.front()->cv.notify_one();
   }
   lock.unlock();
 
-  // Store-level follow-up that needs mu_ — never taken while a shard mutex
-  // is held: schedule the flush of a switched-out memtable, roll the vlog.
+  // Store-level follow-up that needs mu_ — never taken while write_mu_ is
+  // held: schedule the flush of a switched-out memtable, roll the vlog.
   if (switched || separated_commit) {
     std::lock_guard<std::mutex> store_lock(mu_);
     if (separated_commit && status.ok()) {
@@ -1244,10 +971,9 @@ Status KVStore::CommitToShard(WriteShard* shard, const WriteOptions& options,
   return status;
 }
 
-WriteBatch* KVStore::BuildBatchGroup(WriteShard* shard,
-                                     WriterState** last_writer) {
-  assert(!shard->writers.empty());
-  WriterState* first = shard->writers.front();
+WriteBatch* KVStore::BuildBatchGroup(WriterState** last_writer) {
+  assert(!writers_.empty());
+  WriterState* first = writers_.front();
   WriteBatch* result = first->batch;
 
   size_t size = first->batch->ApproximateSize();
@@ -1258,16 +984,16 @@ WriteBatch* KVStore::BuildBatchGroup(WriteShard* shard,
   }
 
   *last_writer = first;
-  auto iter = shard->writers.begin();
+  auto iter = writers_.begin();
   ++iter;  // skip first
-  for (; iter != shard->writers.end(); ++iter) {
+  for (; iter != writers_.end(); ++iter) {
     WriterState* w = *iter;
     if (w->sync && !first->sync) break;  // don't escalate sync scope
     size += w->batch->ApproximateSize();
     if (size > max_size) break;
     if (result == first->batch) {
       // Switch to the scratch batch so we don't mutate the caller's.
-      result = &shard->tmp_batch;
+      result = &tmp_batch_;
       assert(result->Count() == 0);
       result->Append(*first->batch);
     }
@@ -1277,65 +1003,61 @@ WriteBatch* KVStore::BuildBatchGroup(WriteShard* shard,
   return result;
 }
 
-Status KVStore::MakeRoomForWrite(WriteShard* shard,
-                                 std::unique_lock<std::mutex>* lock,
+Status KVStore::MakeRoomForWrite(std::unique_lock<std::mutex>* write_lock,
                                  bool* switched) {
   uint64_t stall_start = 0;
   for (;;) {
     Status err = BackgroundErrorSnapshot();
     if (!err.ok()) return err;
-    if (shard->mem->ApproximateMemoryUsage() <= options_.write_buffer_size) {
+    if (mem_->ApproximateMemoryUsage() <= options_.write_buffer_size) {
       break;
     }
-    if (shard->imm != nullptr) {
+    if (imm_ != nullptr) {
       // Previous memtable still flushing: stall.
       if (stall_start == 0) stall_start = options_.clock->NowMicros();
-      shard->cv.wait(*lock);
+      write_cv_.wait(*write_lock);
       continue;
     }
     if (l0_files_.load(std::memory_order_acquire) >=
         static_cast<uint64_t>(options_.l0_stall_trigger)) {
       if (stall_start == 0) stall_start = options_.clock->NowMicros();
-      shard->cv.wait(*lock);
+      write_cv_.wait(*write_lock);
       continue;
     }
-    IOTDB_RETURN_NOT_OK(SwitchMemTable(shard));
+    IOTDB_RETURN_NOT_OK(SwitchMemTable());
     // Scheduling the flush needs mu_; the leader does it after its commit,
-    // with the shard mutex released (see CommitToShard).
+    // with write_mu_ released (see Write).
     *switched = true;
   }
   if (stall_start != 0) {
     uint64_t stalled = options_.clock->NowMicros() - stall_start;
     counters_.write_stall_micros.Add(stalled);
-    shard->stall_micros.Add(stalled);
     if (obs::Enabled()) {
       obs_.write_stalls->Increment();
       obs_.write_stall_micros->Add(stalled);
-      shard->obs_stall_micros->Add(stalled);
     }
   }
   return Status::OK();
 }
 
-Status KVStore::SwitchMemTable(WriteShard* shard) {
-  assert(shard->imm == nullptr);
-  // Start a fresh WAL partition for the new memtable.
+Status KVStore::SwitchMemTable() {
+  assert(imm_ == nullptr);
+  // Start a fresh WAL for the new memtable.
   uint64_t new_log_number =
       next_file_number_.fetch_add(1, std::memory_order_relaxed);
-  IOTDB_ASSIGN_OR_RETURN(
-      auto new_log_file,
-      env_->NewWritableFile(WalFileName(shard->id, new_log_number)));
-  if (shard->log_file != nullptr) shard->log_file->Close();
-  shard->log_file = std::move(new_log_file);
-  shard->log = std::make_unique<log::Writer>(shard->log_file.get());
-  shard->log_number = new_log_number;
-  // wal_keep is NOT advanced here: the outgoing memtable's records live in
-  // the old partition until FlushShard installs their table.
+  IOTDB_ASSIGN_OR_RETURN(auto new_log_file,
+                         env_->NewWritableFile(LogFileName(new_log_number)));
+  if (log_file_ != nullptr) log_file_->Close();
+  log_file_ = std::move(new_log_file);
+  log_ = std::make_unique<log::Writer>(log_file_.get());
+  logfile_number_ = new_log_number;
+  // log_number_ is NOT advanced here: the outgoing memtable's records live
+  // in the old WAL until FlushImmutable installs their table.
 
-  shard->imm = shard->mem;
-  shard->has_imm.store(true, std::memory_order_release);
-  shard->mem = new MemTable(icmp_);
-  shard->mem->Ref();
+  imm_ = mem_;
+  has_imm_.store(true, std::memory_order_release);
+  mem_ = new MemTable(icmp_);
+  mem_->Ref();
   return Status::OK();
 }
 
@@ -1345,15 +1067,9 @@ Status KVStore::SwitchMemTable(WriteShard* shard) {
 
 void KVStore::MaybeScheduleBackgroundWork() {
   if (background_scheduled_ || shutting_down_) return;
-  bool any_imm = false;
-  for (const auto& shard : shards_) {
-    if (shard->has_imm.load(std::memory_order_acquire)) {
-      any_imm = true;
-      break;
-    }
-  }
-  if (!any_imm && !NeedsCompaction() && pending_scrub_.empty() &&
-      pending_vlog_scrub_.empty() && !NeedsVlogGcLocked()) {
+  if (!has_imm_.load(std::memory_order_acquire) && !NeedsCompaction() &&
+      pending_scrub_.empty() && pending_vlog_scrub_.empty() &&
+      !NeedsVlogGcLocked()) {
     return;
   }
   background_scheduled_ = true;
@@ -1365,15 +1081,8 @@ void KVStore::BackgroundCall() {
   assert(background_scheduled_);
   if (!shutting_down_) {
     Status s;
-    WriteShard* flush_shard = nullptr;
-    for (auto& shard : shards_) {
-      if (shard->has_imm.load(std::memory_order_acquire)) {
-        flush_shard = shard.get();
-        break;
-      }
-    }
-    if (flush_shard != nullptr) {
-      s = FlushShard(flush_shard, &lock);
+    if (has_imm_.load(std::memory_order_acquire)) {
+      s = FlushImmutable(&lock);
     } else if (NeedsCompaction()) {
       s = RunCompaction(&lock);
     } else if (!pending_scrub_.empty()) {
@@ -1408,29 +1117,24 @@ void KVStore::BackgroundCall() {
     } else {
       background_corruption_retries_ = 0;
     }
-    UpdateShardImbalanceGauge();
   }
   background_scheduled_ = false;
   MaybeScheduleBackgroundWork();
   background_work_finished_cv_.notify_all();
   lock.unlock();
-  // Stall and error waiters park on their shard's condvar; the state they
-  // wait on (L0 counts, background errors, compaction progress) changes
-  // under mu_, so fan the wakeup out to every shard.
-  NotifyAllShards();
+  WakeWriters();
 }
 
-Status KVStore::FlushShard(WriteShard* shard,
-                           std::unique_lock<std::mutex>* lock) {
+Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
   MemTable* imm;
   uint64_t wal_number;
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    imm = shard->imm;
-    // The current partition started exactly when this imm was switched
-    // out, so everything the imm holds lives in partitions before it. No
-    // switch can interleave with the flush: switching needs imm == null.
-    wal_number = shard->log_number;
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    imm = imm_;
+    // The active WAL started exactly when this imm was switched out, so
+    // everything the imm holds lives in older WALs. No switch can
+    // interleave with the flush: switching needs imm_ == null.
+    wal_number = logfile_number_;
   }
   if (imm == nullptr) return Status::OK();
   uint64_t file_number =
@@ -1483,16 +1187,16 @@ Status KVStore::FlushShard(WriteShard* shard,
     }
     if (options_.background_scrub) pending_scrub_.push_back(meta->number);
   }
+  // Advance the WAL threshold only now that the table is installed in the
+  // version set: a manifest written by any mu_ holder sees either the old
+  // threshold (and keeps the flushed records' WAL) or the new one plus the
+  // table.
+  log_number_ = wal_number;
   {
-    // Retire the imm and advance the WAL keep threshold in one critical
-    // section, after the table is installed in the version set: a manifest
-    // written by any mu_ holder sees either the old threshold (and keeps
-    // the flushed records' partition) or the new one plus the table.
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    shard->imm = nullptr;
-    shard->has_imm.store(false, std::memory_order_release);
-    shard->wal_keep.store(wal_number, std::memory_order_release);
-    shard->cv.notify_all();
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    imm_ = nullptr;
+    has_imm_.store(false, std::memory_order_release);
+    write_cv_.notify_all();
   }
   imm->Unref();
   IOTDB_RETURN_NOT_OK(WriteManifest());
@@ -1820,9 +1524,6 @@ Result<std::string> KVStore::Get(const ReadOptions& options,
   std::vector<std::shared_ptr<FileMeta>> candidates;
   counters_.gets.Increment();
   if (obs::Enabled()) obs_.gets->Increment();
-  // The key lives in exactly one shard's memtables; tables hold entries
-  // from every shard but sequence filtering keeps lookups correct.
-  WriteShard* shard = shards_[ShardForKey(key)].get();
   // Snapshot before pinning any source: the visible prefix only grows, so
   // a memtable pinned afterwards holds every entry <= snapshot it ever
   // will (entries published later carry larger sequences and filter out).
@@ -1837,10 +1538,10 @@ Result<std::string> KVStore::Get(const ReadOptions& options,
     }
   } pin;
   {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    mem = shard->mem;
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    mem = mem_;
     mem->Ref();
-    imm = shard->imm;
+    imm = imm_;
     if (imm != nullptr) imm->Ref();
   }
   {
@@ -1915,18 +1616,18 @@ std::unique_ptr<Iterator> KVStore::NewInternalIterator(
     std::vector<std::shared_ptr<Table>>* pinned_tables,
     std::vector<MemTable*>* pinned_mems) {
   std::vector<std::unique_ptr<Iterator>> children;
-  // Newest sources first so the merger prefers them on ties. Every shard's
-  // memtables participate; the caller's snapshot (taken before this runs)
-  // filters out entries published after it.
-  for (auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    children.push_back(shard->mem->NewIterator());
-    shard->mem->Ref();
-    pinned_mems->push_back(shard->mem);
-    if (shard->imm != nullptr) {
-      children.push_back(shard->imm->NewIterator());
-      shard->imm->Ref();
-      pinned_mems->push_back(shard->imm);
+  // Newest sources first so the merger prefers them on ties. The caller's
+  // snapshot (taken before this runs) filters out entries published after
+  // it.
+  {
+    std::lock_guard<std::mutex> write_lock(write_mu_);
+    children.push_back(mem_->NewIterator());
+    mem_->Ref();
+    pinned_mems->push_back(mem_);
+    if (imm_ != nullptr) {
+      children.push_back(imm_->NewIterator());
+      imm_->Ref();
+      pinned_mems->push_back(imm_);
     }
   }
   for (int level = 0; level < kNumLevels; ++level) {
@@ -2064,31 +1765,26 @@ void KVStore::ReleaseSnapshot(SequenceNumber snapshot) {
 // ---------------------------------------------------------------------------
 
 Status KVStore::FlushMemTable() {
-  // Phase 1: switch every shard with data out to an immutable memtable.
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
-    if (shard->mem->NumEntries() == 0 && shard->imm == nullptr) continue;
-    if (shard->mem->NumEntries() > 0) {
-      while (shard->imm != nullptr || shard->leader_active) {
-        Status err = BackgroundErrorSnapshot();
-        if (!err.ok()) return err;
-        shard->cv.wait(shard_lock);
-      }
-      if (shard->mem->NumEntries() > 0) {
-        IOTDB_RETURN_NOT_OK(SwitchMemTable(shard.get()));
-      }
+  {
+    // Switch the memtable out once any pending flush and in-flight leader
+    // are done with it.
+    std::unique_lock<std::mutex> write_lock(write_mu_);
+    while (mem_->NumEntries() > 0 &&
+           (imm_ != nullptr || leader_active_)) {
+      Status err = BackgroundErrorSnapshot();
+      if (!err.ok()) return err;
+      write_cv_.wait(write_lock);
     }
+    if (mem_->NumEntries() > 0) IOTDB_RETURN_NOT_OK(SwitchMemTable());
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
     MaybeScheduleBackgroundWork();
   }
-  // Phase 2: wait for the background thread to drain every imm.
-  for (auto& shard : shards_) {
-    std::unique_lock<std::mutex> shard_lock(shard->mu);
-    while (shard->imm != nullptr && BackgroundErrorSnapshot().ok()) {
-      shard->cv.wait(shard_lock);
-    }
+  // Wait for the background thread to drain the imm.
+  std::unique_lock<std::mutex> write_lock(write_mu_);
+  while (imm_ != nullptr && BackgroundErrorSnapshot().ok()) {
+    write_cv_.wait(write_lock);
   }
   return BackgroundErrorSnapshot();
 }
@@ -2111,21 +1807,13 @@ Status KVStore::CompactAll() {
   MaybeScheduleBackgroundWork();
   background_work_finished_cv_.notify_all();
   lock.unlock();
-  // L0 stall waiters park on their shard condvar; wake them now that the
-  // level counts changed.
-  NotifyAllShards();
+  WakeWriters();  // L0 stall waiters: the level counts changed
   return s;
 }
 
 void KVStore::WaitForBackgroundWork() {
-  auto any_imm = [this] {
-    for (const auto& shard : shards_) {
-      if (shard->has_imm.load(std::memory_order_acquire)) return true;
-    }
-    return false;
-  };
   std::unique_lock<std::mutex> lock(mu_);
-  while (background_scheduled_ || any_imm()) {
+  while (background_scheduled_ || has_imm_.load(std::memory_order_acquire)) {
     background_work_finished_cv_.wait(lock);
   }
 }
@@ -2149,12 +1837,6 @@ KVStoreStats KVStore::GetStats() {
   stats.vlog_gc_reclaimed_bytes = counters_.vlog_gc_reclaimed_bytes.Value();
   stats.vlog_recovery_dropped_pointers =
       counters_.vlog_recovery_dropped_pointers.Value();
-  for (const auto& shard : shards_) {
-    stats.shard_puts.push_back(shard->puts.Value());
-    stats.shard_stall_micros.push_back(shard->stall_micros.Value());
-    stats.shard_wal_bytes.push_back(shard->wal_bytes.Value());
-  }
-  stats.shard_imbalance_pct = UpdateShardImbalanceGauge();
   {
     // The level file lists and vlog set still need the store mutex.
     std::lock_guard<std::mutex> lock(mu_);
@@ -2171,28 +1853,6 @@ KVStoreStats KVStore::GetStats() {
     stats.block_cache_misses = block_cache_->misses();
   }
   return stats;
-}
-
-double KVStore::UpdateShardImbalanceGauge() {
-  // Imbalance = hottest shard's put count as a percentage of the per-shard
-  // mean; 100 means perfectly even, N*100 means one shard took everything.
-  uint64_t total = 0;
-  uint64_t max_puts = 0;
-  for (const auto& shard : shards_) {
-    uint64_t p = shard->puts.Value();
-    total += p;
-    max_puts = std::max(max_puts, p);
-  }
-  double pct = 100.0;
-  if (total > 0) {
-    const double mean =
-        static_cast<double>(total) / static_cast<double>(shards_.size());
-    pct = 100.0 * static_cast<double>(max_puts) / mean;
-  }
-  if (obs::Enabled()) {
-    obs_.shard_imbalance->Set(static_cast<int64_t>(pct));
-  }
-  return pct;
 }
 
 uint64_t KVStore::CountKeysSlow() {
@@ -2313,8 +1973,7 @@ Status KVStore::MaybeRollVlogLocked() {
 }
 
 Status KVStore::SeparateBatch(WriteBatch* updates, WriteBatch* out) {
-  // Leader-only, called under vlog_mu_ (which serialises appends to the
-  // shared active vlog across shard leaders). Values at or above
+  // Called under vlog_mu_ by the commit leader. Values at or above
   // min_value_size divert into the active vlog; everything the LSM stores
   // carries a one-byte tag so inline values and pointers coexist.
   class Separator final : public WriteBatch::Handler {
@@ -2411,15 +2070,13 @@ Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
                              bool* found, std::string* raw_value) {
   // Newest LSM version of `user_key`, tag byte and all — no vlog
   // dereference. Used by GC to decide record liveness. The caller holds
-  // mu_ plus every shard mutex (FreezeAllShards), so the key's shard
-  // memtables can be read without re-locking.
+  // mu_ plus write_mu_ with no leader active, so the memtables can be read
+  // without re-locking.
   *found = false;
-  WriteShard* shard = shards_[ShardForKey(user_key)].get();
   std::string value;
   Status s;
-  if (shard->mem->Get(user_key, snapshot, &value, &s) ||
-      (shard->imm != nullptr &&
-       shard->imm->Get(user_key, snapshot, &value, &s))) {
+  if (mem_->Get(user_key, snapshot, &value, &s) ||
+      (imm_ != nullptr && imm_->Get(user_key, snapshot, &value, &s))) {
     if (s.IsNotFound()) return Status::OK();  // newest version: tombstone
     IOTDB_RETURN_NOT_OK(s);
     *found = true;
@@ -2539,11 +2196,12 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
     }
 
     {
-      // The liveness check reads every shard's memtables and the re-put
-      // batch must commit against the exact state it checked: freeze all
-      // shards (quiesces every group-commit leader) for the duration.
-      std::vector<std::unique_lock<std::mutex>> frozen = FreezeAllShards();
-      std::vector<WriteBatch> rebatches(shards_.size());
+      // The liveness check reads the memtables and the re-put batch must
+      // commit against the exact state it checked: hold the write queue,
+      // with any in-flight leader waited out, for the duration.
+      std::unique_lock<std::mutex> write_lock(write_mu_);
+      write_cv_.wait(write_lock, [this] { return !leader_active_; });
+      WriteBatch rebatch;
       uint64_t live_bytes = 0;
       {
         std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
@@ -2551,10 +2209,9 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
           status = OpenVlogWriterVlogHeld();
         }
         if (status.ok()) {
-          // Allocated == visible while frozen (no in-flight commits), so
-          // reading at the allocation frontier sees every committed entry.
-          const SequenceNumber read_snapshot =
-              seq_alloc_.load(std::memory_order_acquire);
+          // No commit is in flight, so the published prefix is every
+          // committed entry.
+          const SequenceNumber read_snapshot = VisibleSequence();
           for (const auto& rec : records) {
             // Live iff the newest LSM version of the key is exactly this
             // pointer; overwritten and deleted keys fail the comparison.
@@ -2572,18 +2229,10 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
             if (!status.ok()) break;
             std::string stored;
             vlog::EncodeValuePointer(&stored, fresh);
-            rebatches[ShardForKey(Slice(rec.key))].Put(Slice(rec.key),
-                                                       Slice(stored));
+            rebatch.Put(Slice(rec.key), Slice(stored));
             live_bytes += rec.ptr.size;
           }
-          bool any_live = false;
-          for (const auto& rb : rebatches) {
-            if (rb.Count() > 0) {
-              any_live = true;
-              break;
-            }
-          }
-          if (status.ok() && any_live) {
+          if (status.ok() && rebatch.Count() > 0) {
             // Vlog bytes durable before any WAL record that references
             // them.
             status = vlog_writer_->Sync();
@@ -2592,25 +2241,19 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
       }
       if (!status.ok()) break;
 
-      // Commit each shard's re-puts like a write: WAL record, then the
-      // memtable, visibility published in sequence order.
-      for (size_t i = 0; i < shards_.size(); ++i) {
-        WriteBatch& rb = rebatches[i];
-        if (rb.Count() == 0) continue;
-        WriteShard* shard = shards_[i].get();
-        const uint64_t count = rb.Count();
-        const SequenceNumber first_seq =
-            seq_alloc_.fetch_add(count, std::memory_order_relaxed) + 1;
-        rb.SetSequence(first_seq);
-        status = shard->log->AddRecord(rb.Contents());
-        if (status.ok()) status = shard->log_file->Sync();
-        if (status.ok()) status = rb.InsertInto(shard->mem);
+      if (rebatch.Count() > 0) {
+        // Commit the re-puts like a write: WAL record, then the memtable.
+        const uint64_t count = rebatch.Count();
+        const SequenceNumber first_seq = VisibleSequence() + 1;
+        rebatch.SetSequence(first_seq);
+        status = log_->AddRecord(rebatch.Contents());
+        if (status.ok()) status = log_file_->Sync();
+        if (status.ok()) status = rebatch.InsertInto(mem_);
         // Publish even on failure: the sequences are burned either way.
-        PublishSequence(first_seq, first_seq + count - 1);
+        visible_seq_.store(first_seq + count - 1, std::memory_order_release);
         if (!status.ok()) break;
         rewritten += count;
       }
-      if (!status.ok()) break;
 
       processed += tail.size;
       reclaimed_total += tail.size - live_bytes;

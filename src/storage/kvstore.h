@@ -5,7 +5,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -61,11 +60,9 @@ struct KVStoreStats {
   uint64_t vlog_dereferences = 0;
   uint64_t vlog_gc_reclaimed_bytes = 0;
   uint64_t vlog_recovery_dropped_pointers = 0;
-  // Sharded write path: per-shard ingest breakdown plus the skew gauge
-  // (max shard puts / mean shard puts, as a percentage; 100 = balanced).
-  std::vector<uint64_t> shard_puts;
-  std::vector<uint64_t> shard_stall_micros;
-  std::vector<uint64_t> shard_wal_bytes;
+  /// Always 100: the store has a single write queue, so there is no skew
+  /// to report. Kept only because the repository benchmark (kitbench/)
+  /// reads it.
   double shard_imbalance_pct = 100.0;
 };
 
@@ -90,15 +87,12 @@ struct KvEntry {
 /// analogue): WAL + memtable + leveled SSTables. Thread-safe: any number of
 /// concurrent readers and writers.
 ///
-/// The write path is sharded (Options::write_shards): keys hash-route to a
-/// per-shard memtable with its own WAL partition and group-commit leader,
-/// so commits on different shards proceed in parallel. Sequence numbers are
-/// block-allocated from one global atomic and published in sequence order:
-/// every snapshot is an exact prefix of the global sequence history, so
-/// snapshot/iterator semantics are unchanged from the single-shard store. A
-/// write to shard A that commits while an earlier-sequenced write to shard
-/// B is still in flight becomes visible only once B's block publishes
-/// (visibility is monotone in sequence order, never reordered).
+/// Writes go through one queue, like an HBase region server's single WAL:
+/// one memtable pair, one WAL and one group-commit leader that writes a
+/// combined WAL record for every queued batch. A batch is atomic, a
+/// `sync` write is a durability barrier for every write acknowledged
+/// before it, and sequence numbers publish in commit order, so every
+/// snapshot is an exact prefix of the write history.
 ///
 /// Typical use:
 ///   auto store = KVStore::Open(options, "/data/gw").MoveValueUnsafe();
@@ -124,18 +118,13 @@ class KVStore {
              const Slice& value);
   Status Delete(const WriteOptions& options, const Slice& key);
 
-  /// Applies a batch. Concurrent callers routed to the same shard are
-  /// group-committed: one leader writes a combined WAL record for all
-  /// queued batches. A batch spanning multiple shards is split and
-  /// committed per shard; each per-shard sub-batch is atomic and durable
-  /// on its own WAL partition, but cross-shard visibility is not atomic —
-  /// sub-batches become visible in sequence order as they publish.
+  /// Applies a batch atomically. Concurrent callers are group-committed:
+  /// one leader writes a combined WAL record for all queued batches.
   Status Write(const WriteOptions& options, WriteBatch* batch);
 
-  /// Vectorized ingest: routes `entries` to their write shards in one pass
-  /// and group-commits one sub-batch per shard. The fast path for drivers
-  /// handing the store arrays of 1 KB kvps. Same cross-shard visibility
-  /// contract as Write().
+  /// Vectorized ingest: commits `entries` as one WriteBatch, with the same
+  /// atomicity and group commit as Write(). The fast path for drivers
+  /// handing the store arrays of 1 KB kvps.
   Status PutMany(const WriteOptions& options,
                  std::span<const KvEntry> entries);
 
@@ -157,18 +146,18 @@ class KVStore {
   SequenceNumber GetSnapshot();
   void ReleaseSnapshot(SequenceNumber snapshot);
 
-  /// Forces a flush of every shard's memtable and waits for completion.
+  /// Forces a flush of the memtable and waits for completion.
   Status FlushMemTable();
 
   /// Compacts everything down to the last populated level and waits.
   Status CompactAll();
 
   /// Scrub: checksum-walks every live SSTable (footer, index, filter, and
-  /// every data block, bypassing the block cache) plus every shard's live
-  /// WAL tail. Files that fail verification are atomically quarantined —
-  /// renamed to `<name>.quarantined`, dropped from the version set, and
-  /// reported via Options::corruption_reporter — so they never serve
-  /// another read. Returns non-OK only when the walk itself could not run;
+  /// every data block, bypassing the block cache) plus the live WAL tail.
+  /// Files that fail verification are atomically quarantined — renamed to
+  /// `<name>.quarantined`, dropped from the version set, and reported via
+  /// Options::corruption_reporter — so they never serve another read.
+  /// Returns non-OK only when the walk itself could not run;
   /// corruption found (and healed by quarantine) is described by `report`.
   Status VerifyIntegrity(ScrubReport* report = nullptr);
 
@@ -205,13 +194,9 @@ class KVStore {
 
   const std::string& name() const { return dbname_; }
 
-  /// Resolved shard count (Options::write_shards after auto-detection).
-  int num_write_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// The shard a key hash-routes to; stable across restarts for a fixed
-  /// shard count (recovery re-routes by the current hash, so the count may
-  /// change between runs).
-  int ShardForKey(const Slice& key) const;
+  /// Always 1: the store has a single write queue. Kept only because the
+  /// repository benchmark (kitbench/) prints it in its config line.
+  int num_write_shards() const { return 1; }
 
  private:
   friend class VlogDerefIterator;
@@ -220,68 +205,22 @@ class KVStore {
 
   struct WriterState;
 
-  /// One independent write shard: its own memtable pair, WAL partition and
-  /// group-commit queue, all guarded by the shard mutex `mu`. Lock order:
-  /// the store mutex `mu_` before any shard `mu`, shard mutexes in
-  /// ascending index order, `vlog_mu_` / `error_mu_` / `seq_publish_mu_`
-  /// as leaves (never holding a shard mutex while acquiring `mu_`).
-  struct WriteShard {
-    int id = 0;
-
-    std::mutex mu;
-    /// Signals leader handoff, imm drain and stall release for this shard.
-    std::condition_variable cv;
-
-    MemTable* mem = nullptr;  // guarded by mu for pointer swap
-    MemTable* imm = nullptr;  // immutable memtable being flushed
-    /// Mirror of (imm != nullptr) readable without the shard mutex (the
-    /// background dispatcher and manifest writer hold mu_ only).
-    std::atomic<bool> has_imm{false};
-
-    std::unique_ptr<WritableFile> log_file;
-    std::unique_ptr<log::Writer> log;
-    uint64_t log_number = 0;  // guarded by mu
-    /// Oldest WAL partition number still needed for recovery: the active
-    /// WAL's number once the previous memtable flushed, the retired WAL's
-    /// number while an imm is pending. Advanced only at flush completion
-    /// (under mu_ *and* mu), read by the manifest writer under mu_ alone.
-    std::atomic<uint64_t> wal_keep{0};
-
-    std::deque<WriterState*> writers;  // guarded by mu
-    WriteBatch tmp_batch;              // leader-only group scratch
-    WriteBatch sep_batch;              // leader-only separation scratch
-    /// True while this shard's leader performs WAL/memtable work outside
-    /// the shard mutex; memtable switches and freezes must wait on it.
-    bool leader_active = false;  // guarded by mu
-
-    /// Per-shard exact counters (always incremented) + registry mirrors
-    /// (storage.shard<i>.*, gated on the obs enable switch).
-    obs::Counter puts;
-    obs::Counter stall_micros;
-    obs::Counter wal_bytes;
-    obs::Counter* obs_puts = nullptr;
-    obs::Counter* obs_stall_micros = nullptr;
-    obs::Counter* obs_wal_bytes = nullptr;
-  };
-
-  std::string LogFileName(uint64_t number) const;  // legacy single-WAL name
-  std::string WalFileName(int shard, uint64_t number) const;
+  std::string LogFileName(uint64_t number) const;
   std::string TableFileName(uint64_t number) const;
   std::string VlogName(uint64_t number) const;
   std::string ManifestFileName() const;
 
   Status Recover();
-  Status ReadLogRecords(const std::string& path,
-                        std::vector<std::pair<SequenceNumber, std::string>>*
-                            records,
-                        uint64_t* dropped_bytes);
+  Status ReplayLogFile(uint64_t number, uint64_t* dropped_bytes,
+                       uint64_t* dropped_pointers,
+                       SequenceNumber* max_sequence);
   Status ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
                      SequenceNumber* max_sequence);
   Status OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta);
 
   // Key-value separation. Locked variants require mu_; the vlog writer
-  // pointer and its appends are guarded by vlog_mu_ (taken by shard
-  // leaders with no other lock held, or nested under mu_).
+  // pointer and its appends are guarded by vlog_mu_ (taken by the commit
+  // leader with no other lock held, or nested under mu_).
   Status RecoverVlogFiles();
   Status OpenVlogWriterLocked();    // mu_ held; takes vlog_mu_ inside
   Status OpenVlogWriterVlogHeld();  // vlog_mu_ held
@@ -304,37 +243,27 @@ class KVStore {
   void MaybeDeleteVlogFilesLocked();
   void OnIteratorClosed();
 
-  // Write path helpers.
-  Status CommitToShard(WriteShard* shard, const WriteOptions& options,
-                       WriteBatch* batch);
-  Status MakeRoomForWrite(WriteShard* shard,
-                          std::unique_lock<std::mutex>* lock,
-                          bool* switched);  // shard->mu held
-  WriteBatch* BuildBatchGroup(WriteShard* shard,
-                              WriterState** last_writer);  // shard->mu held
-  Status SwitchMemTable(WriteShard* shard);                // shard->mu held
+  // Write path helpers (write_mu_ held).
+  Status MakeRoomForWrite(std::unique_lock<std::mutex>* write_lock,
+                          bool* switched);
+  WriteBatch* BuildBatchGroup(WriterState** last_writer);
+  Status SwitchMemTable();
 
-  /// Publishes [first, last] as visible. Blocks arrive out of order across
-  /// shards; visibility advances only over a contiguous sequence prefix.
-  void PublishSequence(SequenceNumber first, SequenceNumber last);
   SequenceNumber VisibleSequence() const {
     return visible_seq_.load(std::memory_order_acquire);
   }
   Status BackgroundErrorSnapshot();
   void SetBackgroundError(const Status& s);
 
-  /// Wakes stall/imm waiters on every shard (state they wait on — L0
-  /// counts, background errors — changes under mu_, not the shard mutex).
-  void NotifyAllShards();
-  /// Locks every shard mutex (ascending) with all leaders quiesced; used
-  /// by vlog GC to freeze the write plane. Unlocks on destruction of the
-  /// returned guards.
-  std::vector<std::unique_lock<std::mutex>> FreezeAllShards();
+  /// Wakes writers parked in MakeRoomForWrite or FlushMemTable: the L0
+  /// count and background error they wait on change under mu_, not
+  /// write_mu_.
+  void WakeWriters();
 
   // Background work.
   void MaybeScheduleBackgroundWork();  // mu_ held
   void BackgroundCall();
-  Status FlushShard(WriteShard* shard, std::unique_lock<std::mutex>* lock);
+  Status FlushImmutable(std::unique_lock<std::mutex>* lock);
   bool NeedsCompaction() const;
   Status RunCompaction(std::unique_lock<std::mutex>* lock);
   Status RunCompactionAtLevel(int level, std::unique_lock<std::mutex>* lock);
@@ -351,10 +280,9 @@ class KVStore {
                             const Status& cause);  // mu_ held
   void QuarantineCorruptTables(std::unique_lock<std::mutex>* lock,
                                ScrubReport* report);
-  Status VerifyWalTail(int shard, uint64_t number, uint64_t* dropped_bytes);
+  Status VerifyWalTail(uint64_t number, uint64_t* dropped_bytes);
   Status ScrubOneQueued(std::unique_lock<std::mutex>* lock);
   void RecordTableScrub(uint64_t bytes, bool corrupt);
-  double UpdateShardImbalanceGauge();
 
   SequenceNumber SmallestSnapshot() const;  // mu_ held
 
@@ -363,8 +291,8 @@ class KVStore {
       const Slice& end_user_key) const;  // mu_ held
 
   // Builds an internal-key iterator over the whole store; out_pinned gets
-  // shared_ptrs that must outlive the iterator. mu_ held; takes each
-  // shard mutex briefly.
+  // shared_ptrs that must outlive the iterator. mu_ held; takes write_mu_
+  // briefly.
   std::unique_ptr<Iterator> NewInternalIterator(
       const ReadOptions& options,
       std::vector<std::shared_ptr<Table>>* pinned_tables,
@@ -379,17 +307,36 @@ class KVStore {
   std::mutex mu_;
   std::condition_variable background_work_finished_cv_;
 
-  /// The write shards. Sized at construction; never resized afterwards, so
-  /// the vector itself is safe to read without a lock.
-  std::vector<std::unique_ptr<WriteShard>> shards_;
+  /// The write queue: one memtable pair, one WAL and the group-commit
+  /// queue, guarded by write_mu_. Kept apart from mu_ so commits never
+  /// wait on flush/compaction bookkeeping. Lock order: mu_ before
+  /// write_mu_; vlog_mu_ and error_mu_ are leaves (never take mu_ while
+  /// holding write_mu_).
+  std::mutex write_mu_;
+  /// Signals leader handoff, imm drain and stall release.
+  std::condition_variable write_cv_;
+  MemTable* mem_ = nullptr;  // pointer swap guarded by write_mu_
+  MemTable* imm_ = nullptr;  // immutable memtable being flushed
+  /// Mirror of (imm_ != nullptr) readable without write_mu_ (the
+  /// background dispatcher holds mu_ only).
+  std::atomic<bool> has_imm_{false};
+  std::unique_ptr<WritableFile> log_file_;
+  std::unique_ptr<log::Writer> log_;
+  uint64_t logfile_number_ = 0;       // active WAL; guarded by write_mu_
+  std::deque<WriterState*> writers_;  // guarded by write_mu_
+  WriteBatch tmp_batch_;              // leader-only group scratch
+  WriteBatch sep_batch_;              // leader-only separation scratch
+  /// True while the leader performs WAL/memtable work outside write_mu_;
+  /// memtable switches and the GC re-put commit must wait on it.
+  bool leader_active_ = false;  // guarded by write_mu_
 
   LevelState levels_;
-  /// Mirror of levels_.NumFiles(0), readable by shard leaders that must
-  /// not take mu_ while holding their shard mutex (L0 write stalls).
+  /// Mirror of levels_.NumFiles(0), readable by the leader, which must not
+  /// take mu_ while holding write_mu_ (L0 write stalls).
   std::atomic<uint64_t> l0_files_{0};
 
   // Key-value separation state. The active writer (pointer + appends) is
-  // guarded by vlog_mu_: shard leaders take it with no other lock held;
+  // guarded by vlog_mu_: the commit leader takes it with no other lock held;
   // maintenance paths (seal/roll, GC, scrub, quarantine) take it nested
   // under mu_. vlog_files_ holds sealed files, oldest (GC tail) first, and
   // is persisted in the manifest (guarded by mu_).
@@ -407,21 +354,16 @@ class KVStore {
 
   std::atomic<uint64_t> next_file_number_{1};
 
-  /// Sequence discipline: one fetch_add per batch allocates a contiguous
-  /// block from seq_alloc_; visible_seq_ publishes the longest contiguous
-  /// prefix of committed blocks (pending_publish_ buffers out-of-order
-  /// completions). Readers snapshot visible_seq_ without any lock.
-  std::atomic<SequenceNumber> seq_alloc_{0};
+  /// Last published sequence number. The commit leader (or the GC re-put
+  /// holding the queue) numbers its group from here and publishes the
+  /// group's last sequence after the memtable insert; readers snapshot it
+  /// without any lock.
   std::atomic<SequenceNumber> visible_seq_{0};
-  std::mutex seq_publish_mu_;
-  std::map<SequenceNumber, SequenceNumber> pending_publish_;
 
-  /// Legacy replay threshold for pre-shard `<number>.log` WALs (manifest
-  /// `log_number`); new WAL partitions carry their shard in the file name.
+  /// Oldest WAL still needed for recovery (manifest `log_number`): the
+  /// active WAL once the previous memtable flushed, the retired WAL while
+  /// an imm is pending. Advanced at flush completion; guarded by mu_.
   uint64_t log_number_ = 0;
-  /// Per-shard WAL keep thresholds recovered from the manifest (indexed by
-  /// the shard id in the file name, which may exceed the current count).
-  std::map<int, uint64_t> recovered_wal_keeps_;
 
   std::multiset<SequenceNumber> snapshots_;
 
@@ -431,7 +373,7 @@ class KVStore {
   // File numbers of freshly installed tables awaiting a background scrub
   // (Options::background_scrub); one is verified per idle background cycle.
   std::deque<uint64_t> pending_scrub_;
-  std::mutex error_mu_;  // leaf: leaders read the error under shard->mu
+  std::mutex error_mu_;  // leaf: the leader reads the error under write_mu_
   Status background_error_;
   // Consecutive background corruption failures where every live table still
   // verified clean (the corrupt input was already quarantined, or the rot
@@ -494,7 +436,6 @@ class KVStore {
     obs::Counter* vlog_gc_reclaimed_bytes;
     obs::Counter* vlog_gc_rewritten_records;
     obs::Counter* vlog_recovery_dropped_pointers;
-    obs::Gauge* shard_imbalance;
   };
   ObsInstruments obs_;
 };

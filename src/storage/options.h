@@ -27,8 +27,10 @@ struct Options {
   Clock* clock = nullptr;
 
   /// Memtable size that triggers a flush (HBase: hbase.hregion.memstore
-  /// flush size). Kept small by default so tests exercise flushes.
-  size_t write_buffer_size = 4 * 1024 * 1024;
+  /// flush size). At 4 MiB the kit's 1 KB-value ingest flushes four times
+  /// as often and more than doubles write amplification (DESIGN.md "Write
+  /// path"); tests that want flushes set it smaller.
+  size_t write_buffer_size = 16 * 1024 * 1024;
 
   /// Uncompressed size target of an SSTable data block.
   size_t block_size = 4 * 1024;
@@ -50,15 +52,6 @@ struct Options {
   /// Group-commit gather window for the WAL, in microseconds. While one
   /// batch is syncing, concurrent writers enqueue and commit together.
   uint64_t wal_group_commit_window_micros = 200;
-
-  /// Number of independent write shards. Keys hash-route to a per-shard
-  /// memtable with its own WAL partition (`wal-<shard>-<num>.log`) and its
-  /// own group-commit leader, so commits on different shards overlap
-  /// instead of serialising on one mutex. Sequence numbers stay globally
-  /// unique (block-allocated from one atomic) and visibility is published
-  /// in sequence order, so snapshots and iterators keep their semantics.
-  /// 0 = auto (hardware concurrency). Clamped to [1, 64].
-  int write_shards = 0;
 
   /// If false, Put/Write return once the WAL record is buffered (HBase
   /// deferred log flush). If true, every commit syncs.

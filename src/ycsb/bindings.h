@@ -55,8 +55,8 @@ class KVStoreDB final : public DB {
 
   Status InsertBatch(const std::vector<std::pair<std::string, std::string>>&
                          kvps) override {
-    // Vectorized ingest: one PutMany call routes the whole buffer to the
-    // store's write shards instead of committing row by row.
+    // Vectorized ingest: one PutMany call commits the whole buffer as one
+    // batch instead of committing row by row.
     std::vector<storage::KvEntry> entries;
     entries.reserve(kvps.size());
     for (const auto& [key, value] : kvps) {

@@ -141,6 +141,9 @@ TEST(ClusterTest, ShardedScanStaysOrderedWithinShard) {
                       "v" + std::to_string(ts));
   }
   ASSERT_TRUE(client.PutBatch(kvps).ok());
+  // The write acks at quorum, but the scan reads the first live replica,
+  // which may be the one still applying the batch.
+  ASSERT_TRUE(cluster->WaitReplicationIdle().ok());
 
   std::string start = iot::KvpCodec::EncodeKey("sub1", "pmu_phasor_000",
                                                1020);

@@ -37,6 +37,39 @@ TEST(Crc32cTest, ExtendEqualsConcatenation) {
                            world.data(), world.size()));
 }
 
+// The sliced implementation against a plain bytewise loop, over every
+// length and alignment the 8-byte stride and its tail can meet, chained
+// through Extend from arbitrary prior CRCs.
+TEST(Crc32cTest, MatchesBytewiseReference) {
+  auto reference = [](uint32_t init, const char* data, size_t n) {
+    uint32_t crc = init ^ 0xffffffffu;
+    for (size_t i = 0; i < n; ++i) {
+      crc ^= static_cast<unsigned char>(data[i]);
+      for (int j = 0; j < 8; ++j) {
+        crc = (crc & 1) ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
+  std::string buf(4096 + 16, '\0');
+  uint32_t seed = 12345;
+  for (char& c : buf) {
+    seed = seed * 1103515245u + 12345u;
+    c = static_cast<char>(seed >> 16);
+  }
+  uint32_t init = 0;
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 80; ++n) {
+      ASSERT_EQ(crc32c::Extend(init, buf.data() + offset, n),
+                reference(init, buf.data() + offset, n))
+          << "offset " << offset << " length " << n;
+      init = crc32c::Extend(init, buf.data() + offset, n);
+    }
+    ASSERT_EQ(crc32c::Value(buf.data() + offset, 4096),
+              reference(0, buf.data() + offset, 4096));
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTripsAndDiffers) {
   uint32_t crc = crc32c::Value("foo", 3);
   EXPECT_NE(crc, crc32c::Mask(crc));

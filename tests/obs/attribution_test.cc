@@ -23,7 +23,7 @@ uint64_t StageHistCount(Stage stage) {
 }
 
 TEST(StageTest, NamesAreStableSlugs) {
-  EXPECT_STREQ(StageName(Stage::kShardQueueWait), "shard_queue_wait");
+  EXPECT_STREQ(StageName(Stage::kCommitQueueWait), "commit_queue_wait");
   EXPECT_STREQ(StageName(Stage::kVlog), "vlog");
   EXPECT_STREQ(StageName(Stage::kWalSync), "wal_sync");
   EXPECT_STREQ(StageName(Stage::kCommitWait), "commit_wait");

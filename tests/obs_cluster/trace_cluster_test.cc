@@ -1,6 +1,6 @@
 // End-to-end causal tracing across the real stack: one replicated write
 // must export as a single parent/child-linked flow spanning the driver
-// thread, the shard group-commit leader, the channel mailbox, and the
+// thread, the group-commit leader, the channel mailbox, and the
 // replica apply threads — and the per-op stage attribution must charge an
 // injected slow-replica delay to the quorum-wait stage. Runs in the `obs`
 // ctest label and again under full TSan via the obs_tsan_suite tier.
@@ -61,7 +61,7 @@ TEST(TraceClusterTest, ReplicatedWriteExportsOneLinkedCrossThreadFlow) {
     name_counts[event.name]++;
   }
   // The op's flow crossed every layer: driver anchor, client fan-out,
-  // quorum ack, one apply per replica, and the shard group commit inside
+  // quorum ack, one apply per replica, and the group commit inside
   // the apply.
   EXPECT_EQ(name_counts["test.driver.op"], 1);
   EXPECT_GE(name_counts["cluster.fanout"], 1);

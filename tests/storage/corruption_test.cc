@@ -94,6 +94,25 @@ TEST(BitRotTest, CorruptRandomFileHonoursFileClass) {
   EXPECT_TRUE(none.status().IsNotFound());
 }
 
+TEST(BitRotTest, CorruptRandomFileSkipsIneligibleFiles) {
+  auto env = NewMemEnv();
+  FaultInjectionEnv fenv(env.get(), /*seed=*/3);
+  for (const char* name : {"/db/5.sst", "/db/6.sst", "/db/7.sst"}) {
+    ASSERT_TRUE(fenv.WriteStringToFile(name, std::string(512, 0)).ok());
+  }
+  auto only_six = [](const std::string& path) { return path == "/db/6.sst"; };
+  for (int i = 0; i < 8; ++i) {
+    auto victim = fenv.CorruptRandomFile("/db", FileClass::kSSTable, 4,
+                                         only_six);
+    ASSERT_TRUE(victim.ok()) << victim.status().ToString();
+    EXPECT_EQ(victim.ValueOrDie(), "/db/6.sst");
+  }
+  auto none = fenv.CorruptRandomFile(
+      "/db", FileClass::kSSTable, 4,
+      [](const std::string&) { return false; });
+  EXPECT_TRUE(none.status().IsNotFound());
+}
+
 // --- SSTable verification, cache poisoning, status context ------------------
 
 class TableCorruptionTest : public ::testing::Test {
@@ -297,6 +316,14 @@ class ScrubTest : public ::testing::Test {
                       .ok());
     }
     ASSERT_TRUE(store->FlushMemTable().ok());
+    // The quarantine tests corrupt "the" table: if a flush ever wrote
+    // several, they would pick a victim at random and flake. Fail loudly.
+    KVStoreStats stats = store->GetStats();
+    int live_tables = 0;
+    for (int level = 0; level < kNumLevels; ++level) {
+      live_tables += stats.num_files[level];
+    }
+    ASSERT_EQ(live_tables, 1) << "fixture flush must leave one live table";
   }
 
   std::unique_ptr<Env> base_env_;
@@ -307,7 +334,7 @@ class ScrubTest : public ::testing::Test {
 
 TEST_F(ScrubTest, CleanStoreVerifiesClean) {
   auto store = OpenStore();
-  FillAndFlush(store.get(), 500);
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
   ScrubReport report;
   ASSERT_TRUE(store->VerifyIntegrity(&report).ok());
   EXPECT_GT(report.files_checked, 0u);
@@ -319,7 +346,7 @@ TEST_F(ScrubTest, CleanStoreVerifiesClean) {
 
 TEST_F(ScrubTest, ScrubQuarantinesCorruptTableAndStoreStaysLive) {
   auto store = OpenStore();
-  FillAndFlush(store.get(), 500);
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
   auto victim = fenv_->CorruptRandomFile("/db", FileClass::kSSTable, 32);
   ASSERT_TRUE(victim.ok()) << victim.status().ToString();
 
@@ -356,7 +383,7 @@ TEST_F(ScrubTest, ScrubQuarantinesCorruptTableAndStoreStaysLive) {
 
 TEST_F(ScrubTest, ReadPathQuarantinesCorruptTable) {
   auto store = OpenStore();
-  FillAndFlush(store.get(), 500);
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
   ASSERT_TRUE(fenv_->CorruptRandomFile("/db", FileClass::kSSTable, 32).ok());
 
   // The first read through the damaged block reports corruption and
@@ -380,7 +407,7 @@ TEST_F(ScrubTest, ReadPathQuarantinesCorruptTable) {
 TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
   {
     auto store = OpenStore();
-    FillAndFlush(store.get(), 500);
+    ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
   }
   // Damage the table's footer region: Table::Open fails during manifest
   // load, and recovery must quarantine instead of refusing to start.
@@ -406,7 +433,7 @@ TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
 TEST_F(ScrubTest, BackgroundScrubPacesBetweenCompactions) {
   options_.background_scrub = true;
   auto store = OpenStore();
-  FillAndFlush(store.get(), 500);
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
   store->WaitForBackgroundWork();
   KVStoreStats stats = store->GetStats();
   EXPECT_GE(stats.scrubbed_files, 1u);  // the flushed table was scrubbed

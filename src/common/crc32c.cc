@@ -1,5 +1,11 @@
 #include "common/crc32c.h"
 
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
+
 namespace iotdb {
 namespace crc32c {
 
@@ -41,9 +47,33 @@ inline uint32_t LoadLE32(const unsigned char* p) {
          (static_cast<uint32_t>(p[3]) << 24);
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes this polynomial in the same
+// reflected bit order, so its values match the portable kernel bit for bit.
+// The instruction is enabled for this one function by attribute rather than
+// by a build flag, so the rest of the build still runs on CPUs without it.
+__attribute__((target("sse4.2"))) uint32_t ExtendSse42(uint32_t init_crc,
+                                                       const char* data,
+                                                       size_t n) {
+  uint64_t crc = init_crc ^ 0xffffffffu;
+  for (; n >= 8; n -= 8, data += 8) {
+    uint64_t word;
+    memcpy(&word, data, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc);
+  for (; n > 0; --n, ++data) {
+    crc32 = _mm_crc32_u8(crc32, static_cast<unsigned char>(*data));
+  }
+  return crc32 ^ 0xffffffffu;
+}
+#endif
+
 }  // namespace
 
-uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+namespace internal {
+
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n) {
   const auto& t = GetTables().t;
   uint32_t crc = init_crc ^ 0xffffffffu;
   const unsigned char* p = reinterpret_cast<const unsigned char*>(data);
@@ -58,6 +88,28 @@ uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
     crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
+}
+
+ExtendFn Sse42Kernel() {
+#if defined(__x86_64__)
+  // Makes the feature query valid even when called from a static
+  // initializer that runs before the runtime's own CPU probe.
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return ExtendSse42;
+#endif
+  return nullptr;
+}
+
+}  // namespace internal
+
+uint32_t Extend(uint32_t init_crc, const char* data, size_t n) {
+  // Chosen once; a function-local static is safe to initialize from other
+  // static initializers and from concurrent first callers.
+  static const internal::ExtendFn kernel = [] {
+    internal::ExtendFn sse42 = internal::Sse42Kernel();
+    return sse42 != nullptr ? sse42 : internal::ExtendPortable;
+  }();
+  return kernel(init_crc, data, n);
 }
 
 }  // namespace crc32c

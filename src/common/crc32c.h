@@ -8,8 +8,25 @@ namespace iotdb {
 namespace crc32c {
 
 /// Returns the CRC32C (Castagnoli polynomial) of data[0,n-1], continuing from
-/// `init_crc` which must be the CRC32C of some prior byte string.
+/// `init_crc` which must be the CRC32C of some prior byte string. Runs the
+/// SSE4.2 kernel when the CPU has it and the portable one otherwise; both
+/// give the same values.
 uint32_t Extend(uint32_t init_crc, const char* data, size_t n);
+
+/// The kernels behind Extend, reachable so tests can check each against a
+/// reference. Everything else calls Extend / Value.
+namespace internal {
+
+using ExtendFn = uint32_t (*)(uint32_t init_crc, const char* data, size_t n);
+
+/// Slicing-by-8 table kernel; runs on every CPU.
+uint32_t ExtendPortable(uint32_t init_crc, const char* data, size_t n);
+
+/// The SSE4.2 crc32-instruction kernel, or nullptr when this CPU lacks the
+/// instruction or the build is not for x86-64.
+ExtendFn Sse42Kernel();
+
+}  // namespace internal
 
 /// CRC32C of data[0,n-1].
 inline uint32_t Value(const char* data, size_t n) { return Extend(0, data, n); }

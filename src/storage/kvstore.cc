@@ -1325,9 +1325,14 @@ Status KVStore::RunCompactionAtLevel(int level,
   // vlog bookkeeping at install time (under mu_) to gate background GC.
   std::map<uint64_t, uint64_t> vlog_dead;
   {
+    // Input blocks are still CRC-checked, but kept out of the shared block
+    // cache: their files are about to be deleted, and inserting them would
+    // evict the blocks queries are using.
+    ReadOptions input_options;
+    input_options.fill_cache = false;
     std::vector<std::unique_ptr<Iterator>> children;
     for (const auto& f : all_inputs) {
-      children.push_back(f->table->NewIterator(ReadOptions()));
+      children.push_back(f->table->NewIterator(input_options));
       bytes_read += f->file_size;
     }
     auto merged = NewMergingIterator(&icmp_, std::move(children));

@@ -49,10 +49,6 @@ struct Options {
   /// (HBase: hbase.hstore.blockingStoreFiles).
   int l0_stall_trigger = 12;
 
-  /// Group-commit gather window for the WAL, in microseconds. While one
-  /// batch is syncing, concurrent writers enqueue and commit together.
-  uint64_t wal_group_commit_window_micros = 200;
-
   /// If false, Put/Write return once the WAL record is buffered (HBase
   /// deferred log flush). If true, every commit syncs.
   bool wal_sync = false;

@@ -37,10 +37,10 @@ TEST(Crc32cTest, ExtendEqualsConcatenation) {
                            world.data(), world.size()));
 }
 
-// The sliced implementation against a plain bytewise loop, over every
-// length and alignment the 8-byte stride and its tail can meet, chained
-// through Extend from arbitrary prior CRCs.
-TEST(Crc32cTest, MatchesBytewiseReference) {
+// A CRC32C kernel against a plain bytewise loop, over every length and
+// alignment the 8-byte stride and its tail can meet, chained through the
+// kernel from arbitrary prior CRCs.
+void ExpectMatchesBytewiseReference(crc32c::internal::ExtendFn extend) {
   auto reference = [](uint32_t init, const char* data, size_t n) {
     uint32_t crc = init ^ 0xffffffffu;
     for (size_t i = 0; i < n; ++i) {
@@ -60,14 +60,26 @@ TEST(Crc32cTest, MatchesBytewiseReference) {
   uint32_t init = 0;
   for (size_t offset = 0; offset < 8; ++offset) {
     for (size_t n = 0; n <= 80; ++n) {
-      ASSERT_EQ(crc32c::Extend(init, buf.data() + offset, n),
+      ASSERT_EQ(extend(init, buf.data() + offset, n),
                 reference(init, buf.data() + offset, n))
           << "offset " << offset << " length " << n;
-      init = crc32c::Extend(init, buf.data() + offset, n);
+      init = extend(init, buf.data() + offset, n);
     }
-    ASSERT_EQ(crc32c::Value(buf.data() + offset, 4096),
+    ASSERT_EQ(extend(0, buf.data() + offset, 4096),
               reference(0, buf.data() + offset, 4096));
   }
+}
+
+// The portable kernel, and whichever kernel Extend dispatched to.
+TEST(Crc32cTest, MatchesBytewiseReference) {
+  ExpectMatchesBytewiseReference(crc32c::internal::ExtendPortable);
+  ExpectMatchesBytewiseReference(crc32c::Extend);
+}
+
+TEST(Crc32cTest, Sse42KernelMatchesBytewiseReference) {
+  crc32c::internal::ExtendFn sse42 = crc32c::internal::Sse42Kernel();
+  if (sse42 == nullptr) GTEST_SKIP() << "no SSE4.2 on this CPU or build";
+  ExpectMatchesBytewiseReference(sse42);
 }
 
 TEST(Crc32cTest, MaskRoundTripsAndDiffers) {

@@ -51,6 +51,41 @@ TEST(KvpCodecTest, EncodedKvpIsExactly1KiB) {
   EXPECT_EQ(kvp.key.size() + kvp.value.size(), KvpCodec::kKvpBytes);
 }
 
+// Pins the padding byte for byte against a bytewise loop over the alphabet,
+// for every rotation and for padding lengths below, at and across the
+// alphabet's length (the substation key's length sets the padding length).
+TEST(KvpCodecTest, PaddingMatchesBytewiseAlphabetLoop) {
+  static const char kAlphabet[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ";
+  const size_t alphabet_len = sizeof(kAlphabet) - 1;
+  ASSERT_EQ(alphabet_len, 63u);
+  std::set<size_t> lengths;
+  for (size_t substation_len : {1, 868, 931, 932, 933, 994}) {
+    Reading reading;
+    reading.substation_key.assign(substation_len, 's');
+    reading.sensor_key = "x";
+    reading.value = 1.0;
+    reading.unit = "u";
+    for (uint64_t rotation = 0; rotation < alphabet_len; ++rotation) {
+      const uint64_t seed = rotation + alphabet_len * 0x9e3779b97f4a7ull;
+      Kvp kvp = KvpCodec::Encode(reading, seed);
+      const size_t prefix = kvp.value.find('|', kvp.value.find('|') + 1) + 1;
+      const size_t len = KvpCodec::kKvpBytes - kvp.key.size() - prefix;
+      ASSERT_EQ(kvp.value.size(), prefix + len);
+      std::string expected;
+      size_t pos = rotation;
+      for (size_t i = 0; i < len; ++i) {
+        expected.push_back(kAlphabet[pos]);
+        pos = (pos + 1) % alphabet_len;
+      }
+      ASSERT_EQ(kvp.value.substr(prefix), expected)
+          << "rotation " << rotation << " length " << len;
+      lengths.insert(len);
+    }
+  }
+  EXPECT_EQ(lengths, (std::set<size_t>{1, 62, 63, 64, 127, 994}));
+}
+
 TEST(KvpCodecTest, RoundTrip) {
   Reading reading;
   reading.substation_key = "larkin_sf";

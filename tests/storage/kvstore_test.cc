@@ -179,6 +179,43 @@ TEST_F(KVStoreTest, CompactAllMovesDataDown) {
   EXPECT_EQ(Get("key001999"), value);
 }
 
+// Compaction streams every block of its inputs once, from files it is about
+// to delete; those blocks must not push the blocks queries use out of a
+// small block cache. Two L0 tables of a key range disjoint from the warmed
+// table are merged: ~4 MiB of input blocks through a 1 MiB cache.
+TEST_F(KVStoreTest, CompactionReadsLeaveCachedBlocksAlone) {
+  options_.write_buffer_size = 16 * 1024 * 1024;  // flush only on request
+  options_.block_cache_capacity = 1024 * 1024;
+  Reopen();
+  const std::string value(1000, 'v');
+  auto put_range = [&](char prefix, int n) {
+    for (int i = 0; i < n; ++i) {
+      char key[32];
+      snprintf(key, sizeof(key), "%c%06d", prefix, i);
+      ASSERT_TRUE(store_->Put(WriteOptions(), key, value).ok());
+    }
+  };
+  put_range('a', 1000);
+  ASSERT_TRUE(store_->CompactAll().ok());
+  EXPECT_EQ(Get("a000500"), value);  // warms the block holding a000500
+
+  put_range('b', 2000);
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  put_range('c', 2000);
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  const KVStoreStats before = store_->GetStats();
+  ASSERT_EQ(before.num_files[0], 2);
+  ASSERT_TRUE(store_->CompactAll().ok());
+  const KVStoreStats after = store_->GetStats();
+  ASSERT_GT(after.compactions, before.compactions);
+  ASSERT_GT(after.bytes_compacted, before.bytes_compacted);
+
+  EXPECT_EQ(Get("a000500"), value);
+  const KVStoreStats reread = store_->GetStats();
+  EXPECT_EQ(reread.block_cache_hits, after.block_cache_hits + 1);
+  EXPECT_EQ(reread.block_cache_misses, after.block_cache_misses);
+}
+
 TEST_F(KVStoreTest, DestroyRemovesEverything) {
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", "v").ok());
   ASSERT_TRUE(store_->FlushMemTable().ok());

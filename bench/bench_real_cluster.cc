@@ -119,10 +119,10 @@ int main(int argc, char** argv) {
     }
     const auto& measured =
         result.iterations[result.performance_run].measured;
-    Histogram queries = measured.MergedQueryLatency();
+    obs::HistogramSnapshot queries = measured.MergedQueryLatency();
     printf("%8d %14.0f %14.2f %14llu %12.2f\n", nodes, result.IoTps(),
            measured.metrics.ElapsedSeconds(),
-           static_cast<unsigned long long>(queries.count()),
+           static_cast<unsigned long long>(queries.count),
            queries.Mean() / 1000.0);
     // Stage-attribution reconciliation: on this replicated path the op's
     // critical path is the cluster stage group, so its per-stage p99 sum

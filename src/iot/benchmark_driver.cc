@@ -35,8 +35,8 @@ double WorkloadExecution::AvgRowsPerQuery() const {
                       : static_cast<double>(TotalQueryRows()) / queries;
 }
 
-Histogram WorkloadExecution::MergedQueryLatency() const {
-  Histogram merged;
+obs::HistogramSnapshot WorkloadExecution::MergedQueryLatency() const {
+  obs::HistogramSnapshot merged;
   for (const auto& d : drivers) merged.Merge(d.query_latency_micros);
   return merged;
 }

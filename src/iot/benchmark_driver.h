@@ -170,7 +170,7 @@ struct WorkloadExecution {
   uint64_t TotalQueries() const;
   uint64_t TotalQueryRows() const;
   double AvgRowsPerQuery() const;
-  Histogram MergedQueryLatency() const;
+  obs::HistogramSnapshot MergedQueryLatency() const;
   /// Fastest/slowest per-substation ingest completion (Figure 15).
   double MinDriverSeconds() const;
   double MaxDriverSeconds() const;

@@ -13,7 +13,7 @@ namespace iot {
 namespace {
 
 /// Global `driver.*` registry instruments, aggregated over all driver
-/// instances (per-driver DriverResult histograms stay exact).
+/// instances (per-driver query latency is kept in DriverResult).
 struct DriverInstruments {
   obs::LatencyHistogram* insert_batch_micros;
   obs::LatencyHistogram* query_micros;
@@ -45,8 +45,7 @@ DriverInstance::DriverInstance(const DriverOptions& options, ycsb::DB* db)
   if (options_.batch_size == 0) options_.batch_size = 1;
 }
 
-DriverResult DriverInstance::Run(std::atomic<bool>* abort,
-                                 ycsb::Measurements* measurements) {
+DriverResult DriverInstance::Run(std::atomic<bool>* abort) {
   DriverResult result;
   result.substation_key = options_.substation_key;
 
@@ -108,10 +107,6 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort,
       result.status = s;
       break;
     }
-    result.insert_batch_latency_micros.Add(insert_elapsed);
-    if (measurements != nullptr) {
-      measurements->Record("INSERT_BATCH", insert_elapsed);
-    }
     if (obs::Enabled()) {
       Instruments().insert_batch_micros->Record(insert_elapsed);
       Instruments().ingest_kvps->Add(batch.size());
@@ -139,7 +134,7 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort,
         }
         result.queries_executed++;
         result.query_rows_read += query_result.ValueOrDie().rows_read;
-        result.query_latency_micros.Add(query_elapsed);
+        result.query_latency_micros.Record(query_elapsed);
         if (obs::Enabled()) {
           Instruments().query_micros->Record(query_elapsed);
           Instruments().query_count->Increment();
@@ -148,9 +143,6 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort,
         }
         obs::TraceBuffer::Record("driver.query", q0, query_elapsed, "rows",
                                  query_result.ValueOrDie().rows_read);
-        if (measurements != nullptr) {
-          measurements->Record("QUERY", query_elapsed);
-        }
       }
       if (!result.status.ok()) break;
       next_query_marker += Rules::kReadingsPerQueryBatch;

@@ -6,13 +6,12 @@
 #include <string>
 
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/status.h"
 #include "iot/data_generator.h"
 #include "iot/query.h"
 #include "iot/rules.h"
+#include "obs/snapshot.h"
 #include "ycsb/db.h"
-#include "ycsb/measurements.h"
 
 namespace iotdb {
 namespace iot {
@@ -39,8 +38,7 @@ struct DriverResult {
   uint64_t query_rows_read = 0;  // across both windows of every query
   uint64_t start_micros = 0;
   uint64_t end_micros = 0;
-  Histogram query_latency_micros;
-  Histogram insert_batch_latency_micros;
+  obs::HistogramSnapshot query_latency_micros;
 
   double ElapsedSeconds() const {
     return static_cast<double>(end_micros - start_micros) / 1e6;
@@ -66,8 +64,7 @@ class DriverInstance {
 
   /// Blocking; returns when this driver's kvps share is ingested, an error
   /// occurs, or *abort becomes true. Safe to call from its own thread.
-  DriverResult Run(std::atomic<bool>* abort = nullptr,
-                   ycsb::Measurements* measurements = nullptr);
+  DriverResult Run(std::atomic<bool>* abort = nullptr);
 
  private:
   DriverOptions options_;

@@ -10,6 +10,7 @@
 #include "common/random.h"
 #include "iot/rules.h"
 #include "obs/metrics.h"
+#include "obs/snapshot.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -180,11 +181,15 @@ class GatewayModel {
         queries_done_ == 0
             ? 0
             : static_cast<double>(query_rows_) / queries_done_;
-    stats.query_latency.count = query_latency_.count();
-    stats.query_latency.min_us = query_latency_.min();
-    stats.query_latency.max_us = query_latency_.max();
+    stats.query_latency.count = query_latency_.count;
+    stats.query_latency.min_us = query_latency_.min;
+    stats.query_latency.max_us = query_latency_.max;
     stats.query_latency.mean_us = query_latency_.Mean();
-    stats.query_latency.stddev_us = query_latency_.StdDev();
+    const double n = static_cast<double>(query_latency_.count);
+    const double sum = static_cast<double>(query_latency_.sum);
+    const double variance =
+        n == 0 ? 0 : (query_latency_sum_squares_ - sum * sum / n) / n;
+    stats.query_latency.stddev_us = variance > 0 ? std::sqrt(variance) : 0;
     stats.query_latency.p95_us = query_latency_.Percentile(95);
     return stats;
   }
@@ -372,7 +377,9 @@ class GatewayModel {
     read_[node]->Process(service, [this, issued, row_count](sim::Time) {
       sim::Time latency = sim_.Now() - issued +
                           static_cast<sim::Time>(profile_.query_rpc_us);
-      query_latency_.Add(latency);
+      query_latency_.Record(latency);
+      query_latency_sum_squares_ +=
+          static_cast<double>(latency) * static_cast<double>(latency);
       queries_done_++;
       query_rows_ += row_count;
       if (obs::Enabled()) {
@@ -396,7 +403,9 @@ class GatewayModel {
   std::vector<uint64_t> node_bytes_since_stall_;
   std::vector<ClientState> clients_;
 
-  Histogram query_latency_;
+  obs::HistogramSnapshot query_latency_;
+  /// With the snapshot's exact sum, gives the exact Fig. 14 stddev/CoV.
+  double query_latency_sum_squares_ = 0;
   uint64_t queries_done_ = 0;
   uint64_t query_rows_ = 0;
 };
@@ -457,7 +466,7 @@ std::vector<ExperimentResult> RunSubstationSweep(int nodes,
 // ---------------------------------------------------------------------------
 
 namespace {
-constexpr const char* kCacheMagic = "tpcx-iot-expcache-v2";
+constexpr const char* kCacheMagic = "tpcx-iot-expcache-v3";
 }
 
 Status SaveResultsCache(const std::string& path,

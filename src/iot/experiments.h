@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/histogram.h"
 #include "common/result.h"
 
 namespace iotdb {

@@ -231,14 +231,14 @@ std::string FullDisclosureReport(const BenchmarkResult& result,
                    iter.measured.metrics.kvps_ingested),
                iter.measured.metrics.ElapsedSeconds(),
                iter.measured.metrics.IoTps());
-    Histogram queries = iter.measured.MergedQueryLatency();
-    if (queries.count() > 0) {
+    obs::HistogramSnapshot queries = iter.measured.MergedQueryLatency();
+    if (queries.count > 0) {
       AppendLine(&out,
                  "  Queries:  %llu executed, avg %.1f ms, p95 %.1f ms, "
                  "max %.1f ms, avg rows %.1f",
-                 static_cast<unsigned long long>(queries.count()),
+                 static_cast<unsigned long long>(queries.count),
                  queries.Mean() / 1000.0, queries.Percentile(95) / 1000.0,
-                 static_cast<double>(queries.max()) / 1000.0,
+                 static_cast<double>(queries.max) / 1000.0,
                  iter.measured.AvgRowsPerQuery());
     }
     const cluster::FaultRecoveryStats& faults = iter.measured.faults;

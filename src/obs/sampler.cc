@@ -162,24 +162,7 @@ void MergeIntervalInto(const TimelineInterval& next, TimelineInterval* into) {
     into->delta.gauges[name] = value;
   }
   for (const auto& [name, hist] : next.delta.histograms) {
-    auto it = into->delta.histograms.find(name);
-    if (it == into->delta.histograms.end()) {
-      into->delta.histograms[name] = hist;
-      continue;
-    }
-    HistogramSnapshot& acc = it->second;
-    if (acc.count == 0) {
-      acc.min = hist.min;
-    } else if (hist.count > 0 && hist.min < acc.min) {
-      acc.min = hist.min;
-    }
-    if (hist.max > acc.max) acc.max = hist.max;
-    acc.count += hist.count;
-    acc.sum += hist.sum;
-    std::map<uint32_t, uint64_t> merged(acc.buckets.begin(),
-                                        acc.buckets.end());
-    for (const auto& [index, n] : hist.buckets) merged[index] += n;
-    acc.buckets.assign(merged.begin(), merged.end());
+    into->delta.histograms[name].Merge(hist);
   }
 }
 

@@ -14,6 +14,33 @@ namespace obs {
 // HistogramSnapshot
 // ---------------------------------------------------------------------------
 
+void HistogramSnapshot::Record(uint64_t value) {
+  min = count == 0 ? value : std::min(min, value);
+  max = std::max(max, value);
+  ++count;
+  sum += value;
+  const auto index =
+      static_cast<uint32_t>(LatencyHistogram::BucketIndexFor(value));
+  auto it = std::lower_bound(
+      buckets.begin(), buckets.end(), index,
+      [](const auto& bucket, uint32_t i) { return bucket.first < i; });
+  if (it != buckets.end() && it->first == index) {
+    ++it->second;
+  } else {
+    buckets.emplace(it, index, 1);
+  }
+}
+
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  if (count == 0 || (other.count > 0 && other.min < min)) min = other.min;
+  max = std::max(max, other.max);
+  count += other.count;
+  sum += other.sum;
+  std::map<uint32_t, uint64_t> merged(buckets.begin(), buckets.end());
+  for (const auto& [index, n] : other.buckets) merged[index] += n;
+  buckets.assign(merged.begin(), merged.end());
+}
+
 double HistogramSnapshot::Mean() const {
   return count == 0 ? 0.0
                     : static_cast<double>(sum) / static_cast<double>(count);

@@ -16,7 +16,9 @@ namespace obs {
 /// Point-in-time copy of one LatencyHistogram: exact count/sum/min/max plus
 /// the sparse non-empty log-buckets, so percentiles can be recomputed from
 /// the snapshot (and from deltas between two snapshots) without the live
-/// instrument.
+/// instrument. Also the single-threaded value histogram: Record() and
+/// Merge() accumulate into it directly (per-driver query latency, YCSB
+/// per-op measurements, the sim model).
 struct HistogramSnapshot {
   uint64_t count = 0;
   uint64_t sum = 0;
@@ -25,6 +27,15 @@ struct HistogramSnapshot {
   /// Sparse (bucket index, count) pairs, ascending by index. Bucket
   /// geometry is LatencyHistogram's (see metrics.h).
   std::vector<std::pair<uint32_t, uint64_t>> buckets;
+
+  /// Adds one value, bucketed as LatencyHistogram::Record buckets it, so a
+  /// recorded snapshot equals TakeSnapshot() of the same stream.
+  void Record(uint64_t value);
+
+  /// Adds `other`'s values. min comes from `other` when this snapshot is
+  /// empty, otherwise only when `other` counted something; max is the
+  /// larger of the two.
+  void Merge(const HistogramSnapshot& other);
 
   double Mean() const;
   /// Approximate value at percentile p in [0, 100], interpolated within

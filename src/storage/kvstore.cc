@@ -144,8 +144,8 @@ KVStore::KVStore(const Options& options, const std::string& name)
   if (options_.block_cache_capacity > 0) {
     block_cache_ = std::make_unique<LruCache>(options_.block_cache_capacity);
   }
-  background_pool_ = std::make_unique<ThreadPool>(
-      static_cast<size_t>(std::max(options_.background_threads, 1)));
+  // One thread: background_scheduled_ admits one BackgroundCall at a time.
+  background_pool_ = std::make_unique<ThreadPool>(1);
 
   auto& registry = obs::MetricsRegistry::Global();
   obs_.puts = registry.GetCounter("storage.ops.puts");

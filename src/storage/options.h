@@ -59,9 +59,6 @@ struct Options {
   /// Capacity of the shared block cache in bytes; 0 disables caching.
   size_t block_cache_capacity = 8 * 1024 * 1024;
 
-  /// Background threads for flush + compaction work.
-  int background_threads = 1;
-
   /// Optional hook dropping entries during compaction (data retention);
   /// see compaction_filter.h. Not owned; must outlive the store.
   const CompactionFilter* compaction_filter = nullptr;

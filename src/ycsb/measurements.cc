@@ -10,7 +10,7 @@ namespace ycsb {
 void Measurements::Record(const std::string& op, uint64_t latency_micros) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    histograms_[op].Add(latency_micros);
+    histograms_[op].Record(latency_micros);
   }
   // Mirror into the global registry so per-op-type latency shows up in
   // --metrics-out snapshots alongside storage/cluster instruments.
@@ -26,13 +26,11 @@ void Measurements::RecordFailure(const std::string& op) {
   failures_[op]++;
 }
 
-Histogram Measurements::GetHistogram(const std::string& op) const {
+obs::HistogramSnapshot Measurements::GetHistogram(
+    const std::string& op) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = histograms_.find(op);
-  if (it == histograms_.end()) return Histogram();
-  Histogram copy;
-  copy.Merge(it->second);
-  return copy;
+  return it == histograms_.end() ? obs::HistogramSnapshot() : it->second;
 }
 
 uint64_t Measurements::GetFailures(const std::string& op) const {
@@ -41,13 +39,10 @@ uint64_t Measurements::GetFailures(const std::string& op) const {
   return it == failures_.end() ? 0 : it->second;
 }
 
-std::map<std::string, Histogram> Measurements::Snapshot() const {
+std::map<std::string, obs::HistogramSnapshot> Measurements::Snapshot()
+    const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::map<std::string, Histogram> out;
-  for (const auto& [op, hist] : histograms_) {
-    out[op].Merge(hist);
-  }
-  return out;
+  return histograms_;
 }
 
 void Measurements::Merge(const Measurements& other) {
@@ -71,9 +66,9 @@ std::string Measurements::Report() const {
   for (const auto& [op, hist] : histograms_) {
     snprintf(line, sizeof(line),
              "[%s] count=%llu mean=%.1fus p95=%.1fus p99=%.1fus max=%lluus\n",
-             op.c_str(), static_cast<unsigned long long>(hist.count()),
+             op.c_str(), static_cast<unsigned long long>(hist.count),
              hist.Mean(), hist.Percentile(95), hist.Percentile(99),
-             static_cast<unsigned long long>(hist.max()));
+             static_cast<unsigned long long>(hist.max));
     out += line;
   }
   return out;

@@ -6,7 +6,7 @@
 #include <mutex>
 #include <string>
 
-#include "common/histogram.h"
+#include "obs/snapshot.h"
 
 namespace iotdb {
 namespace ycsb {
@@ -23,11 +23,11 @@ class Measurements {
   void RecordFailure(const std::string& op);
 
   /// Snapshot of one operation type's histogram (zeroed if unseen).
-  Histogram GetHistogram(const std::string& op) const;
+  obs::HistogramSnapshot GetHistogram(const std::string& op) const;
   uint64_t GetFailures(const std::string& op) const;
 
   /// All op types seen so far.
-  std::map<std::string, Histogram> Snapshot() const;
+  std::map<std::string, obs::HistogramSnapshot> Snapshot() const;
 
   /// Merges another Measurements into this one.
   void Merge(const Measurements& other);
@@ -39,7 +39,7 @@ class Measurements {
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, Histogram> histograms_;
+  std::map<std::string, obs::HistogramSnapshot> histograms_;
   std::map<std::string, uint64_t> failures_;
 };
 

@@ -1,5 +1,5 @@
-// Tests for Slice, Random, Histogram, Properties, Arena, ThreadPool,
-// RateLimiter, and the clocks.
+// Tests for Slice, Random, Properties, Arena, ThreadPool, RateLimiter, and
+// the clocks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,7 +9,6 @@
 
 #include "common/arena.h"
 #include "common/clock.h"
-#include "common/histogram.h"
 #include "common/properties.h"
 #include "common/random.h"
 #include "common/rate_limiter.h"
@@ -105,57 +104,6 @@ TEST(RandomTest, PrintableStringIsPrintable) {
   for (char c : s) {
     EXPECT_TRUE(isalnum(static_cast<unsigned char>(c)));
   }
-}
-
-TEST(HistogramTest, BasicStats) {
-  Histogram h;
-  for (uint64_t v = 1; v <= 100; ++v) h.Add(v);
-  EXPECT_EQ(h.count(), 100u);
-  EXPECT_EQ(h.min(), 1u);
-  EXPECT_EQ(h.max(), 100u);
-  EXPECT_DOUBLE_EQ(h.Mean(), 50.5);
-  EXPECT_NEAR(h.StdDev(), 28.866, 0.01);
-  EXPECT_NEAR(h.Percentile(50), 50.5, 3.0);
-  EXPECT_NEAR(h.Percentile(95), 95, 5.0);
-}
-
-TEST(HistogramTest, EmptyIsZero) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.Mean(), 0.0);
-  EXPECT_EQ(h.Percentile(99), 0.0);
-  EXPECT_EQ(h.CoefficientOfVariation(), 0.0);
-}
-
-TEST(HistogramTest, MergeEqualsCombined) {
-  Histogram a, b, combined;
-  Random rng(3);
-  for (int i = 0; i < 1000; ++i) {
-    uint64_t v = rng.Uniform(100000);
-    if (i % 2 == 0) {
-      a.Add(v);
-    } else {
-      b.Add(v);
-    }
-    combined.Add(v);
-  }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), combined.count());
-  EXPECT_EQ(a.min(), combined.min());
-  EXPECT_EQ(a.max(), combined.max());
-  EXPECT_DOUBLE_EQ(a.Mean(), combined.Mean());
-}
-
-TEST(HistogramTest, CoefficientOfVariationDetectsSpread) {
-  Histogram tight;
-  for (int i = 0; i < 100; ++i) tight.Add(1000);
-  EXPECT_NEAR(tight.CoefficientOfVariation(), 0.0, 1e-9);
-
-  // Mostly-fast with rare huge outliers: CoV > 1 (the Fig. 14 situation).
-  Histogram heavy;
-  for (int i = 0; i < 99; ++i) heavy.Add(10);
-  heavy.Add(100000);
-  EXPECT_GT(heavy.CoefficientOfVariation(), 1.0);
 }
 
 TEST(PropertiesTest, ParseAndTypedAccess) {

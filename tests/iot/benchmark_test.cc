@@ -209,7 +209,7 @@ TEST(DriverInstanceTest, IngestsShareAndIssuesQueries) {
   EXPECT_EQ(result.kvps_ingested, 25000u);
   // 25000 readings -> 2 * 5 queries.
   EXPECT_EQ(result.queries_executed, 10u);
-  EXPECT_EQ(result.query_latency_micros.count(), 10u);
+  EXPECT_EQ(result.query_latency_micros.count, 10u);
   EXPECT_GT(result.ElapsedSeconds(), 0.0);
   // Every ingested kvp is on the cluster, 2 copies (2 nodes).
   EXPECT_EQ(sut->GetAggregateStats().primary_writes, 25000u);
@@ -249,10 +249,25 @@ TEST(BenchmarkDriverTest, FullRunEndToEnd) {
     EXPECT_EQ(result.iterations[i].warmup.metrics.kvps_ingested, 30000u);
     EXPECT_TRUE(result.iterations[i].data_check.passed);
     EXPECT_EQ(result.iterations[i].measured.TotalQueries(), 10u);
+    // Every executed query lands in the merged per-driver histogram.
+    EXPECT_EQ(result.iterations[i].measured.MergedQueryLatency().count,
+              result.iterations[i].measured.TotalQueries());
   }
   EXPECT_GT(result.IoTps(), 0.0);
   // The SUT is purged after the run.
   EXPECT_EQ(sut->GetAggregateStats().primary_writes, 0u);
+
+  // Each iteration's FDR block reports its query latency.
+  PricedConfiguration pricing =
+      PricedConfiguration::ReferenceGatewayConfig(3);
+  SutDescription sut_desc;
+  sut_desc.nodes = 3;
+  std::string fdr = FullDisclosureReport(result, pricing, sut_desc);
+  size_t first = fdr.find("  Queries:  10 executed, avg ");
+  ASSERT_NE(first, std::string::npos) << fdr;
+  EXPECT_NE(fdr.find("  Queries:  10 executed, avg ", first + 1),
+            std::string::npos)
+      << fdr;
 }
 
 TEST(BenchmarkDriverTest, TimelineIngestSumMatchesRunTotal) {

@@ -24,13 +24,13 @@ TEST(MeasurementsTest, RecordsPerOpHistograms) {
   m.Record("INSERT", 50);
   m.RecordFailure("READ");
 
-  Histogram reads = m.GetHistogram("READ");
-  EXPECT_EQ(reads.count(), 2u);
-  EXPECT_EQ(reads.min(), 100u);
-  EXPECT_EQ(reads.max(), 200u);
+  obs::HistogramSnapshot reads = m.GetHistogram("READ");
+  EXPECT_EQ(reads.count, 2u);
+  EXPECT_EQ(reads.min, 100u);
+  EXPECT_EQ(reads.max, 200u);
   EXPECT_EQ(m.GetFailures("READ"), 1u);
   EXPECT_EQ(m.GetFailures("INSERT"), 0u);
-  EXPECT_EQ(m.GetHistogram("UNKNOWN").count(), 0u);
+  EXPECT_EQ(m.GetHistogram("UNKNOWN").count, 0u);
 }
 
 TEST(MeasurementsTest, MergeAndReport) {
@@ -39,13 +39,13 @@ TEST(MeasurementsTest, MergeAndReport) {
   b.Record("READ", 30);
   b.Record("SCAN", 99);
   a.Merge(b);
-  EXPECT_EQ(a.GetHistogram("READ").count(), 2u);
-  EXPECT_EQ(a.GetHistogram("SCAN").count(), 1u);
+  EXPECT_EQ(a.GetHistogram("READ").count, 2u);
+  EXPECT_EQ(a.GetHistogram("SCAN").count, 1u);
   std::string report = a.Report();
   EXPECT_NE(report.find("READ"), std::string::npos);
   EXPECT_NE(report.find("SCAN"), std::string::npos);
   a.Reset();
-  EXPECT_EQ(a.GetHistogram("READ").count(), 0u);
+  EXPECT_EQ(a.GetHistogram("READ").count, 0u);
 }
 
 TEST(NullDBTest, SwallowsEverything) {
@@ -88,7 +88,7 @@ TEST_F(WorkloadTest, LoadPhaseInsertsRecordCount) {
   ClientResult result = RunLoadPhase(options, db_.get(), workload.get(), &m);
   EXPECT_EQ(result.operations, 500u);
   EXPECT_EQ(result.failures, 0u);
-  EXPECT_EQ(m.GetHistogram("INSERT").count(), 500u);
+  EXPECT_EQ(m.GetHistogram("INSERT").count, 500u);
   EXPECT_EQ(store_->CountKeysSlow(), 500u);
 }
 
@@ -106,12 +106,12 @@ TEST_F(WorkloadTest, TransactionsFollowMix) {
   EXPECT_EQ(result.operations, 1000u);
   EXPECT_EQ(result.failures, 0u);
   auto snapshot = m.Snapshot();
-  uint64_t total = snapshot["READ"].count() + snapshot["UPDATE"].count() +
-                   snapshot["SCAN"].count();
+  uint64_t total = snapshot["READ"].count + snapshot["UPDATE"].count +
+                   snapshot["SCAN"].count;
   EXPECT_EQ(total, 1000u);
-  EXPECT_NEAR(snapshot["READ"].count(), 500, 80);
-  EXPECT_NEAR(snapshot["UPDATE"].count(), 300, 70);
-  EXPECT_NEAR(snapshot["SCAN"].count(), 200, 60);
+  EXPECT_NEAR(snapshot["READ"].count, 500, 80);
+  EXPECT_NEAR(snapshot["UPDATE"].count, 300, 70);
+  EXPECT_NEAR(snapshot["SCAN"].count, 200, 60);
 }
 
 TEST_F(WorkloadTest, MultiThreadedClientCompletes) {

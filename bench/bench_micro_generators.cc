@@ -1,12 +1,11 @@
 // Workload-generation micro-benchmarks (google-benchmark): the cost of the
-// TPCx-IoT kvp generation path (the Figure 8 inner loop) and the YCSB
-// generator layer.
+// TPCx-IoT kvp generation path (the Figure 8 inner loop) and of query
+// generation.
 #include <benchmark/benchmark.h>
 
 #include "common/clock.h"
 #include "iot/data_generator.h"
 #include "iot/query.h"
-#include "ycsb/generator.h"
 
 namespace {
 
@@ -49,23 +48,6 @@ void BM_QueryGeneration(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QueryGeneration);
-
-void BM_ZipfianNext(benchmark::State& state) {
-  iotdb::ycsb::ZipfianGenerator generator(static_cast<uint64_t>(
-      state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.Next());
-  }
-}
-BENCHMARK(BM_ZipfianNext)->Arg(1000)->Arg(1000000);
-
-void BM_ScrambledZipfianNext(benchmark::State& state) {
-  iotdb::ycsb::ScrambledZipfianGenerator generator(1000000);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(generator.Next());
-  }
-}
-BENCHMARK(BM_ScrambledZipfianNext);
 
 }  // namespace
 

@@ -11,7 +11,6 @@
 
 #include "obs/attribution.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace {
@@ -93,11 +92,10 @@ int main() {
   printf("  %-44s %8.2f ns/op\n", "gated increment (registry disabled)",
          gated_ns);
 
-  double timer_ns = MinNsPerOp([&](uint64_t) {
-    iotdb::obs::ScopedTimer timer(&hist);
+  double span_ns = MinNsPerOp([&](uint64_t) {
+    iotdb::obs::TraceSpan span("bench.span", &hist);
   });
-  printf("  %-44s %8.2f ns/op\n", "ScopedTimer (registry disabled)",
-         timer_ns);
+  printf("  %-44s %8.2f ns/op\n", "TraceSpan (registry disabled)", span_ns);
   iotdb::obs::SetEnabled(true);
 
   // Tracing disabled (the default): Record must be a single branch.

@@ -295,7 +295,11 @@ std::vector<int> Cluster::ReplicaNodesFor(const Slice& row_key) const {
 std::vector<int> Cluster::ReplicaNodesForShardKey(
     const Slice& shard_key) const {
   uint32_t h = storage::BloomHash(shard_key);
-  int primary = static_cast<int>(h % static_cast<uint32_t>(num_nodes()));
+  return ReplicaNodesForPrimary(
+      static_cast<int>(h % static_cast<uint32_t>(num_nodes())));
+}
+
+std::vector<int> Cluster::ReplicaNodesForPrimary(int primary) const {
   int replicas = effective_replication();
   std::vector<int> result;
   result.reserve(replicas);
@@ -526,12 +530,8 @@ void Cluster::SendWriteRequestLocked(uint64_t request_id, PendingWrite* pw,
 
 void Cluster::HintReplicaSlotLocked(uint64_t request_id, PendingWrite* pw,
                                     int slot) {
-  int node_id = pw->replicas[slot];
   pw->states[slot] = ReplicaState::kHinted;
-  Node* node = nodes_[node_id].get();
-  if (!(node->is_down() && TryRecordHint(node_id, *pw->rows))) {
-    ForceRecordHint(node_id, *pw->rows);
-  }
+  ForceRecordHint(pw->replicas[slot], *pw->rows);
   int hinted = 0;
   for (ReplicaState s : pw->states) {
     if (s == ReplicaState::kHinted) hinted++;
@@ -669,13 +669,6 @@ Status Cluster::QuorumWriteWait(const std::shared_ptr<PendingWrite>& pw) {
   return pw->error.ok() ? Status::Unavailable("write failed") : pw->error;
 }
 
-Status Cluster::QuorumWrite(const std::vector<int>& replicas,
-                            std::shared_ptr<const Rows> rows, uint64_t kvps,
-                            uint64_t bytes) {
-  return QuorumWriteWait(QuorumWriteStart(replicas, std::move(rows), kvps,
-                                          bytes));
-}
-
 void Cluster::TimerLoop() {
   std::unique_lock<std::mutex> lock(writes_mu_);
   for (;;) {
@@ -725,12 +718,7 @@ void Cluster::TimerLoop() {
           for (size_t slot = 0; slot < pw->states.size(); ++slot) {
             if (pw->states[slot] != ReplicaState::kPending) continue;
             pw->states[slot] = ReplicaState::kHinted;
-            int node_id = pw->replicas[slot];
-            Node* node = nodes_[node_id].get();
-            if (!(node->is_down() &&
-                  TryRecordHint(node_id, *pw->rows))) {
-              ForceRecordHint(node_id, *pw->rows);
-            }
+            ForceRecordHint(pw->replicas[slot], *pw->rows);
             availability_.straggler_hinted_kvps += pw->kvps;
             if (obs::Enabled()) {
               Instruments().straggler_hint_kvps->Add(pw->kvps);
@@ -1226,8 +1214,6 @@ Status Cluster::FlushAll() {
 // Client
 // ---------------------------------------------------------------------------
 
-uint64_t Client::NextRand() { return SplitMix(jitter_state_); }
-
 uint64_t Client::BackoffMicros(int completed_attempts) {
   return BackoffWithJitter(cluster_->options().retry_policy,
                            completed_attempts, jitter_state_);
@@ -1262,50 +1248,8 @@ Status Client::RetryOp(const std::function<Status()>& op, Node* node) {
   }
 }
 
-Status Client::WriteShardBatch(
-    const std::vector<int>& replicas,
-    std::vector<std::pair<std::string, std::string>> rows, uint64_t kvps,
-    uint64_t bytes) {
-  obs::TraceSpan fanout_span("cluster.fanout", Instruments().fanout_micros,
-                             cluster_->clock());
-  fanout_span.SetArg("kvps", kvps);
-  obs::TraceContext fanout_ctx;
-  if (obs::TraceBuffer::Enabled()) {
-    const obs::TraceContext& caller = obs::CurrentTraceContext();
-    if (caller.valid()) {
-      fanout_ctx = caller.Child();
-      fanout_span.SetContext(fanout_ctx);
-    }
-  }
-  // The pending write derives its context from the thread's current one;
-  // attribution splits the op into send (start) and quorum wait.
-  obs::ScopedTraceContext ctx_scope(fanout_ctx);
-  obs::OpBreadcrumb* bc = obs::CurrentBreadcrumb();
-  const uint64_t t0 = bc != nullptr ? cluster_->clock()->NowMicros() : 0;
-  std::shared_ptr<Cluster::PendingWrite> pw = cluster_->QuorumWriteStart(
-      replicas, std::make_shared<const Cluster::Rows>(std::move(rows)), kvps,
-      bytes);
-  uint64_t sent = 0;
-  if (bc != nullptr) {
-    sent = cluster_->clock()->NowMicros();
-    obs::AddStageMicros(obs::Stage::kFanoutSend, sent - t0);
-  }
-  Status s = cluster_->QuorumWriteWait(pw);
-  if (bc != nullptr) {
-    obs::AddStageMicros(obs::Stage::kQuorumWait,
-                        cluster_->clock()->NowMicros() - sent);
-  }
-  if (!s.ok()) {
-    fanout_span.Cancel();  // failed fan-outs would skew the latency profile
-  }
-  return s;
-}
-
 Status Client::Put(const Slice& key, const Slice& value) {
-  std::vector<std::pair<std::string, std::string>> rows;
-  rows.emplace_back(key.ToString(), value.ToString());
-  return WriteShardBatch(cluster_->ReplicaNodesFor(key), std::move(rows), 1,
-                         key.size() + value.size());
+  return PutBatch({{key.ToString(), value.ToString()}});
 }
 
 Status Client::PutBatch(
@@ -1346,15 +1290,9 @@ Status Client::PutBatch(
   std::vector<std::shared_ptr<Cluster::PendingWrite>> in_flight;
   in_flight.reserve(groups.size());
   for (auto& [primary, group] : groups) {
-    int replicas = cluster_->effective_replication();
-    std::vector<int> replica_ids;
-    replica_ids.reserve(replicas);
-    for (int i = 0; i < replicas; ++i) {
-      replica_ids.push_back((primary + i) % cluster_->num_nodes());
-    }
     uint64_t group_kvps = group.rows.size();
     in_flight.push_back(cluster_->QuorumWriteStart(
-        replica_ids,
+        cluster_->ReplicaNodesForPrimary(primary),
         std::make_shared<const Cluster::Rows>(std::move(group.rows)),
         group_kvps, group.bytes));
   }

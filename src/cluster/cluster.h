@@ -193,18 +193,17 @@ class Cluster {
 
   Slice ShardKeyOf(const Slice& row_key) const;
 
+  /// Replica node ids of the shard whose primary is `primary`, primary
+  /// first: the one replica placement rule of the cluster.
+  std::vector<int> ReplicaNodesForPrimary(int primary) const;
+
  public:
   struct PendingWrite;
 
  private:
-  /// Replicates one shard batch over the channel and blocks until quorum,
-  /// Unavailable, or the per-request deadline. The write path of Client.
-  Status QuorumWrite(const std::vector<int>& replicas,
-                     std::shared_ptr<const Rows> rows, uint64_t kvps,
-                     uint64_t bytes);
-
-  /// Split write path for pipelining: Start registers the write and fans it
-  /// out without blocking; Wait blocks until it resolves. Client::PutBatch
+  /// The write path of Client, split for pipelining: Start registers the
+  /// write and fans it out over the channel without blocking; Wait blocks
+  /// until quorum, Unavailable, or the per-request deadline. Client::PutBatch
   /// launches every shard group before awaiting any quorum.
   std::shared_ptr<PendingWrite> QuorumWriteStart(
       const std::vector<int>& replicas, std::shared_ptr<const Rows> rows,
@@ -391,9 +390,9 @@ class Client {
     return *this;
   }
 
-  /// Writes one kvp to all replicas; returns once a quorum acked. Replicas
-  /// missed because they were down (or lagged past the straggler window)
-  /// get hints.
+  /// Writes one kvp to all replicas as a one-row PutBatch; returns once a
+  /// quorum acked. Replicas missed because they were down (or lagged past
+  /// the straggler window) get hints.
   Status Put(const Slice& key, const Slice& value);
 
   /// Writes a group of kvps: groups by primary node, then replicates each
@@ -421,19 +420,12 @@ class Client {
               std::vector<std::pair<std::string, std::string>>* out);
 
  private:
-  /// Replicates one shard's batch via the cluster's quorum write path.
-  Status WriteShardBatch(
-      const std::vector<int>& replicas,
-      std::vector<std::pair<std::string, std::string>> rows, uint64_t kvps,
-      uint64_t bytes);
-
   /// Runs `op` under the retry policy. Retries transient failures (IOError/
   /// Busy/TimedOut) with exponential backoff + jitter until max_attempts or
   /// the op deadline (measured on the monotonic clock); gives up immediately
   /// when `node` goes down (the caller fails over instead).
   Status RetryOp(const std::function<Status()>& op, Node* node);
 
-  uint64_t NextRand();
   uint64_t BackoffMicros(int completed_attempts);
 
   Cluster* cluster_;

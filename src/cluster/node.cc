@@ -108,24 +108,6 @@ Status Node::Restart() {
   return Status::OK();
 }
 
-Status Node::ApplyBatch(storage::WriteBatch* batch, bool as_primary,
-                        uint64_t kvps, uint64_t bytes) {
-  std::shared_lock<std::shared_mutex> lock(lifecycle_mu_);
-  if (is_down() || store_ == nullptr) return NotRunningError();
-  IOTDB_RETURN_NOT_OK(store_->Write(storage::WriteOptions(), batch));
-  writes_.fetch_add(kvps, std::memory_order_relaxed);
-  bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
-  if (as_primary) {
-    primary_writes_.fetch_add(kvps, std::memory_order_relaxed);
-  }
-  if (obs::Enabled()) {
-    Instruments().writes->Add(kvps);
-    Instruments().bytes_written->Add(bytes);
-    if (as_primary) obs_primary_kvps_->Add(kvps);
-  }
-  return Status::OK();
-}
-
 Status Node::ApplyRows(
     const std::vector<std::pair<std::string, std::string>>& rows,
     bool as_primary, uint64_t kvps, uint64_t bytes) {

@@ -104,18 +104,13 @@ class Node {
   /// flips it up once replica catch-up has converged.
   Status Restart();
 
-  /// Applies a replicated write batch. `as_primary` only affects counters.
-  Status ApplyBatch(storage::WriteBatch* batch, bool as_primary,
-                    uint64_t kvps, uint64_t bytes);
-
-  /// Vectorized variant of ApplyBatch: hands the shared replicated rows
-  /// straight to KVStore::PutMany, which commits them as one batch — no
-  /// intermediate per-replica WriteBatch copy.
+  /// Applies replicated rows: hands them straight to KVStore::PutMany, which
+  /// commits them as one batch. `as_primary` only affects counters.
   Status ApplyRows(
       const std::vector<std::pair<std::string, std::string>>& rows,
       bool as_primary, uint64_t kvps, uint64_t bytes);
 
-  /// Applies replayed hint rows. Unlike ApplyBatch this succeeds while the
+  /// Applies replayed hint rows. Unlike ApplyRows this succeeds while the
   /// node is still marked down (rejoin catch-up runs before the node is
   /// flipped live) and bumps no throughput counters — the rows were already
   /// counted when the original write was accepted.

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 namespace iotdb {
@@ -42,16 +41,6 @@ Status Properties::ParseText(const std::string& text) {
     map_[key] = value;
   }
   return Status::OK();
-}
-
-Status Properties::LoadFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::IOError("cannot open properties file: " + path);
-  }
-  std::stringstream buffer;
-  buffer << file.rdbuf();
-  return ParseText(buffer.str());
 }
 
 std::string Properties::Get(const std::string& key,

@@ -20,9 +20,6 @@ class Properties {
   /// Parses properties from text, overwriting duplicates last-wins.
   Status ParseText(const std::string& text);
 
-  /// Loads properties from a file on the local filesystem.
-  Status LoadFile(const std::string& path);
-
   void Set(const std::string& key, const std::string& value) {
     map_[key] = value;
   }

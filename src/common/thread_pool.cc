@@ -39,11 +39,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::QueueDepth() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

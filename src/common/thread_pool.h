@@ -10,8 +10,8 @@
 
 namespace iotdb {
 
-/// Fixed-size worker pool used for background flushes/compactions in the
-/// storage engine and for the multi-threaded YCSB client.
+/// Fixed-size worker pool that runs the storage engine's background
+/// flushes and compactions.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);
@@ -28,9 +28,6 @@ class ThreadPool {
 
   /// Stops accepting tasks, drains the queue, joins workers. Idempotent.
   void Shutdown();
-
-  size_t num_threads() const { return threads_.size(); }
-  size_t QueueDepth();
 
  private:
   void WorkerLoop();

@@ -185,6 +185,8 @@ Properties BenchmarkConfigToProperties(const BenchmarkConfig& config) {
   props.Set("enforce_query_rows",
             config.enforce_query_rows ? "true" : "false");
   props.Set("skip_warmup", config.skip_warmup ? "true" : "false");
+  props.Set("repeatability_tolerance",
+            std::to_string(config.repeatability_tolerance));
   props.Set("timeline.cadence_ms",
             std::to_string(config.timeline_cadence_micros / 1000));
   if (config.fault_kill_node >= 0) {

@@ -1,7 +1,5 @@
 #include "iot/metrics.h"
 
-#include <cstdio>
-
 namespace iotdb {
 namespace iot {
 
@@ -25,12 +23,6 @@ int PerformanceRunIndex(const RunMetrics& run1, const RunMetrics& run2) {
 double PricePerformance(double total_cost_usd, const RunMetrics& run) {
   double iotps = run.IoTps();
   return iotps <= 0 ? 0.0 : total_cost_usd / iotps;
-}
-
-std::string FormatIoTps(double iotps) {
-  char buf[64];
-  snprintf(buf, sizeof(buf), "%.2f IoTps", iotps);
-  return buf;
 }
 
 }  // namespace iot

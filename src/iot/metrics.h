@@ -50,9 +50,6 @@ int PerformanceRunIndex(const RunMetrics& run1, const RunMetrics& run2);
 /// Equation 5: price-performance in $ per IoTps.
 double PricePerformance(double total_cost_usd, const RunMetrics& run);
 
-/// Formats an IoTps value the way results are published.
-std::string FormatIoTps(double iotps);
-
 }  // namespace iot
 }  // namespace iotdb
 

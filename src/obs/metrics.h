@@ -19,7 +19,7 @@ namespace obs {
 /// Process-wide observability switch. Defaults to on; set the environment
 /// variable IOTDB_OBS_DISABLED=1 (read once at first use) or call
 /// SetEnabled(false) to turn instrumentation off. Instruments themselves
-/// always count — the flag is consulted by the *call sites* (ScopedTimer,
+/// always count — the flag is consulted by the *call sites* (TraceSpan,
 /// the wired subsystems) so a disabled build skips the clock reads and
 /// atomic traffic entirely.
 bool Enabled();

@@ -240,11 +240,12 @@ class JsonParser {
     SkipSpace();
     size_t start = pos_;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    size_t digits_start = pos_;
     while (pos_ < text_.size() &&
            isdigit(static_cast<unsigned char>(text_[pos_]))) {
       ++pos_;
     }
-    if (pos_ == start) return Status::Corruption("expected integer");
+    if (pos_ == digits_start) return Status::Corruption("expected integer");
     *out = strtoll(text_.substr(start, pos_ - start).c_str(), nullptr, 10);
     return Status::OK();
   }
@@ -268,7 +269,7 @@ class JsonParser {
       if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
       first = false;
       std::string key;
-      uint64_t value;
+      uint64_t value = 0;
       IOTDB_RETURN_NOT_OK(ParseString(&key));
       IOTDB_RETURN_NOT_OK(Expect(':'));
       IOTDB_RETURN_NOT_OK(ParseUint(&value));
@@ -284,7 +285,7 @@ class JsonParser {
       if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
       first = false;
       std::string key;
-      int64_t value;
+      int64_t value = 0;
       IOTDB_RETURN_NOT_OK(ParseString(&key));
       IOTDB_RETURN_NOT_OK(Expect(':'));
       IOTDB_RETURN_NOT_OK(ParseInt(&value));

@@ -8,7 +8,7 @@ namespace iotdb {
 namespace sim {
 
 /// Adapts a Simulator to the library-wide Clock interface so components
-/// written against Clock (generators, rate limiters, retention filters)
+/// written against Clock (generators, retention filters)
 /// run unmodified inside a discrete-event simulation.
 ///
 /// SleepMicros cannot block inside an event-driven simulation; it advances

@@ -23,8 +23,6 @@ class BloomFilterBuilder {
   /// Serialises the filter (bit array + 1-byte probe count).
   std::string Finish();
 
-  size_t NumKeys() const { return hashes_.size(); }
-
  private:
   int bits_per_key_;
   int k_;  // number of probes

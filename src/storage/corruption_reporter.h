@@ -21,13 +21,6 @@ class CorruptionReporter {
   /// `<path>.quarantined` and dropped from the live version set, so it will
   /// never serve another read. `cause` is the verification failure.
   virtual void OnQuarantine(const std::string& path, const Status& cause) = 0;
-
-  /// A read or scrub detected corruption in `path` without (yet) removing
-  /// the file. Default: ignore.
-  virtual void OnCorruption(const std::string& path, const Status& cause) {
-    (void)path;
-    (void)cause;
-  }
 };
 
 }  // namespace storage

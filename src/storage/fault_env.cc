@@ -363,11 +363,6 @@ FaultCounters FaultInjectionEnv::counters() const {
   return counters_;
 }
 
-void FaultInjectionEnv::ResetCounters() {
-  std::lock_guard<std::mutex> lock(mu_);
-  counters_ = FaultCounters();
-}
-
 // ---------------------------------------------------------------------------
 // Env interface
 // ---------------------------------------------------------------------------

@@ -128,7 +128,6 @@ class FaultInjectionEnv final : public Env {
       const std::function<bool(const std::string&)>& eligible = nullptr);
 
   FaultCounters counters() const;
-  void ResetCounters();
 
   Env* target() const { return target_; }
 

@@ -44,7 +44,7 @@ class ClusterDB final : public DB {
 };
 
 /// Binding to a single local KVStore (no sharding/replication); used by
-/// unit tests and the quickstart example.
+/// unit tests.
 class KVStoreDB final : public DB {
  public:
   explicit KVStoreDB(storage::KVStore* store) : store_(store) {}
@@ -69,10 +69,6 @@ class KVStoreDB final : public DB {
 
   Result<std::string> Read(const Slice& key) override {
     return store_->Get(storage::ReadOptions(), key);
-  }
-
-  Status Delete(const Slice& key) override {
-    return store_->Delete(storage::WriteOptions(), key);
   }
 
   Status Scan(const Slice& /*shard_key*/, const Slice& start,

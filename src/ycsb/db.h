@@ -13,9 +13,9 @@
 namespace iotdb {
 namespace ycsb {
 
-/// YCSB's database interface layer: the seam between workloads and systems
-/// under test. TPCx-IoT drives a gateway cluster binding; tests can drive a
-/// single KVStore or a null sink.
+/// YCSB's database interface layer: the seam between the TPCx-IoT workload
+/// and the system under test. The kit drives a gateway cluster binding;
+/// tests can drive a single KVStore.
 class DB {
  public:
   virtual ~DB() = default;
@@ -29,14 +29,6 @@ class DB {
 
   virtual Result<std::string> Read(const Slice& key) = 0;
 
-  virtual Status Update(const Slice& key, const Slice& value) {
-    return Insert(key, value);
-  }
-
-  virtual Status Delete(const Slice& /*key*/) {
-    return Status::NotSupported("Delete");
-  }
-
   /// Range scan: rows in [start, end_exclusive), at most `limit` when
   /// limit > 0. `shard_key` routes sharded bindings; unsharded bindings may
   /// ignore it.
@@ -44,25 +36,6 @@ class DB {
                       const Slice& end_exclusive, size_t limit,
                       std::vector<std::pair<std::string, std::string>>* out)
       = 0;
-};
-
-/// A binding that discards writes and returns empty reads. Reproduces the
-/// paper's Figure 8 setup of redirecting driver output to /dev/null to
-/// measure bare generation speed.
-class NullDB final : public DB {
- public:
-  Status Insert(const Slice&, const Slice&) override { return Status::OK(); }
-  Status InsertBatch(const std::vector<std::pair<std::string, std::string>>&)
-      override {
-    return Status::OK();
-  }
-  Result<std::string> Read(const Slice&) override {
-    return Status::NotFound("null db");
-  }
-  Status Scan(const Slice&, const Slice&, const Slice&, size_t,
-              std::vector<std::pair<std::string, std::string>>*) override {
-    return Status::OK();
-  }
 };
 
 }  // namespace ycsb

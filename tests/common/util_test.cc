@@ -1,5 +1,4 @@
-// Tests for Slice, Random, Properties, Arena, ThreadPool, RateLimiter, and
-// the clocks.
+// Tests for Slice, Random, Properties, Arena, ThreadPool, and the clocks.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +10,6 @@
 #include "common/clock.h"
 #include "common/properties.h"
 #include "common/random.h"
-#include "common/rate_limiter.h"
 #include "common/slice.h"
 #include "common/thread_pool.h"
 
@@ -207,37 +205,6 @@ TEST(RealClockTest, IsMonotonic) {
   uint64_t a = clock->NowMicros();
   uint64_t b = clock->NowMicros();
   EXPECT_LE(a, b);
-}
-
-TEST(RateLimiterTest, ThrottlesWithManualClock) {
-  ManualClock clock;
-  RateLimiter limiter(100.0, 10.0, &clock);  // 100/s, burst 10
-
-  // Burst drains immediately.
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(limiter.TryAcquire());
-  EXPECT_FALSE(limiter.TryAcquire());
-
-  // 50 ms refills 5 permits.
-  clock.Advance(50000);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(limiter.TryAcquire());
-  EXPECT_FALSE(limiter.TryAcquire());
-}
-
-TEST(RateLimiterTest, WaitTimeEstimatesDeficit) {
-  ManualClock clock;
-  RateLimiter limiter(1000.0, 1.0, &clock);
-  EXPECT_TRUE(limiter.TryAcquire());
-  uint64_t wait = limiter.WaitTimeMicros();
-  EXPECT_GT(wait, 0u);
-  EXPECT_LE(wait, 1000u);  // one permit at 1000/s = 1ms
-}
-
-TEST(RateLimiterTest, BlockingAcquireAdvancesManualClock) {
-  ManualClock clock;
-  RateLimiter limiter(1000.0, 1.0, &clock);
-  limiter.Acquire();          // consumes the burst
-  limiter.Acquire();          // must wait ~1ms of virtual time
-  EXPECT_GE(clock.NowMicros(), 900u);
 }
 
 }  // namespace

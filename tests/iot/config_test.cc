@@ -91,6 +91,7 @@ TEST(BenchmarkConfigTest, RoundTripsThroughProperties) {
   config.batch_size = 777;
   config.seed = 5;
   config.skip_warmup = true;
+  config.repeatability_tolerance = 0.05;
   Properties props = BenchmarkConfigToProperties(config);
   auto restored = LoadBenchmarkConfig(props);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
@@ -98,6 +99,7 @@ TEST(BenchmarkConfigTest, RoundTripsThroughProperties) {
   EXPECT_EQ(restored.ValueOrDie().total_kvps, 240000000ull);
   EXPECT_EQ(restored.ValueOrDie().batch_size, 777u);
   EXPECT_TRUE(restored.ValueOrDie().skip_warmup);
+  EXPECT_DOUBLE_EQ(restored.ValueOrDie().repeatability_tolerance, 0.05);
 }
 
 TEST(BenchmarkConfigTest, ParsesFaultSchedule) {

@@ -7,7 +7,6 @@
 
 #include "common/clock.h"
 #include "obs/metrics.h"
-#include "obs/scoped_timer.h"
 #include "obs/trace.h"
 
 namespace iotdb {
@@ -319,7 +318,8 @@ TEST(MetricsSnapshotJson, MalformedInputIsRejected) {
   for (const char* bad :
        {"", "{", "null", "[1,2]", "{\"counters\":{\"x\":-1}}",
         "{\"counters\":{\"x\":}}", "{\"counters\":{\"x\":1}} trailing",
-        "{\"histograms\":{\"h\":{\"count\":\"nan\"}}}"}) {
+        "{\"histograms\":{\"h\":{\"count\":\"nan\"}}}",
+        "{\"gauges\":{\"g\":-}}"}) {
     Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJson(bad);
     EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
   }
@@ -339,43 +339,22 @@ TEST(MetricsSnapshot, TableListsEveryInstrument) {
 
 // --- Enabled switch and timers ---------------------------------------------
 
-TEST(EnabledSwitch, ScopedTimerSkipsClockAndRecordWhenDisabled) {
+TEST(EnabledSwitch, TraceSpanSkipsClockAndRecordWhenDisabled) {
   ManualClock clock(1000);
   LatencyHistogram hist;
   SetEnabled(false);
   {
-    ScopedTimer timer(&hist, &clock);
+    TraceSpan span("test.enabled.span", &hist, &clock);
     clock.Advance(500);
   }
   EXPECT_EQ(hist.Count(), 0u);
   SetEnabled(true);
   {
-    ScopedTimer timer(&hist, &clock);
+    TraceSpan span("test.enabled.span", &hist, &clock);
     clock.Advance(500);
   }
   EXPECT_EQ(hist.Count(), 1u);
   EXPECT_EQ(hist.Max(), 500u);
-}
-
-TEST(ScopedTimer, StopIsIdempotentAndCancelDrops) {
-  ManualClock clock(0);
-  LatencyHistogram hist;
-  SetEnabled(true);
-  {
-    ScopedTimer timer(&hist, &clock);
-    clock.Advance(30);
-    timer.Stop();
-    clock.Advance(1000);
-    timer.Stop();  // no-op
-  }                // destructor: no-op
-  EXPECT_EQ(hist.Count(), 1u);
-  EXPECT_EQ(hist.Sum(), 30u);
-  {
-    ScopedTimer timer(&hist, &clock);
-    clock.Advance(999);
-    timer.Cancel();
-  }
-  EXPECT_EQ(hist.Count(), 1u);
 }
 
 TEST(TraceSpan, RecordsIntoGlobalRegistryByName) {

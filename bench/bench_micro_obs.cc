@@ -1,6 +1,8 @@
 // Overhead budget check for the obs subsystem (plain main, not
-// google-benchmark: the <10 ns assertion below is a pass/fail gate, so the
-// binary exits non-zero when the budget is blown).
+// google-benchmark: the <10 ns assertions below are pass/fail gates, so the
+// binary exits non-zero when a budget is blown). The registry is always on,
+// so every gated path is one each instrumented op pays in a shipped run;
+// span tracing is the only switch.
 //
 // Methodology: min-of-trials. Each trial times a tight loop of operations;
 // the minimum across trials is the best estimate of the uncontended cost
@@ -39,11 +41,12 @@ constexpr double kEnabledTraceBudgetNs = 200.0;
 // allocation or id hashing to context propagation.
 constexpr double kContextOverheadBudgetNs = 25.0;
 
-// Breadcrumb + stage attribution with the registry disabled
-// (IOTDB_OBS_DISABLED): the ScopedOpBreadcrumb constructor is one branch
-// and AddStageMicros one TLS load + branch — the disabled path must stay
-// free, so it shares the disabled-tracing budget.
-constexpr double kDisabledBreadcrumbBudgetNs = kDisabledTraceBudgetNs;
+// Breadcrumb install + one stage, never completed: the ScopedOpBreadcrumb
+// constructor and destructor swap the thread's breadcrumb pointer and
+// AddStageMicros is one TLS load + add. Every driver op and replica apply
+// pays this before its stage times are recorded, so it shares the
+// disabled-tracing budget.
+constexpr double kBreadcrumbBudgetNs = kDisabledTraceBudgetNs;
 
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
@@ -85,18 +88,11 @@ int main() {
       MinNsPerOp([&](uint64_t i) { hist.Record(i & 0xffff); });
   printf("  %-44s %8.2f ns/op\n", "LatencyHistogram::Record", hist_ns);
 
-  iotdb::obs::SetEnabled(false);
-  double gated_ns = MinNsPerOp([&](uint64_t) {
-    if (iotdb::obs::Enabled()) counter.Increment();
-  });
-  printf("  %-44s %8.2f ns/op\n", "gated increment (registry disabled)",
-         gated_ns);
-
+  // The shipped span: two clock reads and a histogram record, tracing off.
   double span_ns = MinNsPerOp([&](uint64_t) {
     iotdb::obs::TraceSpan span("bench.span", &hist);
   });
-  printf("  %-44s %8.2f ns/op\n", "TraceSpan (registry disabled)", span_ns);
-  iotdb::obs::SetEnabled(true);
+  printf("  %-44s %8.2f ns/op\n", "TraceSpan (tracing disabled)", span_ns);
 
   // Tracing disabled (the default): Record must be a single branch.
   double trace_off_ns = MinNsPerOp([&](uint64_t i) {
@@ -130,17 +126,15 @@ int main() {
          "TraceBuffer::Record (with context)", trace_ctx_ns,
          ctx_overhead_ns, kContextOverheadBudgetNs);
 
-  // Stage attribution with observability disabled: breadcrumb install and
-  // AddStageMicros must cost a branch, nothing more.
-  iotdb::obs::SetEnabled(false);
-  double bc_disabled_ns = MinNsPerOp([&](uint64_t i) {
+  // Stage attribution as shipped: the breadcrumb is installed and collects
+  // a stage; it is never completed, so no histogram is recorded.
+  double bc_ns = MinNsPerOp([&](uint64_t i) {
     iotdb::obs::ScopedOpBreadcrumb bc("bench.op", 0, 1);
     iotdb::obs::AddStageMicros(iotdb::obs::Stage::kVlog, i);
   });
-  iotdb::obs::SetEnabled(true);
   printf("  %-44s %8.2f ns/op (budget %.0f)\n",
-         "breadcrumb + stage (registry disabled)", bc_disabled_ns,
-         kDisabledBreadcrumbBudgetNs);
+         "breadcrumb + stage (installed, uncompleted)", bc_ns,
+         kBreadcrumbBudgetNs);
 
   // Sanity: the side effects above really happened.
   if (counter.Value() == 0 || hist.TakeSnapshot().count == 0 ||
@@ -178,11 +172,11 @@ int main() {
             ctx_overhead_ns, kContextOverheadBudgetNs);
     failed = true;
   }
-  if (bc_disabled_ns >= kDisabledBreadcrumbBudgetNs) {
+  if (bc_ns >= kBreadcrumbBudgetNs) {
     fprintf(stderr,
-            "\nFAIL: disabled breadcrumb + stage attribution %.2f ns/op "
-            "exceeds the %.0f ns budget\n",
-            bc_disabled_ns, kDisabledBreadcrumbBudgetNs);
+            "\nFAIL: breadcrumb + stage attribution %.2f ns/op exceeds the "
+            "%.0f ns budget\n",
+            bc_ns, kBreadcrumbBudgetNs);
     failed = true;
   }
   if (failed) return 1;

@@ -87,7 +87,7 @@ class InProcessChannel : public Channel {
       box->queue.push_back(std::move(msg));
     }
     box->cv.notify_one();
-    if (obs::Enabled()) Instruments().sent->Increment();
+    Instruments().sent->Increment();
     return true;
   }
 
@@ -114,7 +114,7 @@ class InProcessChannel : public Channel {
       lock.unlock();
       if (handler) {
         handler(std::move(msg));
-        if (obs::Enabled()) Instruments().delivered->Increment();
+        Instruments().delivered->Increment();
       }
       lock.lock();
     }

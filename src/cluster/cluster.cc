@@ -209,30 +209,34 @@ Result<std::unique_ptr<Cluster>> Cluster::Start(
 void Cluster::OnNodeQuarantine(int node_id, const std::string& path,
                                const Status& cause) {
   // May run on a store background thread with store locks held: only
-  // record and enqueue — repair happens in RunPendingRepairs().
+  // record and enqueue — repair happens in RunPendingRepairs(). repair_mu_
+  // is a leaf lock, so this never waits on a thread that could be waiting
+  // on those store locks.
   (void)path;
   (void)cause;
-  std::lock_guard<std::mutex> lock(hints_mu_);
-  fault_stats_.corrupt_files_quarantined++;
-  pending_repair_.insert(node_id);
-  if (obs::Enabled()) Instruments().quarantined_files->Increment();
+  {
+    std::lock_guard<std::mutex> lock(repair_mu_);
+    corrupt_files_quarantined_++;
+    pending_repair_.insert(node_id);
+  }
+  Instruments().quarantined_files->Increment();
 }
 
 void Cluster::RecordReadRepair() {
   std::lock_guard<std::mutex> lock(hints_mu_);
   fault_stats_.read_repairs++;
-  if (obs::Enabled()) Instruments().read_repair_served->Increment();
+  Instruments().read_repair_served->Increment();
 }
 
 std::vector<int> Cluster::PendingRepairNodes() const {
-  std::lock_guard<std::mutex> lock(hints_mu_);
+  std::lock_guard<std::mutex> lock(repair_mu_);
   return std::vector<int>(pending_repair_.begin(), pending_repair_.end());
 }
 
 Status Cluster::RunPendingRepairs() {
   std::set<int> pending;
   {
-    std::lock_guard<std::mutex> lock(hints_mu_);
+    std::lock_guard<std::mutex> lock(repair_mu_);
     pending.swap(pending_repair_);
   }
   Status first_error;
@@ -241,14 +245,14 @@ Status Cluster::RunPendingRepairs() {
     if (node->is_down() || !node->is_running()) {
       // Defer: the RestartNode path re-copies a crashed node's shards
       // anyway, and its quarantine flag forces a re-copy there too.
-      std::lock_guard<std::mutex> lock(hints_mu_);
+      std::lock_guard<std::mutex> lock(repair_mu_);
       pending_repair_.insert(id);
       continue;
     }
     Status s = RecopyShards(id);
     if (!s.ok()) {
       if (first_error.ok()) first_error = s;
-      std::lock_guard<std::mutex> lock(hints_mu_);
+      std::lock_guard<std::mutex> lock(repair_mu_);
       pending_repair_.insert(id);  // retry on the next pass
       continue;
     }
@@ -257,7 +261,7 @@ Status Cluster::RunPendingRepairs() {
     node->ClearUnderRepair();
     std::lock_guard<std::mutex> lock(hints_mu_);
     fault_stats_.corruption_repairs++;
-    if (obs::Enabled()) Instruments().corruption_repairs->Increment();
+    Instruments().corruption_repairs->Increment();
   }
   return first_error;
 }
@@ -362,21 +366,17 @@ void Cluster::HandleReplicaMessage(int node_id, Message msg) {
       }
       obs::ScopedOpBreadcrumb breadcrumb("cluster.replica_apply",
                                          msg.trace_id, msg.kvps);
-      const uint64_t t0 = traced || breadcrumb.active()
-                              ? clock()->NowMicros()
-                              : 0;
+      const uint64_t t0 = clock()->NowMicros();
       Status s;
       {
         obs::ScopedTraceContext ctx_scope(apply_ctx);
         s = node->ApplyRows(*msg.rows, msg.as_primary, msg.kvps, msg.bytes);
       }
-      if (t0 != 0) {
-        const uint64_t elapsed = clock()->NowMicros() - t0;
-        breadcrumb.Complete(t0, elapsed);
-        if (traced) {
-          obs::TraceBuffer::Record("cluster.replica_apply", t0, elapsed,
-                                   apply_ctx, "kvps", msg.kvps);
-        }
+      const uint64_t elapsed = clock()->NowMicros() - t0;
+      breadcrumb.Complete(t0, elapsed);
+      if (traced) {
+        obs::TraceBuffer::Record("cluster.replica_apply", t0, elapsed,
+                                 apply_ctx, "kvps", msg.kvps);
       }
       Message ack;
       ack.kind = MessageKind::kWriteAck;
@@ -435,7 +435,7 @@ void Cluster::HandleCoordinatorMessage(Message msg) {
     // Late delivery for an already-resolved write (or a fault-injected
     // duplicate of its final ack).
     availability_.duplicate_acks_ignored++;
-    if (obs::Enabled()) Instruments().duplicate_acks->Increment();
+    Instruments().duplicate_acks->Increment();
     return;
   }
   std::shared_ptr<PendingWrite> pw = it->second;
@@ -448,7 +448,7 @@ void Cluster::HandleCoordinatorMessage(Message msg) {
   }
   if (slot < 0 || pw->states[slot] != ReplicaState::kPending) {
     availability_.duplicate_acks_ignored++;
-    if (obs::Enabled()) Instruments().duplicate_acks->Increment();
+    Instruments().duplicate_acks->Increment();
     return;
   }
   if (msg.status.ok()) {
@@ -462,7 +462,7 @@ void Cluster::HandleCoordinatorMessage(Message msg) {
     int max_attempts = std::max(1, options_.retry_policy.max_attempts);
     if (IsRetryable(msg.status) && !node->is_down() &&
         pw->attempts[slot] < max_attempts) {
-      if (obs::Enabled()) Instruments().retry_attempts->Increment();
+      Instruments().retry_attempts->Increment();
       ArmTimerLocked(
           TimerKind::kResend,
           Clock::MonotonicMicros() +
@@ -570,7 +570,7 @@ void Cluster::FinalizeLocked(uint64_t request_id, PendingWrite* pw, bool met,
   availability_.writes_attempted++;
   if (met) {
     availability_.writes_quorum_met++;
-    if (obs::Enabled()) Instruments().quorum_met_writes->Increment();
+    Instruments().quorum_met_writes->Increment();
     if (obs::TraceBuffer::Enabled() && pw->start_wall_micros != 0) {
       // Wall-clock timestamps so the span shares the storage/driver spans'
       // timeline (monotonic start_micros keeps driving the timers); the
@@ -586,9 +586,7 @@ void Cluster::FinalizeLocked(uint64_t request_id, PendingWrite* pw, bool met,
       if (s == ReplicaState::kPending) any_pending = true;
       if (s == ReplicaState::kHinted) hinted++;
     }
-    if (hinted > 0 && obs::Enabled()) {
-      Instruments().degraded_batches->Increment();
-    }
+    if (hinted > 0) Instruments().degraded_batches->Increment();
     if (any_pending && !pw->straggler_timer_armed) {
       pw->straggler_timer_armed = true;
       ArmTimerLocked(TimerKind::kStraggler,
@@ -599,7 +597,7 @@ void Cluster::FinalizeLocked(uint64_t request_id, PendingWrite* pw, bool met,
   } else {
     availability_.writes_unavailable++;
     pw->error = std::move(error);
-    if (obs::Enabled()) Instruments().unavailable_writes->Increment();
+    Instruments().unavailable_writes->Increment();
   }
   writes_cv_.notify_all();
 }
@@ -706,7 +704,7 @@ void Cluster::TimerLoop() {
         if (!pw->done) {
           // Only a deadline can fire on an unresolved write.
           availability_.deadline_exceeded++;
-          if (obs::Enabled()) Instruments().deadline_exceeded->Increment();
+          Instruments().deadline_exceeded->Increment();
           FinalizeLocked(ev.request_id, pw.get(), /*met=*/false,
                          Status::Unavailable(
                              "write deadline exceeded before quorum (" +
@@ -720,9 +718,7 @@ void Cluster::TimerLoop() {
             pw->states[slot] = ReplicaState::kHinted;
             ForceRecordHint(pw->replicas[slot], *pw->rows);
             availability_.straggler_hinted_kvps += pw->kvps;
-            if (obs::Enabled()) {
-              Instruments().straggler_hint_kvps->Add(pw->kvps);
-            }
+            Instruments().straggler_hint_kvps->Add(pw->kvps);
           }
         }
         pending_writes_.erase(ev.request_id);
@@ -738,9 +734,6 @@ void Cluster::TimerLoop() {
 // ---------------------------------------------------------------------------
 
 void Cluster::UpdateHintDepthGaugeLocked() {
-  // No obs::Enabled() gate: a Set is one relaxed store, and skipping it
-  // left the gauge frozen at whatever depth it had when the switch was
-  // last on — every later snapshot then reported that stale level.
   int64_t total = 0;
   for (size_t i = 0; i < hints_.size(); ++i) {
     int64_t depth = static_cast<int64_t>(hints_[i].rows.size());
@@ -753,9 +746,7 @@ void Cluster::UpdateHintDepthGaugeLocked() {
 void Cluster::RecordHintLocked(int node_id, const Rows& rows) {
   nodes_[node_id]->CountSkippedReplicaWrites(rows.size());
   fault_stats_.hinted_kvps += rows.size();
-  if (obs::Enabled()) {
-    Instruments().hints_recorded_kvps->Add(rows.size());
-  }
+  Instruments().hints_recorded_kvps->Add(rows.size());
   HintBuffer& buf = hints_[node_id];
   if (buf.overflowed) return;  // already due for a full re-copy
   if (buf.rows.size() + rows.size() > options_.max_hints_per_node) {
@@ -855,9 +846,7 @@ void Cluster::HintDrainLoop() {
       hints_in_flight_--;
       if (s.ok()) {
         fault_stats_.hint_replayed_kvps += rows->size();
-        if (obs::Enabled()) {
-          Instruments().hints_replayed_kvps->Add(rows->size());
-        }
+        Instruments().hints_replayed_kvps->Add(rows->size());
       } else if (!hints_[id].overflowed) {
         // Put the rows back in front of anything hinted meanwhile, keeping
         // replay order; the next tick retries. (An overflow meanwhile means
@@ -922,10 +911,13 @@ Status Cluster::RestartNode(int id) {
     IOTDB_RETURN_NOT_OK(RecopyShards(id));
     if (node->under_repair()) {
       node->ClearUnderRepair();
+      {
+        std::lock_guard<std::mutex> lock(repair_mu_);
+        pending_repair_.erase(id);
+      }
       std::lock_guard<std::mutex> lock(hints_mu_);
-      pending_repair_.erase(id);
       fault_stats_.corruption_repairs++;
-      if (obs::Enabled()) Instruments().corruption_repairs->Increment();
+      Instruments().corruption_repairs->Increment();
     }
   }
 
@@ -959,9 +951,7 @@ Status Cluster::RestartNode(int id) {
     }
     std::lock_guard<std::mutex> lock(hints_mu_);
     fault_stats_.hint_replayed_kvps += pending->size();
-    if (obs::Enabled()) {
-      Instruments().hints_replayed_kvps->Add(pending->size());
-    }
+    Instruments().hints_replayed_kvps->Add(pending->size());
   }
 }
 
@@ -1047,8 +1037,14 @@ Status Cluster::RecopyShards(int target_id) {
 }
 
 FaultRecoveryStats Cluster::GetFaultRecoveryStats() const {
-  std::lock_guard<std::mutex> lock(hints_mu_);
-  return fault_stats_;
+  FaultRecoveryStats stats;
+  {
+    std::lock_guard<std::mutex> lock(hints_mu_);
+    stats = fault_stats_;
+  }
+  std::lock_guard<std::mutex> lock(repair_mu_);
+  stats.corrupt_files_quarantined = corrupt_files_quarantined_;
+  return stats;
 }
 
 AvailabilityStats Cluster::GetAvailabilityStats() const {
@@ -1196,8 +1192,9 @@ Status Cluster::PurgeAll() {
     buf.rows.clear();
     buf.overflowed = false;
   }
-  pending_repair_.clear();  // Purge rebuilt every store from scratch
   UpdateHintDepthGaugeLocked();
+  std::lock_guard<std::mutex> repair_lock(repair_mu_);
+  pending_repair_.clear();  // Purge rebuilt every store from scratch
   return Status::OK();
 }
 
@@ -1237,12 +1234,12 @@ Status Client::RetryOp(const std::function<Status()>& op, Node* node) {
     if (policy.op_deadline_micros > 0 &&
         Clock::MonotonicMicros() - start + backoff >=
             policy.op_deadline_micros) {
-      if (obs::Enabled()) Instruments().deadline_exceeded->Increment();
+      Instruments().deadline_exceeded->Increment();
       return Status::TimedOut("op deadline exceeded after " +
                               std::to_string(attempt) +
                               " attempts: " + s.message());
     }
-    if (obs::Enabled()) Instruments().retry_attempts->Increment();
+    Instruments().retry_attempts->Increment();
     obs::AddStageMicros(obs::Stage::kRetryBackoff, backoff);
     cluster_->clock()->SleepMicros(backoff);
   }

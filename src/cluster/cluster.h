@@ -241,9 +241,7 @@ class Cluster {
 
   /// Refreshes the cluster.hints.queue_depth gauge (total buffered hint
   /// rows across nodes) and the per-node cluster.node<id>.hint_queue_depth
-  /// gauges. Unconditional — gauges are levels the timeline samples, so
-  /// they must track reality even while the obs switch is off (gating them
-  /// froze stale depth into every later snapshot). Caller holds hints_mu_.
+  /// gauges. Caller holds hints_mu_.
   void UpdateHintDepthGaugeLocked();
 
   // --- quorum write machinery (all guarded by writes_mu_) ---
@@ -355,7 +353,7 @@ class Cluster {
 
   /// Guards hints_ and fault_stats_, and serialises the hint-or-apply
   /// decision against the down->up flip in RestartNode. Lock order:
-  /// writes_mu_ before hints_mu_; never the reverse.
+  /// writes_mu_ before hints_mu_ before repair_mu_; never the reverse.
   mutable std::mutex hints_mu_;
   std::condition_variable hints_cv_;  // drain tick / in-flight returned
   std::vector<HintBuffer> hints_;  // one per node
@@ -366,10 +364,17 @@ class Cluster {
   /// process-global; the destructor zeroes them so a later cluster (or the
   /// timeline) never sees ghost depth from this one.
   std::vector<obs::Gauge*> node_hint_depth_;
+  /// Guarded by hints_mu_. Its corrupt_files_quarantined stays 0: that
+  /// count is corrupt_files_quarantined_, under repair_mu_.
   FaultRecoveryStats fault_stats_;
+
+  /// Leaf lock (nothing is acquired while holding it): the store quarantine
+  /// callback runs under store locks and takes only this one.
+  mutable std::mutex repair_mu_;
   /// Node ids whose stores quarantined a corrupt file and still await a
-  /// shard re-copy (guarded by hints_mu_).
+  /// shard re-copy.
   std::set<int> pending_repair_;
+  uint64_t corrupt_files_quarantined_ = 0;
 };
 
 /// Routing client. A single instance may be shared by many threads (nodes

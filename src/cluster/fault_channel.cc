@@ -55,20 +55,20 @@ bool FaultChannel::Send(Message msg) {
     counters_.sent++;
     if (!ReachableLocked(msg.src, msg.dst)) {
       counters_.partition_blocked++;
-      if (obs::Enabled()) Instruments().partition_blocked->Increment();
+      Instruments().partition_blocked->Increment();
       // Swallowed silently: a real network gives no synchronous failure
       // signal either — the sender finds out via its own timeout.
       return true;
     }
     if (drop_p_ > 0.0 && rng_.NextDouble() < drop_p_) {
       counters_.dropped++;
-      if (obs::Enabled()) Instruments().dropped->Increment();
+      Instruments().dropped->Increment();
       return true;
     }
     if (duplicate_p_ > 0.0 && rng_.NextDouble() < duplicate_p_) {
       duplicate = true;
       counters_.duplicated++;
-      if (obs::Enabled()) Instruments().duplicated->Increment();
+      Instruments().duplicated->Increment();
     }
     auto it = endpoint_delay_.find(msg.dst);
     uint64_t lo = delay_min_micros_, hi = delay_max_micros_;
@@ -84,7 +84,7 @@ bool FaultChannel::Send(Message msg) {
         rng_.NextDouble() < reorder_p_) {
       delay_micros += rng_.UniformRange(1, reorder_window_micros_ + 1);
       counters_.reordered++;
-      if (obs::Enabled()) Instruments().reordered->Increment();
+      Instruments().reordered->Increment();
     }
     if (delay_micros > 0) {
       uint64_t due = Clock::MonotonicMicros() + delay_micros;

@@ -126,11 +126,9 @@ Status Node::ApplyRows(
   if (as_primary) {
     primary_writes_.fetch_add(kvps, std::memory_order_relaxed);
   }
-  if (obs::Enabled()) {
-    Instruments().writes->Add(kvps);
-    Instruments().bytes_written->Add(bytes);
-    if (as_primary) obs_primary_kvps_->Add(kvps);
-  }
+  Instruments().writes->Add(kvps);
+  Instruments().bytes_written->Add(bytes);
+  if (as_primary) obs_primary_kvps_->Add(kvps);
   return Status::OK();
 }
 
@@ -161,7 +159,7 @@ Result<std::string> Node::Get(const Slice& key) {
   // deeper-level version — cannot be trusted until shards are re-copied.
   if (under_repair()) return UnderRepairError();
   reads_.fetch_add(1, std::memory_order_relaxed);
-  if (obs::Enabled()) Instruments().reads->Increment();
+  Instruments().reads->Increment();
   return store_->Get(storage::ReadOptions(), key);
 }
 
@@ -176,10 +174,8 @@ Status Node::Scan(const Slice& start, const Slice& end_exclusive,
   IOTDB_RETURN_NOT_OK(
       store_->Scan(storage::ReadOptions(), start, end_exclusive, limit, out));
   scan_rows_read_.fetch_add(out->size() - before, std::memory_order_relaxed);
-  if (obs::Enabled()) {
-    Instruments().scans->Increment();
-    Instruments().scan_rows->Add(out->size() - before);
-  }
+  Instruments().scans->Increment();
+  Instruments().scan_rows->Add(out->size() - before);
   return Status::OK();
 }
 

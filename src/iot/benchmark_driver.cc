@@ -234,16 +234,14 @@ WorkloadExecution BenchmarkDriver::ExecuteWorkloadInternal(bool with_faults) {
     }
   }
 
-  const bool observe = obs::Enabled();
-  obs::MetricsSnapshot obs_before;
-  if (observe) obs_before = obs::MetricsRegistry::Global().TakeSnapshot();
+  const obs::MetricsSnapshot obs_before =
+      obs::MetricsRegistry::Global().TakeSnapshot();
   // Arm the slow-op flight recorder for exactly this execution's window, so
   // the warmup's slow tail does not crowd out the measured execution's.
-  if (observe) obs::SlowOpRecorder::StartRun();
+  obs::SlowOpRecorder::StartRun();
 
   // Per-execution run timeline: the warmup and each measured execution get
   // their own interval series, so steady-state analysis can compare them.
-  // Start() is a no-op while observability is disabled.
   obs::SamplerOptions sampler_options;
   sampler_options.cadence_micros = config_.timeline_cadence_micros;
   sampler_options.clock = clock;
@@ -402,16 +400,14 @@ WorkloadExecution BenchmarkDriver::ExecuteWorkloadInternal(bool with_faults) {
   sampler.Stop();  // flushes the final partial interval
   execution.timeline = sampler.TakeTimeline();
 
-  if (observe) {
-    // DroppedSpans() mirrors the trace-buffer drop count into the
-    // `obs.trace.dropped_spans` gauge, so the snapshot below (gauges pass
-    // through DeltaSince as current values) carries it into the FDR.
-    if (obs::TraceBuffer::Enabled()) obs::TraceBuffer::DroppedSpans();
-    execution.obs_delta =
-        obs::MetricsRegistry::Global().TakeSnapshot().DeltaSince(obs_before);
-    execution.slow_ops = obs::SlowOpRecorder::TakeSnapshot();
-    obs::SlowOpRecorder::StopRun();
-  }
+  // DroppedSpans() mirrors the trace-buffer drop count into the
+  // `obs.trace.dropped_spans` gauge, so the snapshot below (gauges pass
+  // through DeltaSince as current values) carries it into the FDR.
+  if (obs::TraceBuffer::Enabled()) obs::TraceBuffer::DroppedSpans();
+  execution.obs_delta =
+      obs::MetricsRegistry::Global().TakeSnapshot().DeltaSince(obs_before);
+  execution.slow_ops = obs::SlowOpRecorder::TakeSnapshot();
+  obs::SlowOpRecorder::StopRun();
 
   const cluster::FaultRecoveryStats faults_after =
       cluster_->GetFaultRecoveryStats();

@@ -50,7 +50,7 @@ struct BenchmarkConfig {
   /// Cadence of the run-timeline sampler (`timeline.cadence_ms` in kit
   /// properties). Each execution runs its own obs::Sampler at this rate;
   /// the per-interval series feeds the FDR "Run timeline" section and
-  /// timeline.json. Ignored while observability is disabled.
+  /// timeline.json.
   uint64_t timeline_cadence_micros = 1'000'000;
 
   /// Repeatability tolerance between the two measured runs' IoTps, as a
@@ -155,16 +155,14 @@ struct WorkloadExecution {
   cluster::NetFaultCounters net_faults;
   /// Registry delta over exactly this execution's window — the warm-up
   /// execution gets its own delta, so measured numbers are not polluted by
-  /// warm-up traffic. Empty when the obs registry is disabled.
+  /// warm-up traffic.
   obs::MetricsSnapshot obs_delta;
   /// Per-interval registry deltas over this execution's window, sampled at
-  /// BenchmarkConfig::timeline_cadence_micros. Empty when observability is
-  /// disabled (the sampler is never started then).
+  /// BenchmarkConfig::timeline_cadence_micros.
   obs::Timeline timeline;
   /// The K slowest ops of this execution with their full per-stage latency
   /// breadcrumbs (slowest first), captured by the slow-op flight recorder.
   /// Feeds the FDR "Latency attribution" slow-op table and --slowops-out.
-  /// Empty when the obs registry is disabled.
   std::vector<obs::SlowOpRecorder::Record> slow_ops;
 
   uint64_t TotalQueries() const;

@@ -97,7 +97,7 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort) {
          !s.ok() && (s.IsUnavailable() || s.IsTimedOut()) && retry < 5;
          ++retry) {
       if (abort != nullptr && abort->load(std::memory_order_relaxed)) break;
-      if (obs::Enabled()) Instruments().unavailable_retries->Increment();
+      Instruments().unavailable_retries->Increment();
       obs::AddStageMicros(obs::Stage::kRetryBackoff, 1000u << retry);
       clock->SleepMicros(1000u << retry);
       s = db_->InsertBatch(batch);
@@ -107,10 +107,8 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort) {
       result.status = s;
       break;
     }
-    if (obs::Enabled()) {
-      Instruments().insert_batch_micros->Record(insert_elapsed);
-      Instruments().ingest_kvps->Add(batch.size());
-    }
+    Instruments().insert_batch_micros->Record(insert_elapsed);
+    Instruments().ingest_kvps->Add(batch.size());
     breadcrumb.Complete(t0, insert_elapsed);
     // Reuses the timestamps already taken for the latency histogram — the
     // trace costs no extra clock reads on the ingest hot path.
@@ -135,12 +133,9 @@ DriverResult DriverInstance::Run(std::atomic<bool>* abort) {
         result.queries_executed++;
         result.query_rows_read += query_result.ValueOrDie().rows_read;
         result.query_latency_micros.Record(query_elapsed);
-        if (obs::Enabled()) {
-          Instruments().query_micros->Record(query_elapsed);
-          Instruments().query_count->Increment();
-          Instruments().query_rows->Add(
-              query_result.ValueOrDie().rows_read);
-        }
+        Instruments().query_micros->Record(query_elapsed);
+        Instruments().query_count->Increment();
+        Instruments().query_rows->Add(query_result.ValueOrDie().rows_read);
         obs::TraceBuffer::Record("driver.query", q0, query_elapsed, "rows",
                                  query_result.ValueOrDie().rows_read);
       }

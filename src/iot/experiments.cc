@@ -279,7 +279,7 @@ class GatewayModel {
   void FinishRound(ClientState* c, uint64_t batch) {
     c->remaining -= batch;
     c->ingested += batch;
-    if (obs::Enabled()) Instruments().ingest_kvps->Add(batch);
+    Instruments().ingest_kvps->Add(batch);
     while (c->ingested >= c->next_query_marker) {
       for (uint64_t q = 0; q < Rules::kQueriesPerReadings; ++q) {
         IssueQuery(c);
@@ -301,13 +301,10 @@ class GatewayModel {
                     physical_items * profile_.io_per_kvp_us;
       sim::Time io_time = static_cast<sim::Time>(
           mean * (0.1 + jitter_rng_.Exponential(0.9)));
-      if (obs::Enabled()) {
-        Instruments().wal_batch_kvps->Record(physical_items);
-        Instruments().io_service_micros->Record(
-            static_cast<uint64_t>(io_time));
-        Instruments().cluster_writes->Add(physical_items);
-        Instruments().cluster_bytes_written->Add(physical_items * 1024);
-      }
+      Instruments().wal_batch_kvps->Record(physical_items);
+      Instruments().io_service_micros->Record(static_cast<uint64_t>(io_time));
+      Instruments().cluster_writes->Add(physical_items);
+      Instruments().cluster_bytes_written->Add(physical_items * 1024);
       io_[node]->Process(io_time, [this, node, physical_items,
                                    done = std::move(done)](sim::Time) {
         AccountBytes(node, physical_items * 1024);
@@ -341,11 +338,9 @@ class GatewayModel {
     node_bytes_since_stall_[node] += bytes;
     while (node_bytes_since_stall_[node] >= threshold) {
       node_bytes_since_stall_[node] -= threshold;
-      if (obs::Enabled()) {
-        Instruments().write_stalls->Increment();
-        Instruments().write_stall_micros->Add(
-            static_cast<uint64_t>(profile_.flush_stall_us));
-      }
+      Instruments().write_stalls->Increment();
+      Instruments().write_stall_micros->Add(
+          static_cast<uint64_t>(profile_.flush_stall_us));
       // Compaction/flush burst: occupies the node's read path (scans stall
       // behind compaction IO) while writes keep landing in the memstore.
       read_[node]->Process(static_cast<sim::Time>(profile_.flush_stall_us),
@@ -382,11 +377,9 @@ class GatewayModel {
           static_cast<double>(latency) * static_cast<double>(latency);
       queries_done_++;
       query_rows_ += row_count;
-      if (obs::Enabled()) {
-        Instruments().query_micros->Record(static_cast<uint64_t>(latency));
-        Instruments().query_count->Increment();
-        Instruments().query_rows->Add(row_count);
-      }
+      Instruments().query_micros->Record(static_cast<uint64_t>(latency));
+      Instruments().query_count->Increment();
+      Instruments().query_rows->Add(row_count);
     });
   }
 

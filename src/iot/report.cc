@@ -396,7 +396,7 @@ Status WriteReportFiles(storage::Env* env, const std::string& dir,
       dir + "/full_disclosure_report.txt",
       FullDisclosureReport(result, pricing, sut)));
   // Machine-readable layer breakdown of the performance run's measured
-  // window; omitted when the obs registry was disabled for the run.
+  // window; omitted when the result carries no registry delta.
   const obs::MetricsSnapshot& obs_delta =
       result.iterations[result.performance_run].measured.obs_delta;
   if (!obs_delta.empty()) {

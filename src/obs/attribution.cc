@@ -7,7 +7,7 @@ namespace iotdb {
 namespace obs {
 
 namespace internal {
-thread_local OpBreadcrumb* tls_breadcrumb = nullptr;
+thread_local constinit OpBreadcrumb* tls_breadcrumb = nullptr;
 }  // namespace internal
 
 const char* StageName(Stage stage) {
@@ -58,22 +58,20 @@ AttributionInstruments& Instruments() {
 
 ScopedOpBreadcrumb::ScopedOpBreadcrumb(const char* op, uint64_t trace_id,
                                        uint64_t kvps) {
-  if (!Enabled()) return;
   breadcrumb_.op = op;
   breadcrumb_.trace_id = trace_id;
   breadcrumb_.kvps = kvps;
   prev_ = internal::tls_breadcrumb;
   internal::tls_breadcrumb = &breadcrumb_;
-  active_ = true;
 }
 
 ScopedOpBreadcrumb::~ScopedOpBreadcrumb() {
-  if (active_) internal::tls_breadcrumb = prev_;
+  internal::tls_breadcrumb = prev_;
 }
 
 void ScopedOpBreadcrumb::Complete(uint64_t start_micros,
                                   uint64_t total_micros) {
-  if (!active_ || completed_) return;
+  if (completed_) return;
   completed_ = true;
   breadcrumb_.start_micros = start_micros;
   breadcrumb_.total_micros = total_micros;

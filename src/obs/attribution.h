@@ -69,14 +69,13 @@ OpBreadcrumb* CurrentBreadcrumb();
 
 /// Adds `micros` to `stage` of the calling thread's breadcrumb; no-op (one
 /// TLS load + predicted branch) when none is installed. Callers gate their
-/// clock reads on CurrentBreadcrumb() themselves, so a disabled run pays
-/// nothing (`bench_micro_obs` holds this to the disabled-span budget).
+/// clock reads on CurrentBreadcrumb() themselves, so work outside an
+/// attributed op pays no clock read.
 inline void AddStageMicros(Stage stage, uint64_t micros);
 
 /// Installs a breadcrumb as the thread's current one for the scope's
-/// lifetime; does nothing when obs is disabled (IOTDB_OBS_DISABLED), so
-/// the attribution plane vanishes along with the rest of the metrics.
-/// On Complete() (or destruction with a prior Complete) the nonzero stages
+/// lifetime (two TLS accesses; `bench_micro_obs` gates an installed,
+/// never-completed breadcrumb at 10 ns). On Complete() the nonzero stages
 /// and the op total are recorded into the `attrib.*` histograms and the
 /// breadcrumb is offered to the slow-op flight recorder.
 class ScopedOpBreadcrumb {
@@ -89,8 +88,6 @@ class ScopedOpBreadcrumb {
   ScopedOpBreadcrumb(const ScopedOpBreadcrumb&) = delete;
   ScopedOpBreadcrumb& operator=(const ScopedOpBreadcrumb&) = delete;
 
-  bool active() const { return active_; }
-
   /// Finalizes the op: records per-stage histograms + attrib.op_micros and
   /// offers the breadcrumb to the SlowOpRecorder. Idempotent; a breadcrumb
   /// never completed (op failed) records nothing.
@@ -99,12 +96,14 @@ class ScopedOpBreadcrumb {
  private:
   OpBreadcrumb breadcrumb_;
   OpBreadcrumb* prev_ = nullptr;
-  bool active_ = false;
   bool completed_ = false;
 };
 
 namespace internal {
-extern thread_local OpBreadcrumb* tls_breadcrumb;
+// constinit: the pointer is constant-initialized, so reads are a direct TLS
+// load rather than a call through the compiler's TLS init wrapper (which
+// UBSan reported as a null-pointer load).
+extern thread_local constinit OpBreadcrumb* tls_breadcrumb;
 }  // namespace internal
 
 inline OpBreadcrumb* CurrentBreadcrumb() { return internal::tls_breadcrumb; }

@@ -1,29 +1,7 @@
 #include "obs/metrics.h"
 
-#include <cstdlib>
-
 namespace iotdb {
 namespace obs {
-
-namespace {
-
-bool InitialEnabled() {
-  const char* env = getenv("IOTDB_OBS_DISABLED");
-  return !(env != nullptr && env[0] == '1');
-}
-
-std::atomic<bool>& EnabledFlag() {
-  static std::atomic<bool> enabled{InitialEnabled()};
-  return enabled;
-}
-
-}  // namespace
-
-bool Enabled() { return EnabledFlag().load(std::memory_order_relaxed); }
-
-void SetEnabled(bool enabled) {
-  EnabledFlag().store(enabled, std::memory_order_relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // LatencyHistogram
@@ -48,15 +26,6 @@ double LatencyHistogram::Mean() const {
 
 double LatencyHistogram::Percentile(double p) const {
   return TakeSnapshot().Percentile(p);
-}
-
-void LatencyHistogram::Reset() {
-  for (auto& bucket : buckets_) bucket.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<uint64_t>::max(),
-             std::memory_order_relaxed);
-  max_.store(0, std::memory_order_relaxed);
 }
 
 HistogramSnapshot LatencyHistogram::TakeSnapshot() const {
@@ -115,13 +84,6 @@ MetricsSnapshot MetricsRegistry::TakeSnapshot() const {
     snap.histograms[name] = hist->TakeSnapshot();
   }
   return snap;
-}
-
-void MetricsRegistry::ResetAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, counter] : counters_) counter->Reset();
-  for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, hist] : histograms_) hist->Reset();
 }
 
 }  // namespace obs

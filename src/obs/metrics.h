@@ -16,15 +16,6 @@
 namespace iotdb {
 namespace obs {
 
-/// Process-wide observability switch. Defaults to on; set the environment
-/// variable IOTDB_OBS_DISABLED=1 (read once at first use) or call
-/// SetEnabled(false) to turn instrumentation off. Instruments themselves
-/// always count — the flag is consulted by the *call sites* (TraceSpan,
-/// the wired subsystems) so a disabled build skips the clock reads and
-/// atomic traffic entirely.
-bool Enabled();
-void SetEnabled(bool enabled);
-
 /// A monotonically increasing counter, sharded across cache lines so
 /// concurrent writers from different threads do not bounce one line.
 /// Add() is wait-free (one relaxed fetch_add); Value() sums the shards.
@@ -45,12 +36,6 @@ class Counter {
       total += shard.value.load(std::memory_order_relaxed);
     }
     return total;
-  }
-
-  void Reset() {
-    for (Shard& shard : shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
   }
 
  private:
@@ -84,7 +69,6 @@ class Gauge {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -133,8 +117,6 @@ class LatencyHistogram {
   double Mean() const;
   double Percentile(double p) const;
 
-  void Reset();
-
   /// Copies the current state (sparse buckets) for export.
   HistogramSnapshot TakeSnapshot() const;
 
@@ -162,7 +144,9 @@ class LatencyHistogram {
 /// Process-wide instrument registry. Instruments are created on first use,
 /// never removed, and returned as stable pointers — resolve once (at
 /// construction / function-local static) and keep the pointer for the hot
-/// path; GetXxx itself takes a mutex.
+/// path; GetXxx itself takes a mutex. The registry is always on: every
+/// wired subsystem records unconditionally, and runs compare snapshot
+/// deltas rather than zeroing instruments.
 ///
 /// Naming convention: `layer.component.metric` with layers `storage`,
 /// `cluster`, `driver`, `ycsb` (see DESIGN.md "Observability" for the
@@ -183,10 +167,6 @@ class MetricsRegistry {
 
   /// Copies every instrument's current value.
   MetricsSnapshot TakeSnapshot() const;
-
-  /// Zeroes every instrument (names and pointers stay valid). Intended for
-  /// test isolation; production code takes snapshot deltas instead.
-  void ResetAll();
 
  private:
   mutable std::mutex mu_;

@@ -177,7 +177,6 @@ Sampler::Sampler(SamplerOptions options) : options_(options) {
 Sampler::~Sampler() { Stop(); }
 
 bool Sampler::Start() {
-  if (!Enabled()) return false;
   std::unique_lock<std::mutex> lock(mu_);
   if (running_) return false;
   stop_requested_ = false;

@@ -89,10 +89,8 @@ struct SamplerOptions {
 /// rate, hint-queue depth, per-node ops) that timeline.json and the FDR
 /// "Run timeline" section are built from.
 ///
-/// Start() refuses to run while observability is disabled (`!Enabled()`):
-/// with no instruments updating, every delta would be zero and the
-/// background thread pure overhead. SampleNow() allows clock-driven tests
-/// to step the sampler deterministically without the thread.
+/// SampleNow() allows clock-driven tests to step the sampler
+/// deterministically without the thread.
 class Sampler {
  public:
   explicit Sampler(SamplerOptions options = {});
@@ -102,8 +100,7 @@ class Sampler {
   Sampler& operator=(const Sampler&) = delete;
 
   /// Primes the base snapshot and starts the background thread. Returns
-  /// false (and starts nothing) when observability is disabled or the
-  /// sampler is already running.
+  /// false (and starts nothing) when the sampler is already running.
   bool Start();
 
   /// Stops the thread and flushes the final partial interval (if any time

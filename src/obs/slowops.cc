@@ -12,7 +12,6 @@ namespace {
 
 struct RecorderState {
   std::mutex mu;
-  bool enabled = false;
   size_t capacity = SlowOpRecorder::kDefaultCapacity;
   // Kept sorted slowest-first; small K makes insertion-by-shift cheaper
   // than heap bookkeeping.
@@ -44,10 +43,6 @@ void SlowOpRecorder::StartRun(size_t capacity) {
 
 void SlowOpRecorder::StopRun() {
   State().armed.store(false, std::memory_order_release);
-}
-
-bool SlowOpRecorder::Enabled() {
-  return State().armed.load(std::memory_order_relaxed);
 }
 
 void SlowOpRecorder::Offer(const OpBreadcrumb& breadcrumb) {

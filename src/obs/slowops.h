@@ -29,7 +29,6 @@ class SlowOpRecorder {
 
   static void StartRun(size_t capacity = kDefaultCapacity);
   static void StopRun();
-  static bool Enabled();
 
   /// Considers one completed op for the top-K. No-op unless armed.
   static void Offer(const OpBreadcrumb& breadcrumb);

@@ -1,9 +1,7 @@
 #include "obs/snapshot.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
-#include <sstream>
 
 #include "obs/metrics.h"
 
@@ -110,7 +108,7 @@ MetricsSnapshot MetricsSnapshot::DeltaSince(
 }
 
 // ---------------------------------------------------------------------------
-// JSON export / import
+// JSON export
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -143,212 +141,6 @@ void AppendJsonString(std::string* out, const std::string& s) {
   }
   out->push_back('"');
 }
-
-/// Minimal recursive-descent parser for the subset of JSON ToJson() emits:
-/// objects, arrays, strings and (possibly negative) integers.
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  Status ParseSnapshot(MetricsSnapshot* out) {
-    IOTDB_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
-      first = false;
-      std::string section;
-      IOTDB_RETURN_NOT_OK(ParseString(&section));
-      IOTDB_RETURN_NOT_OK(Expect(':'));
-      if (section == "counters") {
-        IOTDB_RETURN_NOT_OK(ParseUintMap(&out->counters));
-      } else if (section == "gauges") {
-        IOTDB_RETURN_NOT_OK(ParseIntMap(&out->gauges));
-      } else if (section == "histograms") {
-        IOTDB_RETURN_NOT_OK(ParseHistogramMap(&out->histograms));
-      } else {
-        return Status::Corruption("unknown snapshot section: " + section);
-      }
-    }
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      return Status::Corruption("trailing bytes after snapshot JSON");
-    }
-    return Status::OK();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool TryConsume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  Status Expect(char c) {
-    if (TryConsume(c)) return Status::OK();
-    return Status::Corruption(std::string("expected '") + c + "' at offset " +
-                              std::to_string(pos_));
-  }
-
-  Status ParseString(std::string* out) {
-    IOTDB_RETURN_NOT_OK(Expect('"'));
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) break;
-        char esc = text_[pos_++];
-        switch (esc) {
-          case 'n':
-            out->push_back('\n');
-            break;
-          case 't':
-            out->push_back('\t');
-            break;
-          case 'u': {
-            if (pos_ + 4 > text_.size()) {
-              return Status::Corruption("truncated \\u escape");
-            }
-            unsigned code = 0;
-            sscanf(text_.substr(pos_, 4).c_str(), "%4x", &code);
-            pos_ += 4;
-            out->push_back(static_cast<char>(code));
-            break;
-          }
-          default:
-            out->push_back(esc);
-        }
-      } else {
-        out->push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) return Status::Corruption("unterminated string");
-    ++pos_;  // closing quote
-    return Status::OK();
-  }
-
-  Status ParseInt(int64_t* out) {
-    SkipSpace();
-    size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    size_t digits_start = pos_;
-    while (pos_ < text_.size() &&
-           isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == digits_start) return Status::Corruption("expected integer");
-    *out = strtoll(text_.substr(start, pos_ - start).c_str(), nullptr, 10);
-    return Status::OK();
-  }
-
-  Status ParseUint(uint64_t* out) {
-    SkipSpace();
-    size_t start = pos_;
-    while (pos_ < text_.size() &&
-           isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == start) return Status::Corruption("expected unsigned integer");
-    *out = strtoull(text_.substr(start, pos_ - start).c_str(), nullptr, 10);
-    return Status::OK();
-  }
-
-  Status ParseUintMap(std::map<std::string, uint64_t>* out) {
-    IOTDB_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
-      first = false;
-      std::string key;
-      uint64_t value = 0;
-      IOTDB_RETURN_NOT_OK(ParseString(&key));
-      IOTDB_RETURN_NOT_OK(Expect(':'));
-      IOTDB_RETURN_NOT_OK(ParseUint(&value));
-      (*out)[key] = value;
-    }
-    return Status::OK();
-  }
-
-  Status ParseIntMap(std::map<std::string, int64_t>* out) {
-    IOTDB_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
-      first = false;
-      std::string key;
-      int64_t value = 0;
-      IOTDB_RETURN_NOT_OK(ParseString(&key));
-      IOTDB_RETURN_NOT_OK(Expect(':'));
-      IOTDB_RETURN_NOT_OK(ParseInt(&value));
-      (*out)[key] = value;
-    }
-    return Status::OK();
-  }
-
-  Status ParseHistogram(HistogramSnapshot* out) {
-    IOTDB_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
-      first = false;
-      std::string field;
-      IOTDB_RETURN_NOT_OK(ParseString(&field));
-      IOTDB_RETURN_NOT_OK(Expect(':'));
-      if (field == "count") {
-        IOTDB_RETURN_NOT_OK(ParseUint(&out->count));
-      } else if (field == "sum") {
-        IOTDB_RETURN_NOT_OK(ParseUint(&out->sum));
-      } else if (field == "min") {
-        IOTDB_RETURN_NOT_OK(ParseUint(&out->min));
-      } else if (field == "max") {
-        IOTDB_RETURN_NOT_OK(ParseUint(&out->max));
-      } else if (field == "buckets") {
-        IOTDB_RETURN_NOT_OK(Expect('['));
-        bool first_bucket = true;
-        while (!TryConsume(']')) {
-          if (!first_bucket) IOTDB_RETURN_NOT_OK(Expect(','));
-          first_bucket = false;
-          uint64_t index, n;
-          IOTDB_RETURN_NOT_OK(Expect('['));
-          IOTDB_RETURN_NOT_OK(ParseUint(&index));
-          IOTDB_RETURN_NOT_OK(Expect(','));
-          IOTDB_RETURN_NOT_OK(ParseUint(&n));
-          IOTDB_RETURN_NOT_OK(Expect(']'));
-          out->buckets.emplace_back(static_cast<uint32_t>(index), n);
-        }
-      } else {
-        return Status::Corruption("unknown histogram field: " + field);
-      }
-    }
-    return Status::OK();
-  }
-
-  Status ParseHistogramMap(std::map<std::string, HistogramSnapshot>* out) {
-    IOTDB_RETURN_NOT_OK(Expect('{'));
-    bool first = true;
-    while (!TryConsume('}')) {
-      if (!first) IOTDB_RETURN_NOT_OK(Expect(','));
-      first = false;
-      std::string key;
-      IOTDB_RETURN_NOT_OK(ParseString(&key));
-      IOTDB_RETURN_NOT_OK(Expect(':'));
-      IOTDB_RETURN_NOT_OK(ParseHistogram(&(*out)[key]));
-    }
-    return Status::OK();
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -393,13 +185,6 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += "}}";
   return out;
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::FromJson(const std::string& json) {
-  MetricsSnapshot snap;
-  JsonParser parser(json);
-  IOTDB_RETURN_NOT_OK(parser.ParseSnapshot(&snap));
-  return snap;
 }
 
 std::string MetricsSnapshot::ToTable() const {

@@ -7,9 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
-
 namespace iotdb {
 namespace obs {
 
@@ -72,9 +69,6 @@ struct MetricsSnapshot {
   ///    "histograms":{"name":{"count":..,"sum":..,"min":..,"max":..,
   ///                          "buckets":[[idx,count],...]},...}}
   std::string ToJson() const;
-
-  /// Parses ToJson() output back (round-trip exact).
-  static Result<MetricsSnapshot> FromJson(const std::string& json);
 
   /// Human-readable aligned table with derived histogram statistics
   /// (mean/p50/p95/p99/p99.9).

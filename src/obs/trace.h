@@ -151,10 +151,9 @@ class TraceBuffer {
 };
 
 /// RAII span: times the enclosing scope into (a) the registry latency
-/// histogram named `name` when metrics are enabled, and (b) the trace ring
-/// when tracing is enabled. With both switches off, construction and
-/// destruction are one predicted branch each — no clock reads, no registry
-/// lookup.
+/// histogram named `name`, and (b) the trace ring when tracing is enabled.
+/// With tracing off it costs two clock reads and one histogram record; a
+/// span given a null histogram reads no clock unless tracing is on.
 ///
 /// `name` must be a string literal (it is retained by the trace ring). For
 /// hot paths prefer passing the pre-resolved histogram pointer; without it
@@ -162,16 +161,14 @@ class TraceBuffer {
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name, Clock* clock = Clock::Real())
-      : TraceSpan(name,
-                  Enabled() ? MetricsRegistry::Global().GetHistogram(name)
-                            : nullptr,
+      : TraceSpan(name, MetricsRegistry::Global().GetHistogram(name),
                   clock) {}
 
   /// Hot-path form: histogram resolved by the caller once.
   TraceSpan(const char* name, LatencyHistogram* hist,
             Clock* clock = Clock::Real())
       : name_(name),
-        hist_(Enabled() ? hist : nullptr),
+        hist_(hist),
         tracing_(TraceBuffer::Enabled()),
         clock_(clock) {
     if (hist_ != nullptr || tracing_) start_ = clock_->NowMicros();

@@ -78,12 +78,12 @@ std::shared_ptr<void> LruCache::Lookup(const std::string& key) {
       shard.hits++;
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       std::shared_ptr<void> value = it->second->value;
-      if (obs::Enabled()) GlobalHits()->Increment();
+      GlobalHits()->Increment();
       return value;
     }
     shard.misses++;
   }
-  if (obs::Enabled()) GlobalMisses()->Increment();
+  GlobalMisses()->Increment();
   return nullptr;
 }
 

@@ -288,17 +288,13 @@ Status KVStore::Recover() {
     IOTDB_LOG(Warn) << "WAL replay dropped " << dropped_pointers
                     << " value pointers whose vlog records were lost";
     counters_.vlog_recovery_dropped_pointers.Add(dropped_pointers);
-    if (obs::Enabled()) {
-      obs_.vlog_recovery_dropped_pointers->Add(dropped_pointers);
-    }
+    obs_.vlog_recovery_dropped_pointers->Add(dropped_pointers);
   }
   if (dropped_bytes > 0) {
     // Recovery skipped damaged regions rather than dropping them silently;
     // the counter lets the FDR warn per node.
     counters_.wal_recovery_dropped_bytes.Add(dropped_bytes);
-    if (obs::Enabled()) {
-      obs_.wal_recovery_dropped_bytes->Add(dropped_bytes);
-    }
+    obs_.wal_recovery_dropped_bytes->Add(dropped_bytes);
   }
 
   logfile_number_ = next_file_number_.fetch_add(1, std::memory_order_relaxed);
@@ -596,10 +592,8 @@ void KVStore::QuarantinePath(const std::string& path, const Status& cause) {
                      << rename.ToString();
   }
   counters_.quarantined_files.Increment();
-  if (obs::Enabled()) {
-    obs_.quarantine_files->Increment();
-    obs_.quarantine_bytes->Add(size);
-  }
+  obs_.quarantine_files->Increment();
+  obs_.quarantine_bytes->Add(size);
   if (options_.corruption_reporter != nullptr) {
     options_.corruption_reporter->OnQuarantine(path, cause);
   }
@@ -623,13 +617,11 @@ bool KVStore::QuarantineFileLocked(const std::shared_ptr<FileMeta>& meta,
   return true;
 }
 
-void KVStore::RecordTableScrub(uint64_t bytes, bool corrupt) {
+void KVStore::RecordScrub(uint64_t bytes, bool corrupt) {
   counters_.scrubbed_files.Increment();
-  if (obs::Enabled()) {
-    obs_.scrub_files_checked->Increment();
-    obs_.scrub_bytes_checked->Add(bytes);
-    if (corrupt) obs_.scrub_corruption_detected->Increment();
-  }
+  obs_.scrub_files_checked->Increment();
+  obs_.scrub_bytes_checked->Add(bytes);
+  if (corrupt) obs_.scrub_corruption_detected->Increment();
 }
 
 void KVStore::QuarantineCorruptTables(std::unique_lock<std::mutex>* lock,
@@ -648,7 +640,7 @@ void KVStore::QuarantineCorruptTables(std::unique_lock<std::mutex>* lock,
     Status s = f->table->VerifyIntegrity(&bytes);
     report->files_checked++;
     report->bytes_checked += bytes;
-    RecordTableScrub(bytes, !s.ok());
+    RecordScrub(bytes, !s.ok());
     if (!s.ok()) {
       report->corrupt_files++;
       report->corrupt_paths.push_back(TableFileName(f->number));
@@ -707,9 +699,7 @@ Status KVStore::VerifyIntegrity(ScrubReport* report) {
     auto wal_size = env_->FileSize(LogFileName(logfile_number_));
     if (wal_size.ok()) {
       rep->bytes_checked += wal_size.ValueOrDie();
-      if (obs::Enabled()) {
-        obs_.scrub_bytes_checked->Add(wal_size.ValueOrDie());
-      }
+      obs_.scrub_bytes_checked->Add(wal_size.ValueOrDie());
     }
   }
   QuarantineCorruptTables(&lock, rep);
@@ -743,7 +733,7 @@ Status KVStore::ScrubOneQueued(std::unique_lock<std::mutex>* lock) {
   scrub_span.Stop();
   lock->lock();
 
-  RecordTableScrub(bytes, !s.ok());
+  RecordScrub(bytes, !s.ok());
   if (!s.ok()) {
     QuarantineFileLocked(meta, s);
   }
@@ -873,39 +863,31 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
         obs::AddStageMicros(obs::Stage::kVlog,
                             options_.clock->NowMicros() - vlog_t0);
       }
-      const bool observe = obs::Enabled();
-      uint64_t t0 = (observe || tracing) ? options_.clock->NowMicros() : 0;
+      const uint64_t t0 = options_.clock->NowMicros();
       if (status.ok()) {
         status = log_->AddRecord(to_commit->Contents());
       }
-      uint64_t t1 = observe ? options_.clock->NowMicros() : 0;
+      const uint64_t t1 = options_.clock->NowMicros();
       if (status.ok() && w.sync) {
         status = log_file_->Sync();
       } else if (status.ok()) {
         status = log_file_->Flush();
       }
-      uint64_t wal_end = 0;
-      if (observe || tracing) {
-        // One commit, two sinks, zero extra clock reads: the histograms
-        // get the append/sync split, the trace ring the whole span.
-        uint64_t t2 = options_.clock->NowMicros();
-        wal_end = t2;
-        if (observe) {
-          obs_.wal_append_micros->Record(t1 - t0);
-          obs_.wal_sync_micros->Record(t2 - t1);
-          obs_.group_commit_kvps->Record(
-              static_cast<uint64_t>(batch_count));
-        }
-        obs::AddStageMicros(obs::Stage::kWalSync, t2 - t0);
-        group_commit_ts = t0;
-        if (tracing) {
-          // Link the group commit into the leader op's trace (when it has
-          // one); queued followers are flow-linked in the handoff loop
-          // below.
-          obs::TraceBuffer::Record("storage.wal.group_commit", t0, t2 - t0,
-                                   w.ctx.valid() ? w.ctx.Child()
-                                                 : obs::TraceContext());
-        }
+      // One commit, two sinks, zero extra clock reads: the histograms get
+      // the append/sync split, the trace ring the whole span.
+      const uint64_t wal_end = options_.clock->NowMicros();
+      obs_.wal_append_micros->Record(t1 - t0);
+      obs_.wal_sync_micros->Record(wal_end - t1);
+      obs_.group_commit_kvps->Record(static_cast<uint64_t>(batch_count));
+      obs::AddStageMicros(obs::Stage::kWalSync, wal_end - t0);
+      group_commit_ts = t0;
+      if (tracing) {
+        // Link the group commit into the leader op's trace (when it has
+        // one); queued followers are flow-linked in the handoff loop below.
+        obs::TraceBuffer::Record("storage.wal.group_commit", t0,
+                                 wal_end - t0,
+                                 w.ctx.valid() ? w.ctx.Child()
+                                               : obs::TraceContext());
       }
       if (status.ok()) {
         status = to_commit->InsertInto(mem_);
@@ -913,7 +895,7 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
       // Publish even when the commit failed: the WAL may hold part of the
       // record, so its sequences must never be handed out again.
       visible_seq_.store(last_seq, std::memory_order_release);
-      if (bc != nullptr && wal_end != 0) {
+      if (bc != nullptr) {
         // Commit wait: memtable insert + sequence publication, the leader
         // work after the WAL hits disk.
         obs::AddStageMicros(obs::Stage::kCommitWait,
@@ -925,7 +907,7 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
 
       if (status.ok()) {
         counters_.puts.Add(static_cast<uint64_t>(batch_count));
-        if (observe) obs_.puts->Add(static_cast<uint64_t>(batch_count));
+        obs_.puts->Add(static_cast<uint64_t>(batch_count));
       }
     }
     if (updates == &tmp_batch_) tmp_batch_.Clear();
@@ -1032,10 +1014,8 @@ Status KVStore::MakeRoomForWrite(std::unique_lock<std::mutex>* write_lock,
   if (stall_start != 0) {
     uint64_t stalled = options_.clock->NowMicros() - stall_start;
     counters_.write_stall_micros.Add(stalled);
-    if (obs::Enabled()) {
-      obs_.write_stalls->Increment();
-      obs_.write_stall_micros->Add(stalled);
-    }
+    obs_.write_stalls->Increment();
+    obs_.write_stall_micros->Add(stalled);
   }
   return Status::OK();
 }
@@ -1181,10 +1161,8 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
     SyncL0CountLocked();
     counters_.memtable_flushes.Increment();
     counters_.bytes_flushed.Add(meta->file_size);
-    if (obs::Enabled()) {
-      obs_.memtable_flushes->Increment();
-      obs_.bytes_flushed->Add(meta->file_size);
-    }
+    obs_.memtable_flushes->Increment();
+    obs_.bytes_flushed->Add(meta->file_size);
     if (options_.background_scrub) pending_scrub_.push_back(meta->number);
   }
   // Advance the WAL threshold only now that the table is installed in the
@@ -1304,7 +1282,7 @@ Status KVStore::RunCompactionAtLevel(int level,
     dst.insert(pos, moved);
     SyncL0CountLocked();
     counters_.compactions.Increment();
-    if (obs::Enabled()) obs_.compactions->Increment();
+    obs_.compactions->Increment();
     IOTDB_RETURN_NOT_OK(WriteManifest());
     return Status::OK();
   }
@@ -1459,16 +1437,14 @@ Status KVStore::RunCompactionAtLevel(int level,
         });
     dst.insert(pos, out);
     counters_.bytes_compacted.Add(out->file_size);
-    if (obs::Enabled()) obs_.compaction_bytes_written->Add(out->file_size);
+    obs_.compaction_bytes_written->Add(out->file_size);
     if (options_.background_scrub) pending_scrub_.push_back(out->number);
   }
   SyncL0CountLocked();
   counters_.compactions.Increment();
   counters_.bytes_compacted.Add(bytes_read);
-  if (obs::Enabled()) {
-    obs_.compactions->Increment();
-    obs_.compaction_bytes_read->Add(bytes_read);
-  }
+  obs_.compactions->Increment();
+  obs_.compaction_bytes_read->Add(bytes_read);
   for (const auto& [file_no, dead] : vlog_dead) {
     for (auto& vf : vlog_files_) {
       if (vf.number == file_no) {
@@ -1528,7 +1504,7 @@ Result<std::string> KVStore::Get(const ReadOptions& options,
   MemTable* imm;
   std::vector<std::shared_ptr<FileMeta>> candidates;
   counters_.gets.Increment();
-  if (obs::Enabled()) obs_.gets->Increment();
+  obs_.gets->Increment();
   // Snapshot before pinning any source: the visible prefix only grows, so
   // a memtable pinned afterwards holds every entry <= snapshot it ever
   // will (entries published later carry larger sequences and filter out).
@@ -1736,7 +1712,7 @@ Status KVStore::Scan(const ReadOptions& options, const Slice& start,
                      const Slice& end_exclusive, size_t limit,
                      std::vector<std::pair<std::string, std::string>>* out) {
   counters_.scans.Increment();
-  if (obs::Enabled()) obs_.scans->Increment();
+  obs_.scans->Increment();
   auto iter = NewIterator(options);
   const Comparator* ucmp = icmp_.user_comparator();
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
@@ -2027,10 +2003,8 @@ Status KVStore::SeparateBatch(WriteBatch* updates, WriteBatch* out) {
   out->SetSequence(updates->sequence());
   if (sep.separated_records() > 0) {
     counters_.vlog_appended_bytes.Add(sep.separated_bytes());
-    if (obs::Enabled()) {
-      obs_.vlog_appended_records->Add(sep.separated_records());
-      obs_.vlog_appended_bytes->Add(sep.separated_bytes());
-    }
+    obs_.vlog_appended_records->Add(sep.separated_records());
+    obs_.vlog_appended_bytes->Add(sep.separated_bytes());
   }
   return Status::OK();
 }
@@ -2051,14 +2025,12 @@ Status KVStore::MaterializeValue(const Slice& user_key, std::string* value) {
   std::string out;
   Status s = vlog_reader_->Get(ptr, user_key, &out, &stats);
   counters_.vlog_dereferences.Increment();
-  if (obs::Enabled()) {
-    obs_.vlog_dereferences->Increment();
-    if (stats.cache_hits > 0) {
-      obs_.vlog_deref_cache_hits->Add(stats.cache_hits);
-    }
-    if (stats.cache_misses > 0) {
-      obs_.vlog_deref_cache_misses->Add(stats.cache_misses);
-    }
+  obs_.vlog_dereferences->Increment();
+  if (stats.cache_hits > 0) {
+    obs_.vlog_deref_cache_hits->Add(stats.cache_hits);
+  }
+  if (stats.cache_misses > 0) {
+    obs_.vlog_deref_cache_misses->Add(stats.cache_misses);
   }
   if (!s.ok()) {
     // A rotten record poisons the whole file's trust: quarantine it so no
@@ -2283,12 +2255,10 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
   }
 
   counters_.vlog_gc_reclaimed_bytes.Add(reclaimed_total);
-  if (obs::Enabled()) {
-    obs_.vlog_gc_passes->Increment();
-    obs_.vlog_gc_scanned_bytes->Add(scanned_total);
-    obs_.vlog_gc_reclaimed_bytes->Add(reclaimed_total);
-    obs_.vlog_gc_rewritten_records->Add(rewritten);
-  }
+  obs_.vlog_gc_passes->Increment();
+  obs_.vlog_gc_scanned_bytes->Add(scanned_total);
+  obs_.vlog_gc_reclaimed_bytes->Add(reclaimed_total);
+  obs_.vlog_gc_rewritten_records->Add(rewritten);
   gc_span.SetArg("scanned_bytes", scanned_total);
   gc_span.SetArg("reclaimed_bytes", reclaimed_total);
   gc_span.Stop();
@@ -2367,7 +2337,7 @@ void KVStore::VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
     Status s = vlog_reader_->VerifyFile(t.number, t.limit, &bytes);
     report->files_checked++;
     report->bytes_checked += bytes;
-    RecordVlogScrub(bytes, !s.ok());
+    RecordScrub(bytes, !s.ok());
     if (!s.ok()) {
       report->corrupt_files++;
       report->corrupt_paths.push_back(VlogName(t.number));
@@ -2408,20 +2378,11 @@ Status KVStore::ScrubOneVlogQueued(std::unique_lock<std::mutex>* lock) {
   scrub_span.Stop();
   lock->lock();
 
-  RecordVlogScrub(bytes, !s.ok());
+  RecordScrub(bytes, !s.ok());
   if (!s.ok() && IsVlogLiveLocked(number)) {
     QuarantineVlogFileLocked(number, s);
   }
   return Status::OK();  // a corrupt finding is healed, not a background error
-}
-
-void KVStore::RecordVlogScrub(uint64_t bytes, bool corrupt) {
-  counters_.scrubbed_files.Increment();
-  if (obs::Enabled()) {
-    obs_.scrub_files_checked->Increment();
-    obs_.scrub_bytes_checked->Add(bytes);
-    if (corrupt) obs_.scrub_corruption_detected->Increment();
-  }
 }
 
 void KVStore::MaybeDeleteVlogFilesLocked() {

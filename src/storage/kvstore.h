@@ -239,7 +239,6 @@ class KVStore {
   void VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
                        ScrubReport* report);
   Status ScrubOneVlogQueued(std::unique_lock<std::mutex>* lock);
-  void RecordVlogScrub(uint64_t bytes, bool corrupt);
   void MaybeDeleteVlogFilesLocked();
   void OnIteratorClosed();
 
@@ -282,7 +281,8 @@ class KVStore {
                                ScrubReport* report);
   Status VerifyWalTail(uint64_t number, uint64_t* dropped_bytes);
   Status ScrubOneQueued(std::unique_lock<std::mutex>* lock);
-  void RecordTableScrub(uint64_t bytes, bool corrupt);
+  // One file checked by a scrub (table or vlog).
+  void RecordScrub(uint64_t bytes, bool corrupt);
 
   SequenceNumber SmallestSnapshot() const;  // mu_ held
 
@@ -381,9 +381,9 @@ class KVStore {
   // stops a store whose media rots every write.
   int background_corruption_retries_ = 0;
 
-  /// Per-store atomic counters backing GetStats(). Always incremented (the
-  /// obs enable switch only gates the *global* registry mirrors and timer
-  /// clock reads) so per-store stats stay exact regardless of the flag.
+  /// Per-store atomic counters backing GetStats(). The global `storage.*`
+  /// instruments below sum every store in the process; these count this
+  /// store alone.
   struct StoreCounters {
     obs::Counter puts;
     obs::Counter gets;

@@ -53,9 +53,6 @@ struct Options {
   /// deferred log flush). If true, every commit syncs.
   bool wal_sync = false;
 
-  /// Verify block checksums on every read.
-  bool verify_checksums = true;
-
   /// Capacity of the shared block cache in bytes; 0 disables caching.
   size_t block_cache_capacity = 8 * 1024 * 1024;
 
@@ -98,9 +95,9 @@ struct Options {
   bool background_vlog_gc = true;
 };
 
-/// Per-read options.
+/// Per-read options. Every block read is checksum-verified.
 struct ReadOptions {
-  bool verify_checksums = true;
+  /// Whether blocks this read loads enter the block cache.
   bool fill_cache = true;
 };
 

@@ -28,7 +28,6 @@ Status BlockCorruption(const char* reason, const BlockHandle& handle,
 
 Result<std::string> ReadBlockContents(const RandomAccessFile* file,
                                       const BlockHandle& handle,
-                                      bool verify_checksums,
                                       const std::string& name) {
   size_t n = static_cast<size_t>(handle.size);
   std::vector<char> scratch(n + kBlockTrailerSize);
@@ -39,12 +38,10 @@ Result<std::string> ReadBlockContents(const RandomAccessFile* file,
     return BlockCorruption("truncated block read", handle, name);
   }
   const char* data = contents.data();
-  if (verify_checksums) {
-    const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
-    const uint32_t actual = crc32c::Value(data, n + 1);
-    if (actual != crc) {
-      return BlockCorruption("block checksum mismatch", handle, name);
-    }
+  const uint32_t crc = crc32c::Unmask(DecodeFixed32(data + n + 1));
+  const uint32_t actual = crc32c::Value(data, n + 1);
+  if (actual != crc) {
+    return BlockCorruption("block checksum mismatch", handle, name);
   }
   if (data[n] != 0) {
     return BlockCorruption("unsupported block compression type", handle,
@@ -83,15 +80,13 @@ Result<std::unique_ptr<Table>> Table::Open(
 
   IOTDB_ASSIGN_OR_RETURN(
       std::string index_contents,
-      ReadBlockContents(table->file_.get(), footer.index_handle,
-                        options.verify_checksums, name));
+      ReadBlockContents(table->file_.get(), footer.index_handle, name));
   table->index_block_ = std::make_unique<Block>(std::move(index_contents));
 
   if (footer.filter_handle.size > 0) {
     IOTDB_ASSIGN_OR_RETURN(
         table->filter_data_,
-        ReadBlockContents(table->file_.get(), footer.filter_handle,
-                          options.verify_checksums, name));
+        ReadBlockContents(table->file_.get(), footer.filter_handle, name));
   }
   return table;
 }
@@ -108,13 +103,10 @@ Result<std::shared_ptr<Block>> Table::ReadBlockCached(
       return std::static_pointer_cast<Block>(cached);
     }
   }
-  // A block headed for the shared cache is always CRC-checked, even when
-  // this reader skipped verification: a corrupt insert would be served to
-  // every later reader, including ones that asked for verification.
-  IOTDB_ASSIGN_OR_RETURN(
-      std::string contents,
-      ReadBlockContents(file_.get(), handle,
-                        read_options.verify_checksums || will_cache, name_));
+  // Verified before it can be cached: a corrupt block never reaches the
+  // shared cache, where every later reader would be served it.
+  IOTDB_ASSIGN_OR_RETURN(std::string contents,
+                         ReadBlockContents(file_.get(), handle, name_));
   auto block = std::make_shared<Block>(std::move(contents));
   if (will_cache) {
     cache_->Insert(cache_key, block, block->size());
@@ -145,16 +137,15 @@ Status Table::VerifyIntegrity(uint64_t* bytes_checked) const {
     checked += Footer::kEncodedLength;
 
     // Index and filter blocks, checksummed, straight from the file.
-    auto index = ReadBlockContents(file_.get(), footer.index_handle,
-                                   /*verify_checksums=*/true, name_);
+    auto index = ReadBlockContents(file_.get(), footer.index_handle, name_);
     if (!index.ok()) {
       s = index.status();
       break;
     }
     checked += footer.index_handle.size + kBlockTrailerSize;
     if (footer.filter_handle.size > 0) {
-      auto filter = ReadBlockContents(file_.get(), footer.filter_handle,
-                                      /*verify_checksums=*/true, name_);
+      auto filter =
+          ReadBlockContents(file_.get(), footer.filter_handle, name_);
       if (!filter.ok()) {
         s = filter.status();
         break;
@@ -170,8 +161,7 @@ Status Table::VerifyIntegrity(uint64_t* bytes_checked) const {
       Slice input = iter->value();
       s = handle.DecodeFrom(&input);
       if (!s.ok()) break;
-      auto data = ReadBlockContents(file_.get(), handle,
-                                    /*verify_checksums=*/true, name_);
+      auto data = ReadBlockContents(file_.get(), handle, name_);
       if (!data.ok()) {
         s = data.status();
         break;
@@ -320,16 +310,13 @@ Status Table::InternalGet(const ReadOptions& read_options, const Slice& k,
   if (!filter_data_.empty()) {
     const bool may_match =
         BloomFilterMayMatch(Slice(filter_data_), ExtractUserKey(k));
-    if (obs::Enabled()) {
-      static obs::Counter* checks =
-          obs::MetricsRegistry::Global().GetCounter("storage.bloom.checks");
-      static obs::Counter* negatives =
-          obs::MetricsRegistry::Global().GetCounter(
-              "storage.bloom.negatives");
-      checks->Increment();
-      if (!may_match) negatives->Increment();
-    }
+    static obs::Counter* checks =
+        obs::MetricsRegistry::Global().GetCounter("storage.bloom.checks");
+    static obs::Counter* negatives =
+        obs::MetricsRegistry::Global().GetCounter("storage.bloom.negatives");
+    checks->Increment();
     if (!may_match) {
+      negatives->Increment();
       return Status::OK();  // definitely not present
     }
   }

@@ -79,11 +79,11 @@ class Table {
   std::string filter_data_;  // empty when the table has no bloom filter
 };
 
-/// Reads and verifies one raw block (without caching). Exposed for tests.
-/// `name` contextualises corruption statuses; empty is allowed.
+/// Reads one raw block (without caching) and verifies its checksum.
+/// Exposed for tests. `name` contextualises corruption statuses; empty is
+/// allowed.
 Result<std::string> ReadBlockContents(const RandomAccessFile* file,
                                       const BlockHandle& handle,
-                                      bool verify_checksums,
                                       const std::string& name = "");
 
 }  // namespace storage

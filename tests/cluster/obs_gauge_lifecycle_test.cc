@@ -2,8 +2,7 @@
 // lifecycle. Gauges are levels, not deltas: the timeline sampler reports
 // whatever the gauge holds at each interval end, so any path that changes
 // the real queue depth without updating the gauge (crash, restart,
-// destruction, obs switched off) leaks a stale level into every later
-// snapshot.
+// destruction) leaks a stale level into every later snapshot.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -83,29 +82,6 @@ TEST(ObsGaugeLifecycleTest, CrashDropsBufferedHintsAndResetsDepth) {
   // The re-copy converged: the restarted node holds the crash-era writes.
   auto r = cluster->node(1)->Get(Key(30));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-}
-
-TEST(ObsGaugeLifecycleTest, GaugeUpdatesEvenWhileObsDisabled) {
-  auto cluster = Cluster::Start(SmallClusterOptions()).MoveValueUnsafe();
-  Client client(cluster.get());
-
-  cluster->node(2)->SetDown(true);
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(client.Put(Key(i), "v").ok());
-  }
-  ASSERT_EQ(NodeDepthGauge(2)->Value(), 10);
-
-  // Toggling the obs switch must not freeze the level: the depth keeps
-  // moving with reality so a later snapshot never reports a stale queue.
-  obs::SetEnabled(false);
-  for (int i = 10; i < 15; ++i) {
-    ASSERT_TRUE(client.Put(Key(i), "v").ok());
-  }
-  EXPECT_EQ(NodeDepthGauge(2)->Value(), 15);
-  obs::SetEnabled(true);
-
-  ASSERT_TRUE(cluster->RestartNode(2).ok());
-  EXPECT_EQ(NodeDepthGauge(2)->Value(), 0);
 }
 
 TEST(ObsGaugeLifecycleTest, DestructorZeroesGaugesForTheNextCluster) {

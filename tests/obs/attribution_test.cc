@@ -48,12 +48,10 @@ TEST(BreadcrumbTest, AddStageMicrosWithoutBreadcrumbIsNoOp) {
 }
 
 TEST(BreadcrumbTest, CollectsStagesAndRecordsOnComplete) {
-  SetEnabled(true);
   uint64_t wal_before = StageHistCount(Stage::kWalSync);
   uint64_t vlog_before = StageHistCount(Stage::kVlog);
   {
     ScopedOpBreadcrumb breadcrumb("test.op", 7, 100);
-    ASSERT_TRUE(breadcrumb.active());
     ASSERT_NE(CurrentBreadcrumb(), nullptr);
     AddStageMicros(Stage::kWalSync, 40);
     AddStageMicros(Stage::kWalSync, 10);
@@ -70,7 +68,6 @@ TEST(BreadcrumbTest, CollectsStagesAndRecordsOnComplete) {
 }
 
 TEST(BreadcrumbTest, NeverCompletedRecordsNothing) {
-  SetEnabled(true);
   uint64_t before = StageHistCount(Stage::kCommitWait);
   {
     ScopedOpBreadcrumb breadcrumb("test.op.failed", 0, 1);
@@ -81,7 +78,6 @@ TEST(BreadcrumbTest, NeverCompletedRecordsNothing) {
 }
 
 TEST(BreadcrumbTest, NestedScopesRestoreOuter) {
-  SetEnabled(true);
   ScopedOpBreadcrumb outer("test.outer", 1, 1);
   OpBreadcrumb* outer_bc = CurrentBreadcrumb();
   {
@@ -92,17 +88,6 @@ TEST(BreadcrumbTest, NestedScopesRestoreOuter) {
   EXPECT_EQ(CurrentBreadcrumb(), outer_bc);
   EXPECT_EQ(outer_bc->stage_micros[static_cast<int>(Stage::kQuorumWait)],
             0u);
-}
-
-TEST(BreadcrumbTest, DisabledRegistryInstallsNothing) {
-  SetEnabled(false);
-  {
-    ScopedOpBreadcrumb breadcrumb("test.disabled", 0, 1);
-    EXPECT_FALSE(breadcrumb.active());
-    EXPECT_EQ(CurrentBreadcrumb(), nullptr);
-    breadcrumb.Complete(0, 100);  // must be a no-op
-  }
-  SetEnabled(true);
 }
 
 TEST(SlowOpTest, KeepsKSlowestSorted) {
@@ -138,7 +123,6 @@ TEST(SlowOpTest, StartRunClearsAndOfferNoOpsWhenDisarmed) {
 }
 
 TEST(SlowOpTest, CompleteOffersBreadcrumbWithStages) {
-  SetEnabled(true);
   SlowOpRecorder::StartRun(8);
   {
     ScopedOpBreadcrumb breadcrumb("test.offered", 42, 7);
@@ -190,7 +174,6 @@ TEST(SlowOpTest, EmptyRecorderExportsEmptyList) {
 // the recorder while a reader snapshots; the admission fast path reads the
 // threshold without the lock.
 TEST(SlowOpTest, ConcurrentOffersKeepInvariants) {
-  SetEnabled(true);
   constexpr int kThreads = 4;
   constexpr uint64_t kOpsPerThread = 2'000;
   SlowOpRecorder::StartRun(16);

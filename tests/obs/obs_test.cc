@@ -8,6 +8,7 @@
 #include "common/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "json_lint.h"
 
 namespace iotdb {
 namespace obs {
@@ -153,9 +154,6 @@ TEST(LatencyHistogram, CountSumMinMaxAreExact) {
   EXPECT_EQ(hist.Min(), 3u);
   EXPECT_EQ(hist.Max(), 100u);
   EXPECT_NEAR(hist.Mean(), 110.0 / 3.0, 1e-9);
-  hist.Reset();
-  EXPECT_EQ(hist.Count(), 0u);
-  EXPECT_EQ(hist.Max(), 0u);
 }
 
 // --- Concurrency (run under TSan via the obs_tsan tier) --------------------
@@ -242,10 +240,6 @@ TEST(MetricsRegistry, InstrumentPointersAreStableAndNamespaced) {
   EXPECT_EQ(snap.counters.at("stable.name"), 5u);
   EXPECT_EQ(snap.gauges.at("stable.name"), -3);
   EXPECT_EQ(snap.histograms.at("stable.name").count, 1u);
-  registry.ResetAll();
-  EXPECT_EQ(c->Value(), 0u);
-  EXPECT_EQ(g->Value(), 0);
-  EXPECT_EQ(h->Count(), 0u);
 }
 
 TEST(MetricsSnapshot, DeltaSubtractsCountersAndKeepsGauges) {
@@ -284,45 +278,34 @@ TEST(MetricsSnapshot, HistogramDeltaPercentilesCoverOnlyTheWindow) {
   EXPECT_GE(delta.Percentile(50), 90000.0);
 }
 
-// --- JSON round-trip --------------------------------------------------------
+// --- JSON export -----------------------------------------------------------
 
-TEST(MetricsSnapshotJson, RoundTripIsExact) {
+TEST(MetricsSnapshotJson, ToJsonIsExact) {
   MetricsRegistry registry;
   registry.GetCounter("json.a")->Add(123456789);
   registry.GetCounter("json.b\"quoted\\name")->Add(1);
   registry.GetGauge("json.depth")->Set(-42);
   LatencyHistogram* h = registry.GetHistogram("json.lat");
-  Lcg rng(3);
-  for (int i = 0; i < 10000; ++i) h->Record(rng.Next() % 5000000);
+  h->Record(3);    // bucket 3 (exact below 16)
+  h->Record(100);  // bucket 57
+  h->Record(100);
   registry.GetHistogram("json.empty");
+  const std::string expected =
+      R"({"counters":{"json.a":123456789,"json.b\"quoted\\name":1},)"
+      R"("gauges":{"json.depth":-42},"histograms":{)"
+      R"("json.empty":{"count":0,"sum":0,"min":0,"max":0,"buckets":[]},)"
+      R"("json.lat":{"count":3,"sum":203,"min":3,"max":100,)"
+      R"("buckets":[[3,1],[57,2]]}}})";
+  EXPECT_EQ(registry.TakeSnapshot().ToJson(), expected);
 
-  MetricsSnapshot snap = registry.TakeSnapshot();
-  std::string json = snap.ToJson();
-  Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJson(json);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  const MetricsSnapshot& got = parsed.ValueOrDie();
-  EXPECT_TRUE(got == snap);
-  // Percentiles derived from the parsed copy match the original exactly.
-  EXPECT_EQ(got.histograms.at("json.lat").Percentile(99),
-            snap.histograms.at("json.lat").Percentile(99));
-}
+  EXPECT_EQ(MetricsSnapshot().ToJson(),
+            R"({"counters":{},"gauges":{},"histograms":{}})");
 
-TEST(MetricsSnapshotJson, EmptySnapshotRoundTrips) {
-  MetricsSnapshot empty;
-  Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJson(empty.ToJson());
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(parsed.ValueOrDie().empty());
-}
-
-TEST(MetricsSnapshotJson, MalformedInputIsRejected) {
-  for (const char* bad :
-       {"", "{", "null", "[1,2]", "{\"counters\":{\"x\":-1}}",
-        "{\"counters\":{\"x\":}}", "{\"counters\":{\"x\":1}} trailing",
-        "{\"histograms\":{\"h\":{\"count\":\"nan\"}}}",
-        "{\"gauges\":{\"g\":-}}"}) {
-    Result<MetricsSnapshot> parsed = MetricsSnapshot::FromJson(bad);
-    EXPECT_FALSE(parsed.ok()) << "accepted: " << bad;
-  }
+  LatencyHistogram* big = registry.GetHistogram("json.big");
+  Lcg rng(3);
+  for (int i = 0; i < 10000; ++i) big->Record(rng.Next() % 5000000);
+  const std::string json = registry.TakeSnapshot().ToJson();
+  EXPECT_TRUE(testing::JsonLint::Valid(json)) << json;
 }
 
 TEST(MetricsSnapshot, TableListsEveryInstrument) {
@@ -337,28 +320,9 @@ TEST(MetricsSnapshot, TableListsEveryInstrument) {
   EXPECT_NE(table.find("p99"), std::string::npos);
 }
 
-// --- Enabled switch and timers ---------------------------------------------
-
-TEST(EnabledSwitch, TraceSpanSkipsClockAndRecordWhenDisabled) {
-  ManualClock clock(1000);
-  LatencyHistogram hist;
-  SetEnabled(false);
-  {
-    TraceSpan span("test.enabled.span", &hist, &clock);
-    clock.Advance(500);
-  }
-  EXPECT_EQ(hist.Count(), 0u);
-  SetEnabled(true);
-  {
-    TraceSpan span("test.enabled.span", &hist, &clock);
-    clock.Advance(500);
-  }
-  EXPECT_EQ(hist.Count(), 1u);
-  EXPECT_EQ(hist.Max(), 500u);
-}
+// --- Timers ----------------------------------------------------------------
 
 TEST(TraceSpan, RecordsIntoGlobalRegistryByName) {
-  SetEnabled(true);
   ManualClock clock(0);
   {
     TraceSpan span("test.tracespan.span_micros", &clock);

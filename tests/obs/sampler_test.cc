@@ -17,14 +17,12 @@ namespace {
 // The registry is process-global and shared with every other test in this
 // binary, so each test uses its own metric names.
 
-TEST(SamplerTest, StartRefusesWhenObservabilityDisabled) {
-  SetEnabled(false);
+TEST(SamplerTest, StartAndStopToggleRunning) {
   Sampler sampler;
-  EXPECT_FALSE(sampler.Start());
   EXPECT_FALSE(sampler.running());
-  SetEnabled(true);
   EXPECT_TRUE(sampler.Start());
   EXPECT_TRUE(sampler.running());
+  EXPECT_FALSE(sampler.Start());  // already running
   sampler.Stop();
   EXPECT_FALSE(sampler.running());
 }

@@ -259,7 +259,6 @@ TEST(TraceBufferTest, CrossThreadChildLinksToParent) {
 }
 
 TEST(TraceSpanTest, SetContextFlowsIntoRecordedEvent) {
-  SetEnabled(true);
   ManualClock clock(1'000);
   TraceBuffer::StartTracing(16);
   TraceContext ctx = TraceContext::Mint();
@@ -278,7 +277,6 @@ TEST(TraceSpanTest, SetContextFlowsIntoRecordedEvent) {
 }
 
 TEST(TraceSpanTest, RecordsHistogramAndTraceFromOneTiming) {
-  SetEnabled(true);
   LatencyHistogram* hist =
       MetricsRegistry::Global().GetHistogram("test.span.dual");
   uint64_t count_before = hist->TakeSnapshot().count;

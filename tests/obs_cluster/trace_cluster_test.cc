@@ -33,7 +33,6 @@ std::vector<std::pair<std::string, std::string>> Rows(int n) {
 }
 
 TEST(TraceClusterTest, ReplicatedWriteExportsOneLinkedCrossThreadFlow) {
-  obs::SetEnabled(true);
   ClusterOptions options;
   options.num_nodes = 3;
   options.replication_factor = 3;
@@ -117,7 +116,6 @@ TEST(TraceClusterTest, ReplicatedWriteExportsOneLinkedCrossThreadFlow) {
 
 TEST(TraceClusterTest, QuorumWaitStageAbsorbsSlowReplicaDelay) {
   constexpr uint64_t kDelayMicros = 50'000;
-  obs::SetEnabled(true);
   ClusterOptions options;
   options.num_nodes = 3;
   options.replication_factor = 3;
@@ -141,7 +139,6 @@ TEST(TraceClusterTest, QuorumWaitStageAbsorbsSlowReplicaDelay) {
   Client client(cluster.get());
   {
     obs::ScopedOpBreadcrumb breadcrumb("test.driver.op", 1, 10);
-    ASSERT_TRUE(breadcrumb.active());
     uint64_t t0 = Clock::Real()->NowMicros();
     ASSERT_TRUE(client.PutBatch(Rows(10)).ok());
     breadcrumb.Complete(t0, Clock::Real()->NowMicros() - t0);

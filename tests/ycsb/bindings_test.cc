@@ -19,6 +19,9 @@ TEST(ClusterDBTest, RoundTripsThroughCluster) {
   ClusterDB db(cluster.get());
   ASSERT_TRUE(db.Insert("key", "value").ok());
   EXPECT_EQ(db.Read("key").ValueOrDie(), "value");
+  // The insert acked at quorum, and a scan reads the first live replica,
+  // which may still be applying it.
+  ASSERT_TRUE(cluster->WaitReplicationIdle().ok());
   std::vector<std::pair<std::string, std::string>> rows;
   ASSERT_TRUE(db.Scan("key", "key", "kez", 0, &rows).ok());
   ASSERT_EQ(rows.size(), 1u);

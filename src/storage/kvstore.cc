@@ -85,7 +85,7 @@ class LogCorruptionReporter final : public log::Reader::Reporter {
 class PinningIterator final : public Iterator {
  public:
   PinningIterator(std::unique_ptr<Iterator> inner,
-                  std::vector<std::shared_ptr<Table>> tables,
+                  std::vector<std::shared_ptr<FileMeta>> tables,
                   std::vector<MemTable*> mems)
       : inner_(std::move(inner)),
         tables_(std::move(tables)),
@@ -108,7 +108,7 @@ class PinningIterator final : public Iterator {
 
  private:
   std::unique_ptr<Iterator> inner_;
-  std::vector<std::shared_ptr<Table>> tables_;
+  std::vector<std::shared_ptr<FileMeta>> tables_;
   std::vector<MemTable*> mems_;
 };
 
@@ -624,13 +624,18 @@ void KVStore::RecordScrub(uint64_t bytes, bool corrupt) {
   if (corrupt) obs_.scrub_corruption_detected->Increment();
 }
 
-void KVStore::QuarantineCorruptTables(std::unique_lock<std::mutex>* lock,
-                                      ScrubReport* report) {
+std::vector<std::shared_ptr<FileMeta>> KVStore::LiveTablesLocked() const {
   std::vector<std::shared_ptr<FileMeta>> files;
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& f : levels_.files[level]) files.push_back(f);
   }
+  return files;
+}
 
+void KVStore::QuarantineCorruptTables(
+    std::unique_lock<std::mutex>* lock,
+    const std::vector<std::shared_ptr<FileMeta>>& files,
+    ScrubReport* report) {
   lock->unlock();
   // Tables are immutable: verify without the lock so reads and writes
   // proceed while the scrub walks checksums.
@@ -702,7 +707,7 @@ Status KVStore::VerifyIntegrity(ScrubReport* report) {
       obs_.scrub_bytes_checked->Add(wal_size.ValueOrDie());
     }
   }
-  QuarantineCorruptTables(&lock, rep);
+  QuarantineCorruptTables(&lock, LiveTablesLocked(), rep);
   if (options_.value_separation) {
     VerifyVlogFiles(&lock, rep);
   }
@@ -1085,7 +1090,7 @@ void KVStore::BackgroundCall() {
         // bounded, because rot that keeps reappearing on clean tables
         // means the media corrupts faster than we can quarantine.
         ScrubReport report;
-        QuarantineCorruptTables(&lock, &report);
+        QuarantineCorruptTables(&lock, LiveTablesLocked(), &report);
         if (report.quarantined_files > 0) {
           background_corruption_retries_ = 0;
         } else if (++background_corruption_retries_ > 3) {
@@ -1592,34 +1597,6 @@ Result<std::string> KVStore::Get(const ReadOptions& options,
   return std::move(state.value);
 }
 
-std::unique_ptr<Iterator> KVStore::NewInternalIterator(
-    const ReadOptions& options,
-    std::vector<std::shared_ptr<Table>>* pinned_tables,
-    std::vector<MemTable*>* pinned_mems) {
-  std::vector<std::unique_ptr<Iterator>> children;
-  // Newest sources first so the merger prefers them on ties. The caller's
-  // snapshot (taken before this runs) filters out entries published after
-  // it.
-  {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    children.push_back(mem_->NewIterator());
-    mem_->Ref();
-    pinned_mems->push_back(mem_);
-    if (imm_ != nullptr) {
-      children.push_back(imm_->NewIterator());
-      imm_->Ref();
-      pinned_mems->push_back(imm_);
-    }
-  }
-  for (int level = 0; level < kNumLevels; ++level) {
-    for (const auto& f : levels_.files[level]) {
-      children.push_back(f->table->NewIterator(options));
-      pinned_tables->push_back(f->table);
-    }
-  }
-  return NewMergingIterator(&icmp_, std::move(children));
-}
-
 /// Lazily dereferences value pointers for iteration: keys stream straight
 /// from the LSM; the vlog record is only read when value() is called.
 /// A failed dereference surfaces through status() and yields an empty
@@ -1684,22 +1661,46 @@ class VlogDerefIterator final : public Iterator {
   mutable Status deref_status_;
 };
 
-std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions& options) {
-  std::vector<std::shared_ptr<Table>> pinned_tables;
+std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
+    const ReadOptions& options, const Slice& start, const Slice& end,
+    std::vector<std::shared_ptr<FileMeta>>* opened) {
+  std::vector<std::unique_ptr<Iterator>> children;
+  std::vector<std::shared_ptr<FileMeta>> pinned_tables;
   std::vector<MemTable*> pinned_mems;
   // Snapshot before pinning sources (see Get for the ordering argument).
   const SequenceNumber snapshot = VisibleSequence();
-  std::unique_ptr<Iterator> internal;
   bool separated = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    internal = NewInternalIterator(options, &pinned_tables, &pinned_mems);
+    // Newest sources first so the merger prefers them on ties.
+    {
+      std::lock_guard<std::mutex> write_lock(write_mu_);
+      children.push_back(mem_->NewIterator());
+      mem_->Ref();
+      pinned_mems.push_back(mem_);
+      if (imm_ != nullptr) {
+        children.push_back(imm_->NewIterator());
+        imm_->Ref();
+        pinned_mems.push_back(imm_);
+      }
+    }
+    // A table with no user key in [start, end] holds no row, tombstone or
+    // older version the bounded walk could meet, so it is never opened.
+    for (int level = 0; level < kNumLevels; ++level) {
+      for (const auto& f : levels_.files[level]) {
+        if (!FileOverlapsRange(icmp_, *f, start, end)) continue;
+        children.push_back(f->table->NewIterator(options));
+        pinned_tables.push_back(f);
+      }
+    }
     if (options_.value_separation) {
       open_readers_++;
       separated = true;
     }
   }
-  auto db_iter = NewDBIterator(&icmp_, std::move(internal), snapshot);
+  if (opened != nullptr) *opened = pinned_tables;
+  auto db_iter = NewDBIterator(
+      &icmp_, NewMergingIterator(&icmp_, std::move(children)), snapshot);
   auto pinned = std::make_unique<PinningIterator>(
       std::move(db_iter), std::move(pinned_tables), std::move(pinned_mems));
   if (separated) {
@@ -1708,12 +1709,17 @@ std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions& options) {
   return pinned;
 }
 
+std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions& options) {
+  return NewBoundedIterator(options, Slice(), Slice(), nullptr);
+}
+
 Status KVStore::Scan(const ReadOptions& options, const Slice& start,
                      const Slice& end_exclusive, size_t limit,
                      std::vector<std::pair<std::string, std::string>>* out) {
   counters_.scans.Increment();
   obs_.scans->Increment();
-  auto iter = NewIterator(options);
+  std::vector<std::shared_ptr<FileMeta>> opened;
+  auto iter = NewBoundedIterator(options, start, end_exclusive, &opened);
   const Comparator* ucmp = icmp_.user_comparator();
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
        iter->Valid(); iter->Next()) {
@@ -1724,7 +1730,17 @@ Status KVStore::Scan(const ReadOptions& options, const Slice& start,
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
     if (limit > 0 && out->size() >= limit) break;
   }
-  return iter->status();
+  Status s = iter->status();
+  iter.reset();  // its destructor may take mu_
+  if (s.IsCorruption()) {
+    // As in Get, evict the damaged table so it never serves another read.
+    // The merged status does not say which table failed, so verify every
+    // one the scan opened, as the scrub does.
+    ScrubReport report;
+    std::unique_lock<std::mutex> lock(mu_);
+    QuarantineCorruptTables(&lock, opened, &report);
+  }
+  return s;
 }
 
 SequenceNumber KVStore::GetSnapshot() {

@@ -137,7 +137,9 @@ class KVStore {
 
   /// Range scan convenience: fills `out` with key/value pairs where
   /// start <= key < end_exclusive (empty end = unbounded), at most `limit`
-  /// pairs when limit > 0.
+  /// pairs when limit > 0. Reads the memtables plus only the tables whose
+  /// key range overlaps the bounds. A Corruption status quarantines every
+  /// table of the scan that fails verification, as Get does.
   Status Scan(const ReadOptions& options, const Slice& start,
               const Slice& end_exclusive, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out);
@@ -277,8 +279,13 @@ class KVStore {
   void QuarantinePath(const std::string& path, const Status& cause);
   bool QuarantineFileLocked(const std::shared_ptr<FileMeta>& meta,
                             const Status& cause);  // mu_ held
-  void QuarantineCorruptTables(std::unique_lock<std::mutex>* lock,
-                               ScrubReport* report);
+  // Verifies `files` with mu_ released and quarantines each that fails.
+  // mu_ held on entry and exit.
+  void QuarantineCorruptTables(
+      std::unique_lock<std::mutex>* lock,
+      const std::vector<std::shared_ptr<FileMeta>>& files,
+      ScrubReport* report);
+  std::vector<std::shared_ptr<FileMeta>> LiveTablesLocked() const;  // mu_ held
   Status VerifyWalTail(uint64_t number, uint64_t* dropped_bytes);
   Status ScrubOneQueued(std::unique_lock<std::mutex>* lock);
   // One file checked by a scrub (table or vlog).
@@ -290,13 +297,14 @@ class KVStore {
       int level, const Slice& begin_user_key,
       const Slice& end_user_key) const;  // mu_ held
 
-  // Builds an internal-key iterator over the whole store; out_pinned gets
-  // shared_ptrs that must outlive the iterator. mu_ held; takes write_mu_
-  // briefly.
-  std::unique_ptr<Iterator> NewInternalIterator(
-      const ReadOptions& options,
-      std::vector<std::shared_ptr<Table>>* pinned_tables,
-      std::vector<MemTable*>* pinned_mems);
+  // The one iterator builder: both memtables plus every table whose user-key
+  // range overlaps [start, end] (an empty bound is open). Rows outside
+  // [start, end] may be missing or stale, so only Scan, which stops at its
+  // bounds, passes any; NewIterator is the unbounded case. `opened`, when
+  // non-null, receives the tables the iterator reads.
+  std::unique_ptr<Iterator> NewBoundedIterator(
+      const ReadOptions& options, const Slice& start, const Slice& end,
+      std::vector<std::shared_ptr<FileMeta>>* opened);
 
   Options options_;
   Env* env_;

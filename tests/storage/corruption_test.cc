@@ -401,6 +401,29 @@ TEST_F(ScrubTest, ReadPathQuarantinesCorruptTable) {
   }
 }
 
+TEST_F(ScrubTest, ScanPathQuarantinesCorruptTable) {
+  auto store = OpenStore();
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
+  ASSERT_TRUE(fenv_->CorruptRandomFile("/db", FileClass::kSSTable, 32).ok());
+
+  // The first scan through the damaged block reports corruption and
+  // quarantines the file; later scans see what is left instead of failing
+  // forever.
+  std::vector<std::pair<std::string, std::string>> rows;
+  Status s = store->Scan(ReadOptions(), "", "", 0, &rows);
+  ASSERT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(store->GetStats().quarantined_files, 1u);
+  ASSERT_EQ(reporter_.paths.size(), 1u);
+  EXPECT_TRUE(reporter_.causes[0].IsCorruption());
+  for (int i = 0; i < 3; ++i) {
+    rows.clear();
+    s = store->Scan(ReadOptions(), "", "", 0, &rows);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    EXPECT_TRUE(rows.empty());  // the one table held every key
+  }
+  EXPECT_EQ(reporter_.paths.size(), 1u);
+}
+
 TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
   {
     auto store = OpenStore();

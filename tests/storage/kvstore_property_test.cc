@@ -1,12 +1,14 @@
 // Property-based testing of the KVStore against an in-memory reference
 // model: random interleavings of puts, deletes, batched writes, flushes,
 // compactions, and reopen cycles must keep every read path (Get, forward
-// scan, backward scan) consistent with a std::map.
+// scan, backward scan, bounded Scan) consistent with a std::map.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "storage/env.h"
@@ -41,6 +43,23 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
     return "key" + std::to_string(rng->Uniform(200));
   }
 
+  // A Scan bound: open (empty), before or after every key, a key of the
+  // keyspace, or a key just after one of them.
+  std::string RandomBound(Random* rng) {
+    switch (rng->Uniform(6)) {
+      case 0:
+        return "";
+      case 1:
+        return "kex";
+      case 2:
+        return "kez";
+      case 3:
+        return RandomKey(rng) + "!";
+      default:
+        return RandomKey(rng);
+    }
+  }
+
   void CheckEverythingMatches(const std::map<std::string, std::string>& model) {
     // Point reads.
     for (const auto& [key, value] : model) {
@@ -69,11 +88,37 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
       ASSERT_EQ(riter->value().ToString(), rexpected->second);
     }
     ASSERT_EQ(rexpected, model.rend());
+
+    // Bounded scans: the model's [lower_bound(start), lower_bound(end))
+    // slice, capped at `limit` rows (0 = no cap). Equal and inverted bounds
+    // select nothing.
+    using Rows = std::vector<std::pair<std::string, std::string>>;
+    const size_t kLimits[] = {0, 1, 7};
+    for (int i = 0; i < 50; ++i) {
+      const std::string start = RandomBound(&bounds_rng_);
+      const std::string end =
+          bounds_rng_.OneIn(8) ? start : RandomBound(&bounds_rng_);
+      const size_t limit = kLimits[bounds_rng_.Uniform(3)];
+      Rows rows;
+      ASSERT_TRUE(store_->Scan(ReadOptions(), start, end, limit, &rows).ok());
+      Rows want;
+      for (auto it = model.lower_bound(start);
+           it != model.end() && (end.empty() || it->first < end) &&
+           (limit == 0 || want.size() < limit);
+           ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(rows, want) << "[" << start << ", " << end << ") limit "
+                            << limit;
+    }
   }
 
   std::unique_ptr<Env> env_;
   Options options_;
   std::unique_ptr<KVStore> store_;
+  // Apart from the op stream's generator, so the checks leave the op
+  // sequence of each seed unchanged.
+  Random bounds_rng_{GetParam() + 1};
 };
 
 TEST_P(KVStorePropertyTest, MatchesReferenceModel) {

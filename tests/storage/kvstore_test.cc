@@ -216,6 +216,49 @@ TEST_F(KVStoreTest, CompactionReadsLeaveCachedBlocksAlone) {
   EXPECT_EQ(reread.block_cache_misses, after.block_cache_misses);
 }
 
+TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
+  options_.write_buffer_size = 1024 * 1024;
+  Reopen();
+  const std::string value(1000, 'v');
+  const int kKeys = 12000;
+  auto key = [](int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store_->Put(WriteOptions(), key(i), value).ok());
+  }
+  ASSERT_TRUE(store_->CompactAll().ok());
+  // Every table a scan opens outside its range costs a block lookup, so the
+  // store needs enough disjoint tables for that to show.
+  const KVStoreStats compacted = store_->GetStats();
+  int tables = 0;
+  for (int level = 0; level < kNumLevels; ++level) {
+    tables += compacted.num_files[level];
+  }
+  ASSERT_GE(tables, 6);
+
+  for (int first : {0, kKeys - 10}) {
+    const KVStoreStats before = store_->GetStats();
+    std::vector<std::pair<std::string, std::string>> rows;
+    ASSERT_TRUE(store_->Scan(ReadOptions(), key(first), key(first + 10), 0,
+                             &rows)
+                    .ok());
+    ASSERT_EQ(rows.size(), 10u);
+    EXPECT_EQ(rows.front().first, key(first));
+    EXPECT_EQ(rows.back().first, key(first + 9));
+    const KVStoreStats after = store_->GetStats();
+    // 10 rows of 1000 B span at most 4 blocks of 4 KiB, plus one
+    // look-ahead block.
+    const uint64_t lookups =
+        (after.block_cache_hits - before.block_cache_hits) +
+        (after.block_cache_misses - before.block_cache_misses);
+    EXPECT_LE(lookups, 5u) << "scan from " << key(first) << " of " << tables
+                           << " tables";
+  }
+}
+
 TEST_F(KVStoreTest, DestroyRemovesEverything) {
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", "v").ok());
   ASSERT_TRUE(store_->FlushMemTable().ok());

@@ -26,6 +26,7 @@ endif()
 message(STATUS "${SANITIZER} tier: building ${TARGETS}")
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BUILD_DIR} --target ${targets}
+          --parallel 2
   RESULT_VARIABLE rc)
 if(rc)
   message(FATAL_ERROR "${SANITIZER} tier: build failed (${rc})")

@@ -1,7 +1,5 @@
 #include "storage/cache.h"
 
-#include <functional>
-
 #include "obs/metrics.h"
 
 namespace iotdb {
@@ -34,14 +32,8 @@ LruCache::LruCache(size_t capacity_bytes, int shard_bits) {
   }
 }
 
-LruCache::Shard& LruCache::ShardFor(const std::string& key) {
-  size_t h = std::hash<std::string>{}(key);
-  return shards_[h & (num_shards_ - 1)];
-}
-
-const LruCache::Shard& LruCache::ShardFor(const std::string& key) const {
-  size_t h = std::hash<std::string>{}(key);
-  return shards_[h & (num_shards_ - 1)];
+LruCache::Shard& LruCache::ShardFor(const CacheKey& key) {
+  return shards_[CacheKeyHash{}(key) & (num_shards_ - 1)];
 }
 
 void LruCache::Shard::EvictIfNeeded() {
@@ -53,7 +45,7 @@ void LruCache::Shard::EvictIfNeeded() {
   }
 }
 
-void LruCache::Insert(const std::string& key, std::shared_ptr<void> value,
+void LruCache::Insert(const CacheKey& key, std::shared_ptr<void> value,
                       size_t charge) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
@@ -69,7 +61,7 @@ void LruCache::Insert(const std::string& key, std::shared_ptr<void> value,
   shard.EvictIfNeeded();
 }
 
-std::shared_ptr<void> LruCache::Lookup(const std::string& key) {
+std::shared_ptr<void> LruCache::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -87,7 +79,7 @@ std::shared_ptr<void> LruCache::Lookup(const std::string& key) {
   return nullptr;
 }
 
-void LruCache::Erase(const std::string& key) {
+void LruCache::Erase(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);

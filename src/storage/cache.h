@@ -1,17 +1,40 @@
 #ifndef IOTDB_STORAGE_CACHE_H_
 #define IOTDB_STORAGE_CACHE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <unordered_map>
 
 namespace iotdb {
 namespace storage {
 
-/// Sharded LRU cache mapping string keys to shared_ptr<void> values with an
+/// A cached item's address: the number of the file it came from and its
+/// byte offset there. Tables key blocks by their cache id and vlog readers
+/// key values by their file number; one store draws both from one counter
+/// and owns its cache, so the two never collide.
+struct CacheKey {
+  uint64_t id = 0;
+  uint64_t offset = 0;
+
+  bool operator==(const CacheKey&) const = default;
+};
+
+/// Mixes both halves into every bit: shards are picked by the low bits, and
+/// block offsets alone share theirs.
+struct CacheKeyHash {
+  size_t operator()(const CacheKey& key) const {
+    uint64_t h = key.id * 0x9e3779b97f4a7c15ull ^ key.offset;
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdull;
+    h ^= h >> 33;
+    return static_cast<size_t>(h);
+  }
+};
+
+/// Sharded LRU cache mapping CacheKeys to shared_ptr<void> values with an
 /// accounted charge, used as the SSTable block cache. Thread-safe.
 class LruCache {
  public:
@@ -21,13 +44,13 @@ class LruCache {
   LruCache& operator=(const LruCache&) = delete;
 
   /// Inserts (replacing any prior entry) with the given charge.
-  void Insert(const std::string& key, std::shared_ptr<void> value,
+  void Insert(const CacheKey& key, std::shared_ptr<void> value,
               size_t charge);
 
   /// Returns the cached value or nullptr, promoting the entry on hit.
-  std::shared_ptr<void> Lookup(const std::string& key);
+  std::shared_ptr<void> Lookup(const CacheKey& key);
 
-  void Erase(const std::string& key);
+  void Erase(const CacheKey& key);
 
   size_t TotalCharge() const;
   uint64_t hits() const;
@@ -35,7 +58,7 @@ class LruCache {
 
  private:
   struct Entry {
-    std::string key;
+    CacheKey key;
     std::shared_ptr<void> value;
     size_t charge;
   };
@@ -43,7 +66,8 @@ class LruCache {
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;  // front = most recent
-    std::unordered_map<std::string, std::list<Entry>::iterator> index;
+    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash>
+        index;
     size_t charge = 0;
     size_t capacity = 0;
     uint64_t hits = 0;
@@ -52,8 +76,7 @@ class LruCache {
     void EvictIfNeeded();
   };
 
-  Shard& ShardFor(const std::string& key);
-  const Shard& ShardFor(const std::string& key) const;
+  Shard& ShardFor(const CacheKey& key);
 
   std::unique_ptr<Shard[]> shards_;
   size_t num_shards_;

@@ -1,5 +1,6 @@
 #include "storage/env.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -34,7 +35,7 @@ Status Env::WriteStringToFile(const std::string& path, const Slice& contents) {
 Status Env::OverwriteFileRange(const std::string& path, uint64_t offset,
                                const Slice& data) {
   // Generic fallback: read-patch-rewrite. Both built-in envs override this
-  // with a true in-place patch so open handles keep observing the file.
+  // so that open handles see the new bytes on their next read.
   std::string contents;
   IOTDB_RETURN_NOT_OK(ReadFileToString(path, &contents));
   if (offset + data.size() > contents.size()) {
@@ -261,19 +262,137 @@ class PosixEnv final : public Env {
 // In-memory Env.
 // ---------------------------------------------------------------------------
 
-struct MemFile {
-  // Serialises appends against positional/sequential reads. With key-value
-  // separation the active vlog file is read (dereference) while the leader
-  // appends to it; an unguarded std::string::append can reallocate under a
-  // concurrent reader.
-  std::mutex mu;
-  std::string contents;
+constexpr size_t kChunk = kMemEnvChunkSize;
+using Chunk = std::unique_ptr<char[]>;
+
+// Free list shared by the files of one MemEnv. A dead file's chunks come
+// back here and go to the next appender, so steady-state ingest neither
+// mallocs nor page-faults a fresh chunk.
+class ChunkPool {
+ public:
+  Chunk Take() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (!free_.empty()) {
+        Chunk chunk = std::move(free_.back());
+        free_.pop_back();
+        return chunk;
+      }
+    }
+    return Chunk(new char[kChunk]);
+  }
+
+  void Give(std::vector<Chunk>* chunks) {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (Chunk& chunk : *chunks) free_.push_back(std::move(chunk));
+    chunks->clear();
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Chunk> free_;
+};
+
+// chunks_[i] holds bytes [i * kChunk, (i + 1) * kChunk). Appends write only
+// past size_, and OverwriteFileRange patches a copy of each chunk it touches
+// and swaps it in, keeping the old one in retired_ until the file dies, so
+// bytes a reader was handed never change under it. Lock order: mu_ before
+// the pool's mutex.
+class MemFile {
+ public:
+  explicit MemFile(std::shared_ptr<ChunkPool> pool) : pool_(std::move(pool)) {}
+
+  // Nothing else references a dying file, so mu_ is not needed here.
+  ~MemFile() {
+    pool_->Give(&chunks_);
+    pool_->Give(&retired_);
+  }
+
+  MemFile(const MemFile&) = delete;
+  MemFile& operator=(const MemFile&) = delete;
+
+  void Append(const Slice& data) {
+    std::lock_guard<std::mutex> lock(mu_);
+    const char* src = data.data();
+    size_t left = data.size();
+    while (left > 0) {
+      const size_t used = static_cast<size_t>(size_ % kChunk);
+      if (used == 0) chunks_.push_back(pool_->Take());
+      const size_t len = std::min(left, kChunk - used);
+      memcpy(chunks_.back().get() + used, src, len);
+      size_ += len;
+      src += len;
+      left -= len;
+    }
+  }
+
+  // Sets *result to [offset, offset + n) clipped to the end of the file:
+  // into the chunk when the range lies in one, else copied into scratch.
+  void Read(uint64_t offset, size_t n, Slice* result, char* scratch) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (offset >= size_) {
+      *result = Slice();
+      return;
+    }
+    const size_t len =
+        static_cast<size_t>(std::min<uint64_t>(n, size_ - offset));
+    size_t index = static_cast<size_t>(offset / kChunk);
+    size_t in_chunk = static_cast<size_t>(offset % kChunk);
+    if (in_chunk + len <= kChunk) {
+      *result = Slice(chunks_[index].get() + in_chunk, len);
+      return;
+    }
+    for (size_t copied = 0; copied < len; ++index, in_chunk = 0) {
+      const size_t part = std::min(len - copied, kChunk - in_chunk);
+      memcpy(scratch + copied, chunks_[index].get() + in_chunk, part);
+      copied += part;
+    }
+    *result = Slice(scratch, len);
+  }
+
+  uint64_t Size() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return size_;
+  }
+
+  // False when the range runs past the end of the file.
+  bool Overwrite(uint64_t offset, const Slice& data) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (offset > size_ || data.size() > size_ - offset) return false;
+    const char* src = data.data();
+    size_t left = data.size();
+    size_t index = static_cast<size_t>(offset / kChunk);
+    size_t in_chunk = static_cast<size_t>(offset % kChunk);
+    for (; left > 0; ++index, in_chunk = 0) {
+      // Copy only the written part: the tail chunk past size_ is unset.
+      const size_t written = static_cast<size_t>(
+          std::min<uint64_t>(kChunk, size_ - uint64_t{index} * kChunk));
+      const size_t len = std::min(left, kChunk - in_chunk);
+      Chunk patched = pool_->Take();
+      memcpy(patched.get(), chunks_[index].get(), written);
+      memcpy(patched.get() + in_chunk, src, len);
+      retired_.push_back(std::move(chunks_[index]));
+      chunks_[index] = std::move(patched);
+      src += len;
+      left -= len;
+    }
+    return true;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<Chunk> chunks_;   // guarded by mu_
+  std::vector<Chunk> retired_;  // guarded by mu_
+  uint64_t size_ = 0;           // guarded by mu_
+  const std::shared_ptr<ChunkPool> pool_;
 };
 
 class MemFileSystem {
  public:
   std::mutex mu;
   std::map<std::string, std::shared_ptr<MemFile>> files;
+  // Shared with every file, so a handle may outlive its env.
+  const std::shared_ptr<ChunkPool> pool = std::make_shared<ChunkPool>();
 };
 
 class MemWritableFile final : public WritableFile {
@@ -282,8 +401,7 @@ class MemWritableFile final : public WritableFile {
       : file_(std::move(file)) {}
 
   Status Append(const Slice& data) override {
-    std::lock_guard<std::mutex> lock(file_->mu);
-    file_->contents.append(data.data(), data.size());
+    file_->Append(data);
     return Status::OK();
   }
   Status Flush() override { return Status::OK(); }
@@ -301,25 +419,11 @@ class MemRandomAccessFile final : public RandomAccessFile {
 
   Status Read(uint64_t offset, size_t n, Slice* result,
               char* scratch) const override {
-    std::lock_guard<std::mutex> lock(file_->mu);
-    const std::string& data = file_->contents;
-    if (offset >= data.size()) {
-      *result = Slice();
-      return Status::OK();
-    }
-    size_t avail = data.size() - static_cast<size_t>(offset);
-    size_t len = std::min(n, avail);
-    // Copy into scratch: the backing string may be appended to (and
-    // reallocated) by a concurrent writer after the lock drops.
-    memcpy(scratch, data.data() + offset, len);
-    *result = Slice(scratch, len);
+    file_->Read(offset, n, result, scratch);
     return Status::OK();
   }
 
-  uint64_t Size() const override {
-    std::lock_guard<std::mutex> lock(file_->mu);
-    return file_->contents.size();
-  }
+  uint64_t Size() const override { return file_->Size(); }
 
  private:
   std::shared_ptr<MemFile> file_;
@@ -331,27 +435,19 @@ class MemSequentialFile final : public SequentialFile {
       : file_(std::move(file)), pos_(0) {}
 
   Status Read(size_t n, Slice* result, char* scratch) override {
-    std::lock_guard<std::mutex> lock(file_->mu);
-    const std::string& data = file_->contents;
-    if (pos_ >= data.size()) {
-      *result = Slice();
-      return Status::OK();
-    }
-    size_t len = std::min(n, data.size() - pos_);
-    memcpy(scratch, data.data() + pos_, len);
-    *result = Slice(scratch, len);
-    pos_ += len;
+    file_->Read(pos_, n, result, scratch);
+    pos_ += result->size();
     return Status::OK();
   }
 
   Status Skip(uint64_t n) override {
-    pos_ += static_cast<size_t>(n);
+    pos_ += n;
     return Status::OK();
   }
 
  private:
   std::shared_ptr<MemFile> file_;
-  size_t pos_;
+  uint64_t pos_;
 };
 
 class MemEnv final : public Env {
@@ -359,7 +455,7 @@ class MemEnv final : public Env {
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
     std::lock_guard<std::mutex> lock(fs_.mu);
-    auto file = std::make_shared<MemFile>();
+    auto file = std::make_shared<MemFile>(fs_.pool);
     fs_.files[path] = file;
     return std::unique_ptr<WritableFile>(new MemWritableFile(file));
   }
@@ -415,14 +511,14 @@ class MemEnv final : public Env {
     std::lock_guard<std::mutex> lock(fs_.mu);
     auto it = fs_.files.find(path);
     if (it == fs_.files.end()) return Status::IOError(path + ": not found");
-    std::lock_guard<std::mutex> file_lock(it->second->mu);
-    return static_cast<uint64_t>(it->second->contents.size());
+    return it->second->Size();
   }
 
   Status RenameFile(const std::string& from, const std::string& to) override {
     std::lock_guard<std::mutex> lock(fs_.mu);
     auto it = fs_.files.find(from);
     if (it == fs_.files.end()) return Status::IOError(from + ": not found");
+    if (from == to) return Status::OK();  // as POSIX rename: a no-op
     fs_.files[to] = it->second;
     fs_.files.erase(it);
     return Status::OK();
@@ -430,19 +526,16 @@ class MemEnv final : public Env {
 
   Status OverwriteFileRange(const std::string& path, uint64_t offset,
                             const Slice& data) override {
-    std::lock_guard<std::mutex> lock(fs_.mu);
-    auto it = fs_.files.find(path);
-    if (it == fs_.files.end()) return Status::IOError(path + ": not found");
-    std::lock_guard<std::mutex> file_lock(it->second->mu);
-    std::string& contents = it->second->contents;
-    if (offset + data.size() > contents.size()) {
+    std::shared_ptr<MemFile> file;
+    {
+      std::lock_guard<std::mutex> lock(fs_.mu);
+      auto it = fs_.files.find(path);
+      if (it == fs_.files.end()) return Status::IOError(path + ": not found");
+      file = it->second;
+    }
+    if (!file->Overwrite(offset, data)) {
       return Status::InvalidArgument(path + ": overwrite range past EOF");
     }
-    // Patch the shared MemFile in place (no reallocation: the size is
-    // unchanged) so already-open readers see the rotted bytes, exactly as
-    // they would on a real disk.
-    contents.replace(static_cast<size_t>(offset), data.size(), data.data(),
-                     data.size());
     return Status::OK();
   }
 

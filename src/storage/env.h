@@ -1,6 +1,7 @@
 #ifndef IOTDB_STORAGE_ENV_H_
 #define IOTDB_STORAGE_ENV_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,8 +30,12 @@ class WritableFile {
 class RandomAccessFile {
  public:
   virtual ~RandomAccessFile() = default;
-  /// Reads up to n bytes at offset into scratch; *result points either into
-  /// scratch or into an internal buffer that lives as long as the file.
+  /// Reads up to n bytes at offset. *result points either into scratch or
+  /// into memory the file owns, whose bytes stay valid and unchanged while
+  /// this handle lives: MemEnv hands out the bytes in place when the range
+  /// lies in one chunk and copies into scratch only across a chunk boundary.
+  /// A later OverwriteFileRange shows in the next Read, never in a Slice
+  /// already returned.
   virtual Status Read(uint64_t offset, size_t n, Slice* result,
                       char* scratch) const = 0;
   virtual uint64_t Size() const = 0;
@@ -40,6 +45,8 @@ class RandomAccessFile {
 class SequentialFile {
  public:
   virtual ~SequentialFile() = default;
+  /// Reads up to n bytes; as with RandomAccessFile::Read, *result may point
+  /// into the file's own memory instead of scratch while this handle lives.
   virtual Status Read(size_t n, Slice* result, char* scratch) = 0;
   virtual Status Skip(uint64_t n) = 0;
 };
@@ -72,9 +79,11 @@ class Env {
   /// Writes contents to path atomically enough for our purposes.
   Status WriteStringToFile(const std::string& path, const Slice& contents);
 
-  /// Overwrites `data.size()` bytes at `offset` of an existing file *in
-  /// place*: the file keeps its size and identity, and already-open read
-  /// handles observe the new bytes. This is the primitive behind bit-rot
+  /// Overwrites `data.size()` bytes at `offset` of an existing file: the
+  /// file keeps its size and identity, and an already-open read handle sees
+  /// the new bytes on its next Read, as on a real disk. A Slice a handle
+  /// returned earlier keeps the old bytes (MemEnv patches a copy of each
+  /// chunk it touches and swaps it in). This is the primitive behind bit-rot
   /// simulation (FaultInjectionEnv::CorruptFile); a store never calls it.
   /// The range [offset, offset + data.size()) must lie within the file.
   virtual Status OverwriteFileRange(const std::string& path, uint64_t offset,
@@ -87,6 +96,10 @@ class Env {
 /// Creates a fresh, empty in-memory filesystem. Paths are flat strings;
 /// directories are implicit. Thread-safe.
 std::unique_ptr<Env> NewMemEnv();
+
+/// A MemEnv file is a run of chunks of this many bytes that never move once
+/// written; a read inside one chunk returns its bytes in place.
+constexpr size_t kMemEnvChunkSize = 64 * 1024;
 
 }  // namespace storage
 }  // namespace iotdb

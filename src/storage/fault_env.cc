@@ -425,6 +425,7 @@ Status FaultInjectionEnv::RenameFile(const std::string& from,
   IOTDB_RETURN_NOT_OK(CheckAlive(from));
   IOTDB_RETURN_NOT_OK(CheckAlive(to));
   IOTDB_RETURN_NOT_OK(target_->RenameFile(from, to));
+  if (from == to) return Status::OK();  // the file keeps its sync state
   std::lock_guard<std::mutex> lock(mu_);
   auto it = files_.find(from);
   if (it != files_.end()) {

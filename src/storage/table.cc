@@ -1,6 +1,6 @@
 #include "storage/table.h"
 
-#include <vector>
+#include <cstring>
 
 #include "common/coding.h"
 #include "common/crc32c.h"
@@ -29,11 +29,14 @@ Status BlockCorruption(const char* reason, const BlockHandle& handle,
 Result<std::string> ReadBlockContents(const RandomAccessFile* file,
                                       const BlockHandle& handle,
                                       const std::string& name) {
-  size_t n = static_cast<size_t>(handle.size);
-  std::vector<char> scratch(n + kBlockTrailerSize);
+  const size_t n = static_cast<size_t>(handle.size);
+  // The block's own string is the read buffer. The checksum is verified
+  // where the bytes lie, and bytes handed out in place are copied once, into
+  // the block: a cached block outlives its file, whose memory may be reused.
+  std::string block(n + kBlockTrailerSize, '\0');
   Slice contents;
   IOTDB_RETURN_NOT_OK(file->Read(handle.offset, n + kBlockTrailerSize,
-                                 &contents, scratch.data()));
+                                 &contents, block.data()));
   if (contents.size() != n + kBlockTrailerSize) {
     return BlockCorruption("truncated block read", handle, name);
   }
@@ -47,7 +50,9 @@ Result<std::string> ReadBlockContents(const RandomAccessFile* file,
     return BlockCorruption("unsupported block compression type", handle,
                            name);
   }
-  return std::string(data, n);
+  if (data != block.data()) memcpy(block.data(), data, n);
+  block.resize(n);
+  return block;
 }
 
 Table::Table(const Options& options, std::unique_ptr<RandomAccessFile> file,
@@ -93,12 +98,9 @@ Result<std::unique_ptr<Table>> Table::Open(
 
 Result<std::shared_ptr<Block>> Table::ReadBlockCached(
     const ReadOptions& read_options, const BlockHandle& handle) const {
-  std::string cache_key;
+  const CacheKey cache_key{cache_id_, handle.offset};
   const bool will_cache = cache_ != nullptr && read_options.fill_cache;
   if (cache_ != nullptr) {
-    cache_key.reserve(16);
-    PutFixed64(&cache_key, cache_id_);
-    PutFixed64(&cache_key, handle.offset);
     if (auto cached = cache_->Lookup(cache_key)) {
       return std::static_pointer_cast<Block>(cached);
     }

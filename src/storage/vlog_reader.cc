@@ -2,27 +2,11 @@
 
 #include <cinttypes>
 #include <cstdio>
-
-#include "common/coding.h"
+#include <cstring>
 
 namespace iotdb {
 namespace storage {
 namespace vlog {
-
-namespace {
-
-/// Cache key for a decoded value: 'v' + file_no + offset. 17 bytes, so it
-/// can never collide with the 16-byte (cache_id, block offset) table keys.
-std::string DerefCacheKey(const ValuePointer& ptr) {
-  std::string key;
-  key.reserve(17);
-  key.push_back('v');
-  PutFixed64(&key, ptr.file_no);
-  PutFixed64(&key, ptr.offset);
-  return key;
-}
-
-}  // namespace
 
 std::string VlogFileName(const std::string& dir, uint64_t file_no) {
   char buf[32];
@@ -60,9 +44,8 @@ void VlogReader::Evict(uint64_t file_no) {
 
 Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
                        std::string* value, DerefStats* stats) {
-  std::string cache_key;
+  const CacheKey cache_key{ptr.file_no, ptr.offset};
   if (cache_ != nullptr) {
-    cache_key = DerefCacheKey(ptr);
     if (auto cached = cache_->Lookup(cache_key)) {
       if (stats != nullptr) stats->cache_hits++;
       *value = *std::static_pointer_cast<std::string>(cached);
@@ -74,9 +57,11 @@ Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
   std::shared_ptr<RandomAccessFile> file;
   IOTDB_RETURN_NOT_OK(GetFile(ptr.file_no, &file));
 
-  std::string scratch(ptr.size, '\0');
+  // *value is the read buffer. The record is verified where its bytes lie
+  // and the value is copied once, to the front of *value.
+  value->resize(ptr.size);
   Slice raw;
-  IOTDB_RETURN_NOT_OK(file->Read(ptr.offset, ptr.size, &raw, scratch.data()));
+  IOTDB_RETURN_NOT_OK(file->Read(ptr.offset, ptr.size, &raw, value->data()));
   if (raw.size() != ptr.size) {
     return Status::Corruption("vlog record short read");
   }
@@ -89,7 +74,8 @@ Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
     return Status::Corruption("vlog record does not match pointer");
   }
 
-  value->assign(val.data(), val.size());
+  memmove(value->data(), val.data(), val.size());
+  value->resize(val.size());
   if (cache_ != nullptr) {
     cache_->Insert(cache_key, std::make_shared<std::string>(*value),
                    value->size() + 64);

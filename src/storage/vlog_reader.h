@@ -19,9 +19,9 @@ namespace vlog {
 
 /// Dereferences ValuePointers and checksum-walks whole vlog files. Caches
 /// open RandomAccessFile handles per file number and (optionally) decoded
-/// values in a shared LruCache keyed 'v' + file_no + offset, distinct from
-/// the 16-byte table block-cache keys so the two never collide.
-/// Thread-safe.
+/// values in the store's LruCache keyed {file_no, offset}; tables key their
+/// blocks by their own file numbers, drawn from the same counter, so the two
+/// never collide. Thread-safe.
 class VlogReader {
  public:
   /// `cache` may be null (no value caching). `cache_charge_overhead` is
@@ -33,8 +33,9 @@ class VlogReader {
 
   /// Reads the record named by `ptr`, verifies its checksum and that its
   /// embedded key equals `expected_key`, and sets *value to the record's
-  /// value. Returns Corruption on any mismatch; the caller decides whether
-  /// to quarantine. `stats` (optional) receives cache hit/miss accounting.
+  /// value. Returns Corruption on any mismatch, leaving *value unspecified;
+  /// the caller decides whether to quarantine. `stats` (optional) receives
+  /// cache hit/miss accounting.
   struct DerefStats {
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "storage/block.h"
 #include "storage/cache.h"
 #include "storage/corruption_reporter.h"
 #include "storage/dbformat.h"
@@ -230,6 +231,38 @@ TEST_F(TableCorruptionTest, CorruptBlockIsNeverCached) {
               model_[ExtractUserKey(iter2->key()).ToString()]);
   }
   EXPECT_TRUE(iter2->status().IsCorruption()) << iter2->status().ToString();
+}
+
+// A cached block is a copy: it outlives its table and file, and a new file
+// that reuses the dead file's MemEnv chunks does not change it.
+TEST_F(TableCorruptionTest, CachedBlockOutlivesItsFileAndChunkReuse) {
+  BuildTable(1500);
+  LruCache cache(1 << 20);
+  const uint64_t cache_id = next_cache_id_;
+  auto table = OpenTable(&cache).MoveValueUnsafe();
+  auto iter = table->NewIterator(ReadOptions());
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
+  }
+  ASSERT_TRUE(iter->status().ok());
+  auto block = std::static_pointer_cast<Block>(cache.Lookup({cache_id, 0}));
+  ASSERT_NE(block, nullptr);
+
+  iter.reset();
+  table.reset();
+  ASSERT_TRUE(env_->RemoveFile(kPath).ok());
+  ASSERT_TRUE(
+      env_->WriteStringToFile("/other", std::string(pristine_.size(), 'z'))
+          .ok());
+
+  auto block_iter = block->NewIterator(&icmp_);
+  int rows = 0;
+  for (block_iter->SeekToFirst(); block_iter->Valid(); block_iter->Next()) {
+    ASSERT_EQ(block_iter->value().ToString(),
+              model_[ExtractUserKey(block_iter->key()).ToString()]);
+    rows++;
+  }
+  EXPECT_TRUE(block_iter->status().ok());
+  EXPECT_GT(rows, 0);
 }
 
 // Byte-flip fuzz: for every byte of a small SSTable (a seeded stride under

@@ -170,6 +170,21 @@ TEST(FaultInjectionEnvTest, MarkCrashedMakesOperationsFailUntilCleared) {
   EXPECT_TRUE(fenv.NewSequentialFile("/db/x").ok());
 }
 
+TEST(FaultInjectionEnvTest, RenameOntoItselfKeepsSyncState) {
+  auto base = NewMemEnv();
+  FaultInjectionEnv fenv(base.get(), /*seed=*/29);
+  auto file = fenv.NewWritableFile("/db/a.dat").MoveValueUnsafe();
+  ASSERT_TRUE(file->Append("never synced").ok());
+
+  ASSERT_TRUE(fenv.RenameFile("/db/a.dat", "/db/a.dat").ok());
+  ASSERT_TRUE(base->FileExists("/db/a.dat"));
+
+  // The rename kept the file's unsynced state, so a crash still drops it.
+  ASSERT_TRUE(fenv.Crash("/db").ok());
+  EXPECT_FALSE(base->FileExists("/db/a.dat"));
+  EXPECT_EQ(fenv.counters().files_dropped, 1u);
+}
+
 // Abrupt process death: background threads lose file access first, the
 // store object dies, then all unsynced bytes vanish (possibly leaving a
 // torn WAL tail). `store` comes back reopened on the surviving files.

@@ -293,34 +293,38 @@ TEST_F(TableTest, NotATableRejected) {
 
 TEST(LruCacheTest, InsertLookupErase) {
   LruCache cache(1024, /*shard_bits=*/0);
-  cache.Insert("a", std::make_shared<int>(1), 100);
-  auto hit = cache.Lookup("a");
+  const CacheKey a{1, 0};
+  cache.Insert(a, std::make_shared<int>(1), 100);
+  auto hit = cache.Lookup(a);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*std::static_pointer_cast<int>(hit), 1);
-  EXPECT_EQ(cache.Lookup("missing"), nullptr);
-  cache.Erase("a");
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup({1, 4096}), nullptr);  // same file, other offset
+  EXPECT_EQ(cache.Lookup({2, 0}), nullptr);     // same offset, other file
+  cache.Erase(a);
+  EXPECT_EQ(cache.Lookup(a), nullptr);
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
   LruCache cache(300, /*shard_bits=*/0);  // single shard for determinism
-  cache.Insert("a", std::make_shared<int>(1), 100);
-  cache.Insert("b", std::make_shared<int>(2), 100);
-  cache.Insert("c", std::make_shared<int>(3), 100);
-  ASSERT_NE(cache.Lookup("a"), nullptr);  // promote a
-  cache.Insert("d", std::make_shared<int>(4), 100);  // evicts b
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-  EXPECT_NE(cache.Lookup("d"), nullptr);
+  const CacheKey a{1, 0}, b{1, 4096}, c{2, 0}, d{2, 4096};
+  cache.Insert(a, std::make_shared<int>(1), 100);
+  cache.Insert(b, std::make_shared<int>(2), 100);
+  cache.Insert(c, std::make_shared<int>(3), 100);
+  ASSERT_NE(cache.Lookup(a), nullptr);  // promote a
+  cache.Insert(d, std::make_shared<int>(4), 100);  // evicts b
+  EXPECT_EQ(cache.Lookup(b), nullptr);
+  EXPECT_NE(cache.Lookup(a), nullptr);
+  EXPECT_NE(cache.Lookup(c), nullptr);
+  EXPECT_NE(cache.Lookup(d), nullptr);
 }
 
 TEST(LruCacheTest, ChargeAccounting) {
   LruCache cache(1000, 0);
-  cache.Insert("x", std::make_shared<int>(0), 400);
-  cache.Insert("y", std::make_shared<int>(0), 400);
+  const CacheKey x{7, 0}, y{7, 1};
+  cache.Insert(x, std::make_shared<int>(0), 400);
+  cache.Insert(y, std::make_shared<int>(0), 400);
   EXPECT_EQ(cache.TotalCharge(), 800u);
-  cache.Insert("x", std::make_shared<int>(0), 100);  // replace
+  cache.Insert(x, std::make_shared<int>(0), 100);  // replace
   EXPECT_EQ(cache.TotalCharge(), 500u);
 }
 

@@ -277,9 +277,7 @@ int Cluster::effective_replication() const {
 }
 
 int Cluster::write_quorum() const {
-  int eff = effective_replication();
-  if (options_.write_quorum > 0) return std::min(options_.write_quorum, eff);
-  return eff / 2 + 1;  // majority
+  return effective_replication() / 2 + 1;
 }
 
 Slice Cluster::ShardKeyOf(const Slice& row_key) const {

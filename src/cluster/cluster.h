@@ -114,8 +114,12 @@ class Cluster {
   /// Effective number of distinct replicas per write.
   int effective_replication() const;
 
-  /// Acks required for a write to report success: options().write_quorum
-  /// clamped to the effective replication, or a majority when 0.
+  /// Replica acks required before a write is reported durable: a majority
+  /// of the effective replication (eff/2 + 1, i.e. 2-of-3). Replicas that
+  /// are known down at send time are covered by hinted handoff and do not
+  /// count toward the denominator, so single-node degraded clusters still
+  /// accept writes; replicas that are up but unreachable (partitioned) are
+  /// quorum-governed and can make writes fail Unavailable.
   int write_quorum() const;
 
   /// Shard id (primary node) for a row key.

@@ -75,14 +75,6 @@ struct ClusterOptions {
   bool enable_fault_injection = false;
   uint64_t fault_seed = 0;
 
-  /// Replica acks required before a write is reported durable. 0 = majority
-  /// of the effective replica count (eff/2 + 1, i.e. 2-of-3). Replicas that
-  /// are known down at send time are covered by hinted handoff and do not
-  /// count toward the denominator, so single-node degraded clusters still
-  /// accept writes; replicas that are up but unreachable (partitioned) are
-  /// quorum-governed and can make writes fail Unavailable.
-  int write_quorum = 0;
-
   /// Overall deadline for one replicated write (fan-out to quorum decision)
   /// when retry_policy.op_deadline_micros is 0. Measured on the monotonic
   /// clock. Expiry fails the write with Status::Unavailable.

@@ -66,8 +66,7 @@ class BlockIter final : public Iterator {
         data_(data),
         restarts_(restart_offset),
         num_restarts_(num_restarts),
-        current_(restart_offset),
-        restart_index_(num_restarts) {}
+        current_(restart_offset) {}
 
   bool Valid() const override { return current_ < restarts_; }
 
@@ -77,23 +76,6 @@ class BlockIter final : public Iterator {
   Slice value() const override { return value_; }
 
   void Next() override { ParseNextKey(); }
-
-  void Prev() override {
-    // Back up to the restart point before the current entry, then walk
-    // forward.
-    const uint32_t original = current_;
-    while (GetRestartPoint(restart_index_) >= original) {
-      if (restart_index_ == 0) {
-        current_ = restarts_;
-        restart_index_ = num_restarts_;
-        return;
-      }
-      restart_index_--;
-    }
-    SeekToRestartPoint(restart_index_);
-    do {
-    } while (ParseNextKey() && NextEntryOffset() < original);
-  }
 
   void Seek(const Slice& target) override {
     // Binary search over restart points for the last restart with a key <
@@ -131,12 +113,6 @@ class BlockIter final : public Iterator {
     ParseNextKey();
   }
 
-  void SeekToLast() override {
-    SeekToRestartPoint(num_restarts_ > 0 ? num_restarts_ - 1 : 0);
-    while (ParseNextKey() && NextEntryOffset() < restarts_) {
-    }
-  }
-
  private:
   uint32_t NextEntryOffset() const {
     return static_cast<uint32_t>((value_.data() + value_.size()) - data_);
@@ -148,7 +124,6 @@ class BlockIter final : public Iterator {
 
   void SeekToRestartPoint(uint32_t index) {
     key_.clear();
-    restart_index_ = index;
     // value_ is positioned so NextEntryOffset() lands on the restart point.
     uint32_t offset = GetRestartPoint(index);
     value_ = Slice(data_ + offset, 0);
@@ -156,7 +131,6 @@ class BlockIter final : public Iterator {
 
   void CorruptionError() {
     current_ = restarts_;
-    restart_index_ = num_restarts_;
     status_ = Status::Corruption("bad entry in block");
     key_.clear();
     value_.clear();
@@ -168,7 +142,6 @@ class BlockIter final : public Iterator {
     const char* limit = data_ + restarts_;
     if (p >= limit) {
       current_ = restarts_;
-      restart_index_ = num_restarts_;
       return false;
     }
 
@@ -181,10 +154,6 @@ class BlockIter final : public Iterator {
     key_.resize(shared);
     key_.append(p, non_shared);
     value_ = Slice(p + non_shared, value_length);
-    while (restart_index_ + 1 < num_restarts_ &&
-           GetRestartPoint(restart_index_ + 1) < current_) {
-      ++restart_index_;
-    }
     return true;
   }
 
@@ -193,8 +162,7 @@ class BlockIter final : public Iterator {
   uint32_t const restarts_;
   uint32_t const num_restarts_;
 
-  uint32_t current_;        // offset of the current entry
-  uint32_t restart_index_;  // restart block containing current_
+  uint32_t current_;  // offset of the current entry
   std::string key_;
   Slice value_;
   Status status_;

@@ -11,23 +11,14 @@ class DBIter final : public Iterator {
  public:
   DBIter(const InternalKeyComparator* icmp,
          std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence)
-      : icmp_(icmp),
-        user_comparator_(icmp->user_comparator()),
+      : user_comparator_(icmp->user_comparator()),
         iter_(std::move(internal_iter)),
         sequence_(sequence),
-        direction_(kForward),
         valid_(false) {}
 
   bool Valid() const override { return valid_; }
-
-  Slice key() const override {
-    return (direction_ == kForward) ? ExtractUserKey(iter_->key())
-                                    : Slice(saved_key_);
-  }
-
-  Slice value() const override {
-    return (direction_ == kForward) ? iter_->value() : Slice(saved_value_);
-  }
+  Slice key() const override { return ExtractUserKey(iter_->key()); }
+  Slice value() const override { return iter_->value(); }
 
   Status status() const override {
     if (status_.ok()) return iter_->status();
@@ -35,36 +26,23 @@ class DBIter final : public Iterator {
   }
 
   void Next() override;
-  void Prev() override;
   void Seek(const Slice& target) override;
   void SeekToFirst() override;
-  void SeekToLast() override;
 
  private:
-  enum Direction { kForward, kReverse };
-
   void FindNextUserEntry(bool skipping, std::string* skip);
-  void FindPrevUserEntry();
   bool ParseKey(ParsedInternalKey* key);
 
   void SaveKey(const Slice& k, std::string* dst) {
     dst->assign(k.data(), k.size());
   }
 
-  void ClearSavedValue() {
-    saved_value_.clear();
-    saved_value_.shrink_to_fit();
-  }
-
-  const InternalKeyComparator* icmp_;
   const Comparator* user_comparator_;
   std::unique_ptr<Iterator> iter_;
   SequenceNumber const sequence_;
 
   Status status_;
-  std::string saved_key_;    // == current key when direction_ == kReverse
-  std::string saved_value_;  // == current value when direction_ == kReverse
-  Direction direction_;
+  std::string saved_key_;  // user key to skip past, or a seek target
   bool valid_;
 };
 
@@ -78,39 +56,19 @@ bool DBIter::ParseKey(ParsedInternalKey* ikey) {
 
 void DBIter::Next() {
   assert(valid_);
-
-  if (direction_ == kReverse) {
-    direction_ = kForward;
-    // iter_ is positioned just before the entries for saved_key_ (or is
-    // invalid). Advance to the first entry >= saved_key_.
-    if (!iter_->Valid()) {
-      iter_->SeekToFirst();
-    } else {
-      iter_->Next();
-    }
-    if (!iter_->Valid()) {
-      valid_ = false;
-      saved_key_.clear();
-      return;
-    }
-    // saved_key_ already holds the key we were on; fall through to skip it.
-  } else {
-    SaveKey(ExtractUserKey(iter_->key()), &saved_key_);
-    iter_->Next();
-    if (!iter_->Valid()) {
-      valid_ = false;
-      saved_key_.clear();
-      return;
-    }
+  SaveKey(ExtractUserKey(iter_->key()), &saved_key_);
+  iter_->Next();
+  if (!iter_->Valid()) {
+    valid_ = false;
+    saved_key_.clear();
+    return;
   }
-
   FindNextUserEntry(true, &saved_key_);
 }
 
 void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
   // iter_ is positioned at the current internal entry.
   assert(iter_->Valid());
-  assert(direction_ == kForward);
   do {
     ParsedInternalKey ikey;
     if (ParseKey(&ikey) && ikey.sequence <= sequence_) {
@@ -138,75 +96,7 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
   valid_ = false;
 }
 
-void DBIter::Prev() {
-  assert(valid_);
-
-  if (direction_ == kForward) {
-    // iter_ points at the current visible entry. Scan backwards until the
-    // user key changes, leaving iter_ just before the current key's block.
-    assert(iter_->Valid());
-    SaveKey(ExtractUserKey(iter_->key()), &saved_key_);
-    for (;;) {
-      iter_->Prev();
-      if (!iter_->Valid()) {
-        valid_ = false;
-        saved_key_.clear();
-        ClearSavedValue();
-        return;
-      }
-      if (user_comparator_->Compare(ExtractUserKey(iter_->key()),
-                                    Slice(saved_key_)) < 0) {
-        break;
-      }
-    }
-    direction_ = kReverse;
-  }
-
-  FindPrevUserEntry();
-}
-
-void DBIter::FindPrevUserEntry() {
-  assert(direction_ == kReverse);
-
-  ValueType value_type = ValueType::kDeletion;
-  if (iter_->Valid()) {
-    do {
-      ParsedInternalKey ikey;
-      if (ParseKey(&ikey) && ikey.sequence <= sequence_) {
-        if ((value_type != ValueType::kDeletion) &&
-            user_comparator_->Compare(ikey.user_key, Slice(saved_key_)) < 0) {
-          // We encountered a previous user key; the saved entry is the
-          // newest visible version of the key we want.
-          break;
-        }
-        value_type = ikey.type;
-        if (value_type == ValueType::kDeletion) {
-          saved_key_.clear();
-          ClearSavedValue();
-        } else {
-          Slice raw_value = iter_->value();
-          SaveKey(ExtractUserKey(iter_->key()), &saved_key_);
-          saved_value_.assign(raw_value.data(), raw_value.size());
-        }
-      }
-      iter_->Prev();
-    } while (iter_->Valid());
-  }
-
-  if (value_type == ValueType::kDeletion) {
-    // End of iteration.
-    valid_ = false;
-    saved_key_.clear();
-    ClearSavedValue();
-    direction_ = kForward;
-  } else {
-    valid_ = true;
-  }
-}
-
 void DBIter::Seek(const Slice& target) {
-  direction_ = kForward;
-  ClearSavedValue();
   saved_key_.clear();
   AppendInternalKey(&saved_key_, target, sequence_, kValueTypeForSeek);
   iter_->Seek(Slice(saved_key_));
@@ -218,22 +108,12 @@ void DBIter::Seek(const Slice& target) {
 }
 
 void DBIter::SeekToFirst() {
-  direction_ = kForward;
-  ClearSavedValue();
   iter_->SeekToFirst();
   if (iter_->Valid()) {
     FindNextUserEntry(false, &saved_key_ /* temporary storage */);
   } else {
     valid_ = false;
   }
-}
-
-void DBIter::SeekToLast() {
-  direction_ = kReverse;
-  ClearSavedValue();
-  saved_key_.clear();
-  iter_->SeekToLast();
-  FindPrevUserEntry();
 }
 
 }  // namespace

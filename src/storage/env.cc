@@ -32,20 +32,6 @@ Status Env::WriteStringToFile(const std::string& path, const Slice& contents) {
   return file->Close();
 }
 
-Status Env::OverwriteFileRange(const std::string& path, uint64_t offset,
-                               const Slice& data) {
-  // Generic fallback: read-patch-rewrite. Both built-in envs override this
-  // so that open handles see the new bytes on their next read.
-  std::string contents;
-  IOTDB_RETURN_NOT_OK(ReadFileToString(path, &contents));
-  if (offset + data.size() > contents.size()) {
-    return Status::InvalidArgument(path + ": overwrite range past EOF");
-  }
-  contents.replace(static_cast<size_t>(offset), data.size(), data.data(),
-                   data.size());
-  return WriteStringToFile(path, Slice(contents));
-}
-
 namespace {
 
 // ---------------------------------------------------------------------------

@@ -87,7 +87,7 @@ class Env {
   /// simulation (FaultInjectionEnv::CorruptFile); a store never calls it.
   /// The range [offset, offset + data.size()) must lie within the file.
   virtual Status OverwriteFileRange(const std::string& path, uint64_t offset,
-                                    const Slice& data);
+                                    const Slice& data) = 0;
 
   /// Process-wide POSIX filesystem Env.
   static Env* Posix();

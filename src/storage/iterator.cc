@@ -11,10 +11,8 @@ class EmptyIterator final : public Iterator {
 
   bool Valid() const override { return false; }
   void SeekToFirst() override {}
-  void SeekToLast() override {}
   void Seek(const Slice&) override {}
   void Next() override {}
-  void Prev() override {}
   Slice key() const override { return Slice(); }
   Slice value() const override { return Slice(); }
   Status status() const override { return status_; }

@@ -9,10 +9,10 @@
 namespace iotdb {
 namespace storage {
 
-/// Ordered cursor over key/value pairs (LevelDB-style contract): position
-/// with one of the Seek* methods, then consume with Valid()/key()/value()/
-/// Next(). key() and value() slices remain valid only until the next
-/// mutation of the iterator.
+/// Forward-only ordered cursor over key/value pairs (LevelDB-style
+/// contract): position with SeekToFirst() or Seek(), then consume with
+/// Valid()/key()/value()/Next(). key() and value() slices remain valid only
+/// until the next mutation of the iterator.
 class Iterator {
  public:
   Iterator() = default;
@@ -23,11 +23,9 @@ class Iterator {
 
   virtual bool Valid() const = 0;
   virtual void SeekToFirst() = 0;
-  virtual void SeekToLast() = 0;
   /// Positions at the first entry with key >= target.
   virtual void Seek(const Slice& target) = 0;
   virtual void Next() = 0;
-  virtual void Prev() = 0;
   virtual Slice key() const = 0;
   virtual Slice value() const = 0;
   /// Non-OK when the iterator encountered corruption or an IO error.

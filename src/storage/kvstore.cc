@@ -98,10 +98,8 @@ class PinningIterator final : public Iterator {
 
   bool Valid() const override { return inner_->Valid(); }
   void SeekToFirst() override { inner_->SeekToFirst(); }
-  void SeekToLast() override { inner_->SeekToLast(); }
   void Seek(const Slice& target) override { inner_->Seek(target); }
   void Next() override { inner_->Next(); }
-  void Prev() override { inner_->Prev(); }
   Slice key() const override { return inner_->key(); }
   Slice value() const override { return inner_->value(); }
   Status status() const override { return inner_->status(); }
@@ -413,15 +411,16 @@ Status KVStore::OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta) {
   fm->number = number;
   fm->file_size = size;
   fm->table = std::shared_ptr<Table>(std::move(table));
-  // Recompute bounds (also validates the table end-to-end).
+  // Recompute both bounds from the file. Reading the first and last data
+  // blocks checksums them, so a table whose edge blocks rotted fails to open.
   auto iter = fm->table->NewIterator(ReadOptions());
   iter->SeekToFirst();
+  IOTDB_RETURN_NOT_OK(iter->status());
   if (iter->Valid()) {
     fm->smallest = iter->key().ToString();
-    iter->SeekToLast();
-    fm->largest = iter->key().ToString();
+    IOTDB_ASSIGN_OR_RETURN(fm->largest,
+                           fm->table->ReadLastKey(ReadOptions()));
   }
-  IOTDB_RETURN_NOT_OK(iter->status());
   *meta = std::move(fm);
   return Status::OK();
 }
@@ -1617,20 +1616,12 @@ class VlogDerefIterator final : public Iterator {
     inner_->SeekToFirst();
     materialized_valid_ = false;
   }
-  void SeekToLast() override {
-    inner_->SeekToLast();
-    materialized_valid_ = false;
-  }
   void Seek(const Slice& target) override {
     inner_->Seek(target);
     materialized_valid_ = false;
   }
   void Next() override {
     inner_->Next();
-    materialized_valid_ = false;
-  }
-  void Prev() override {
-    inner_->Prev();
     materialized_valid_ = false;
   }
   Slice key() const override { return inner_->key(); }

@@ -102,9 +102,7 @@ class MemTableIterator final : public Iterator {
     iter_.Seek(tmp_.data());
   }
   void SeekToFirst() override { iter_.SeekToFirst(); }
-  void SeekToLast() override { iter_.SeekToLast(); }
   void Next() override { iter_.Next(); }
-  void Prev() override { iter_.Prev(); }
   Slice key() const override { return GetLengthPrefixed(iter_.key()); }
   Slice value() const override {
     Slice k = GetLengthPrefixed(iter_.key());

@@ -13,63 +13,23 @@ class MergingIterator final : public Iterator {
                   std::vector<std::unique_ptr<Iterator>> children)
       : comparator_(comparator),
         children_(std::move(children)),
-        current_(nullptr),
-        direction_(kForward) {}
+        current_(nullptr) {}
 
   bool Valid() const override { return current_ != nullptr; }
 
   void SeekToFirst() override {
     for (auto& child : children_) child->SeekToFirst();
     FindSmallest();
-    direction_ = kForward;
-  }
-
-  void SeekToLast() override {
-    for (auto& child : children_) child->SeekToLast();
-    FindLargest();
-    direction_ = kReverse;
   }
 
   void Seek(const Slice& target) override {
     for (auto& child : children_) child->Seek(target);
     FindSmallest();
-    direction_ = kForward;
   }
 
   void Next() override {
-    // If we were moving backwards, reposition the non-current children.
-    if (direction_ != kForward) {
-      for (auto& child : children_) {
-        if (child.get() != current_) {
-          child->Seek(key());
-          if (child->Valid() &&
-              comparator_->Compare(key(), child->key()) == 0) {
-            child->Next();
-          }
-        }
-      }
-      direction_ = kForward;
-    }
     current_->Next();
     FindSmallest();
-  }
-
-  void Prev() override {
-    if (direction_ != kReverse) {
-      for (auto& child : children_) {
-        if (child.get() != current_) {
-          child->Seek(key());
-          if (child->Valid()) {
-            child->Prev();
-          } else {
-            child->SeekToLast();
-          }
-        }
-      }
-      direction_ = kReverse;
-    }
-    current_->Prev();
-    FindLargest();
   }
 
   Slice key() const override { return current_->key(); }
@@ -84,8 +44,6 @@ class MergingIterator final : public Iterator {
   }
 
  private:
-  enum Direction { kForward, kReverse };
-
   void FindSmallest() {
     Iterator* smallest = nullptr;
     for (auto& child : children_) {
@@ -98,23 +56,9 @@ class MergingIterator final : public Iterator {
     current_ = smallest;
   }
 
-  void FindLargest() {
-    Iterator* largest = nullptr;
-    for (auto it = children_.rbegin(); it != children_.rend(); ++it) {
-      Iterator* child = it->get();
-      if (child->Valid() &&
-          (largest == nullptr ||
-           comparator_->Compare(child->key(), largest->key()) > 0)) {
-        largest = child;
-      }
-    }
-    current_ = largest;
-  }
-
   const Comparator* comparator_;
   std::vector<std::unique_ptr<Iterator>> children_;
   Iterator* current_;
-  Direction direction_;
 };
 
 }  // namespace

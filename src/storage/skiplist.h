@@ -31,7 +31,7 @@ class SkipList {
 
   bool Contains(const Key& key) const;
 
-  /// Cursor over the list contents.
+  /// Forward cursor over the list contents.
   class Iterator {
    public:
     explicit Iterator(const SkipList* list) : list_(list), node_(nullptr) {}
@@ -45,19 +45,10 @@ class SkipList {
       assert(Valid());
       node_ = node_->Next(0);
     }
-    void Prev() {
-      assert(Valid());
-      node_ = list_->FindLessThan(node_->key);
-      if (node_ == list_->head_) node_ = nullptr;
-    }
     void Seek(const Key& target) {
       node_ = list_->FindGreaterOrEqual(target, nullptr);
     }
     void SeekToFirst() { node_ = list_->head_->Next(0); }
-    void SeekToLast() {
-      node_ = list_->FindLast();
-      if (node_ == list_->head_) node_ = nullptr;
-    }
 
    private:
     const SkipList* list_;
@@ -101,8 +92,6 @@ class SkipList {
   }
 
   Node* FindGreaterOrEqual(const Key& key, Node** prev) const;
-  Node* FindLessThan(const Key& key) const;
-  Node* FindLast() const;
 
   int GetMaxHeight() const {
     return max_height_.load(std::memory_order_relaxed);
@@ -149,42 +138,6 @@ SkipList<Key, Comparator>::FindGreaterOrEqual(const Key& key,
         return next;
       }
       level--;
-    }
-  }
-}
-
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLessThan(const Key& key) const {
-  Node* x = head_;
-  int level = GetMaxHeight() - 1;
-  for (;;) {
-    Node* next = x->Next(level);
-    if (next == nullptr || compare_(next->key, key) >= 0) {
-      if (level == 0) {
-        return x;
-      }
-      level--;
-    } else {
-      x = next;
-    }
-  }
-}
-
-template <typename Key, class Comparator>
-typename SkipList<Key, Comparator>::Node*
-SkipList<Key, Comparator>::FindLast() const {
-  Node* x = head_;
-  int level = GetMaxHeight() - 1;
-  for (;;) {
-    Node* next = x->Next(level);
-    if (next == nullptr) {
-      if (level == 0) {
-        return x;
-      }
-      level--;
-    } else {
-      x = next;
     }
   }
 }

@@ -207,21 +207,9 @@ class TwoLevelIterator final : public Iterator {
     SkipEmptyDataBlocksForward();
   }
 
-  void SeekToLast() override {
-    index_iter_->SeekToLast();
-    InitDataBlock();
-    if (data_iter_ != nullptr) data_iter_->SeekToLast();
-    SkipEmptyDataBlocksBackward();
-  }
-
   void Next() override {
     data_iter_->Next();
     SkipEmptyDataBlocksForward();
-  }
-
-  void Prev() override {
-    data_iter_->Prev();
-    SkipEmptyDataBlocksBackward();
   }
 
   Slice key() const override { return data_iter_->key(); }
@@ -278,18 +266,6 @@ class TwoLevelIterator final : public Iterator {
     }
   }
 
-  void SkipEmptyDataBlocksBackward() {
-    while (data_iter_ == nullptr || !data_iter_->Valid()) {
-      if (!index_iter_->Valid()) {
-        SetDataBlock(nullptr);
-        return;
-      }
-      index_iter_->Prev();
-      InitDataBlock();
-      if (data_iter_ != nullptr) data_iter_->SeekToLast();
-    }
-  }
-
   const Table* table_;
   ReadOptions read_options_;
   std::unique_ptr<Iterator> index_iter_;
@@ -303,6 +279,34 @@ class TwoLevelIterator final : public Iterator {
 std::unique_ptr<Iterator> Table::NewIterator(
     const ReadOptions& read_options) const {
   return std::make_unique<TwoLevelIterator>(this, read_options);
+}
+
+Result<std::string> Table::ReadLastKey(const ReadOptions& read_options) const {
+  // One index entry per data block, in key order: the last one locates the
+  // block that holds the largest key.
+  std::string last_handle;
+  auto index_iter = index_block_->NewIterator(options_.comparator);
+  for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
+    last_handle.assign(index_iter->value().data(), index_iter->value().size());
+  }
+  IOTDB_RETURN_NOT_OK(index_iter->status());
+  std::string last_key;
+  if (last_handle.empty()) return last_key;
+
+  BlockHandle handle;
+  Slice input(last_handle);
+  IOTDB_RETURN_NOT_OK(handle.DecodeFrom(&input));
+  IOTDB_ASSIGN_OR_RETURN(auto block, ReadBlockCached(read_options, handle));
+  auto block_iter = block->NewIterator(options_.comparator);
+  for (block_iter->SeekToFirst(); block_iter->Valid(); block_iter->Next()) {
+    last_key.assign(block_iter->key().data(), block_iter->key().size());
+  }
+  IOTDB_RETURN_NOT_OK(block_iter->status());
+  // The builder never writes an empty data block.
+  if (last_key.empty()) {
+    return BlockCorruption("empty data block", handle, name_);
+  }
+  return last_key;
 }
 
 Status Table::InternalGet(const ReadOptions& read_options, const Slice& k,

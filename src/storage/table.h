@@ -39,6 +39,12 @@ class Table {
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& read_options)
       const;
 
+  /// The table's largest internal key: the last entry of the data block
+  /// that the index's last entry points at. That block is read and
+  /// checksummed through ReadBlockCached. Empty when the table holds no
+  /// entries.
+  Result<std::string> ReadLastKey(const ReadOptions& read_options) const;
+
   /// Point lookup plumbing: seeks the table for internal key `k` and, if an
   /// entry >= k exists in the containing block, invokes handle_result once.
   /// Consults the bloom filter first.

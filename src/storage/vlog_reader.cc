@@ -78,7 +78,7 @@ Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
   value->resize(val.size());
   if (cache_ != nullptr) {
     cache_->Insert(cache_key, std::make_shared<std::string>(*value),
-                   value->size() + 64);
+                   value->size() + kCacheChargeOverhead);
   }
   return Status::OK();
 }

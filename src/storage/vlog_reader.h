@@ -24,8 +24,12 @@ namespace vlog {
 /// never collide. Thread-safe.
 class VlogReader {
  public:
-  /// `cache` may be null (no value caching). `cache_charge_overhead` is
-  /// added to each cached value's charge to account for bookkeeping.
+  /// Bytes of bookkeeping charged to the cache per cached value, on top of
+  /// the value's own size.
+  static constexpr size_t kCacheChargeOverhead = 64;
+
+  /// `cache` may be null (no value caching). Each cached value is charged
+  /// its size plus kCacheChargeOverhead.
   VlogReader(Env* env, std::string dir, LruCache* cache);
 
   VlogReader(const VlogReader&) = delete;

@@ -483,6 +483,46 @@ TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
   EXPECT_EQ(store->Get(ReadOptions(), "k").ValueOrDie(), "v");
 }
 
+TEST_F(ScrubTest, ReopenQuarantinesTableWithCorruptFirstOrLastDataBlock) {
+  // Open recomputes a table's bounds by reading its first and last data
+  // blocks, which checksums both: rot in either while the store was closed
+  // quarantines the table at reopen.
+  for (const bool last_block : {false, true}) {
+    SCOPED_TRACE(last_block ? "last data block" : "first data block");
+    const std::string dir = last_block ? "/db-last" : "/db-first";
+    {
+      auto store = KVStore::Open(options_, dir).MoveValueUnsafe();
+      ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
+    }
+    auto files = fenv_->ListDir(dir).MoveValueUnsafe();
+    std::string sst;
+    for (const auto& f : files) {
+      if (ClassifyFile(f) == FileClass::kSSTable) sst = dir + "/" + f;
+    }
+    ASSERT_FALSE(sst.empty());
+
+    // Data blocks run from offset 0 to the filter block.
+    std::string contents;
+    ASSERT_TRUE(fenv_->ReadFileToString(sst, &contents).ok());
+    Slice footer_input(
+        contents.data() + contents.size() - Footer::kEncodedLength,
+        Footer::kEncodedLength);
+    Footer footer;
+    ASSERT_TRUE(footer.DecodeFrom(&footer_input).ok());
+    ASSERT_GT(footer.filter_handle.size, 0u);
+    // Several blocks, so the two cases damage different ones.
+    ASSERT_GT(footer.filter_handle.offset, 2 * options_.block_size);
+    ComplementByte(fenv_.get(), sst,
+                   last_block ? footer.filter_handle.offset - 1 : 0);
+
+    auto store = KVStore::Open(options_, dir);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(store.ValueOrDie()->GetStats().quarantined_files, 1u);
+    EXPECT_TRUE(fenv_->FileExists(sst + ".quarantined"));
+    EXPECT_FALSE(fenv_->FileExists(sst));
+  }
+}
+
 TEST_F(ScrubTest, BackgroundScrubPacesBetweenCompactions) {
   options_.background_scrub = true;
   auto store = OpenStore();

@@ -28,10 +28,6 @@ class VectorIterator final : public Iterator {
 
   bool Valid() const override { return index_ < entries_.size(); }
   void SeekToFirst() override { index_ = 0; }
-  void SeekToLast() override {
-    index_ = entries_.empty() ? 0 : entries_.size() - 1;
-    if (entries_.empty()) index_ = entries_.size();
-  }
   void Seek(const Slice& target) override {
     index_ = 0;
     while (index_ < entries_.size() &&
@@ -40,13 +36,6 @@ class VectorIterator final : public Iterator {
     }
   }
   void Next() override { ++index_; }
-  void Prev() override {
-    if (index_ == 0) {
-      index_ = entries_.size();
-    } else {
-      --index_;
-    }
-  }
   Slice key() const override { return entries_[index_].first; }
   Slice value() const override { return entries_[index_].second; }
   Status status() const override { return Status::OK(); }
@@ -74,15 +63,9 @@ TEST(MergingIteratorTest, MergesSortedStreams) {
     keys += merged->key().ToString();
   }
   EXPECT_EQ(keys, "abcde");
-
-  keys.clear();
-  for (merged->SeekToLast(); merged->Valid(); merged->Prev()) {
-    keys += merged->key().ToString();
-  }
-  EXPECT_EQ(keys, "edcba");
 }
 
-TEST(MergingIteratorTest, SeekAndDirectionSwitch) {
+TEST(MergingIteratorTest, SeekThenNext) {
   std::vector<std::unique_ptr<Iterator>> children;
   children.push_back(std::make_unique<VectorIterator>(
       std::vector<std::pair<std::string, std::string>>{{"a", "1"},
@@ -96,13 +79,13 @@ TEST(MergingIteratorTest, SeekAndDirectionSwitch) {
   ASSERT_TRUE(merged->Valid());
   EXPECT_EQ(merged->key().ToString(), "b");
   merged->Next();
+  ASSERT_TRUE(merged->Valid());
   EXPECT_EQ(merged->key().ToString(), "c");
-  merged->Prev();  // direction switch
-  EXPECT_EQ(merged->key().ToString(), "b");
-  merged->Prev();
-  EXPECT_EQ(merged->key().ToString(), "a");
-  merged->Next();  // switch again
-  EXPECT_EQ(merged->key().ToString(), "b");
+  merged->Next();
+  ASSERT_TRUE(merged->Valid());
+  EXPECT_EQ(merged->key().ToString(), "d");
+  merged->Next();
+  EXPECT_FALSE(merged->Valid());
 }
 
 TEST(MergingIteratorTest, EmptyChildrenAreEmpty) {
@@ -165,25 +148,6 @@ TEST_F(DBIterTest, TombstoneHidesOlderVersions) {
   old_iter->SeekToFirst();
   ASSERT_TRUE(old_iter->Valid());
   EXPECT_EQ(old_iter->key().ToString(), "a");
-}
-
-TEST_F(DBIterTest, ReverseIterationSkipsTombstonesAndVersions) {
-  mem_->Add(1, ValueType::kValue, "a", "va1");
-  mem_->Add(2, ValueType::kValue, "b", "vb");
-  mem_->Add(3, ValueType::kValue, "c", "vc");
-  mem_->Add(4, ValueType::kDeletion, "b", "");
-  mem_->Add(5, ValueType::kValue, "a", "va5");
-
-  auto iter = MakeDBIter(10);
-  iter->SeekToLast();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "c");
-  iter->Prev();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "a");
-  EXPECT_EQ(iter->value().ToString(), "va5");
-  iter->Prev();
-  EXPECT_FALSE(iter->Valid());
 }
 
 TEST_F(DBIterTest, SeekSkipsDeletedRange) {

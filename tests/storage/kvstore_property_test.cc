@@ -79,16 +79,6 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
     ASSERT_EQ(expected, model.end()) << "iterator ended early";
     ASSERT_TRUE(iter->status().ok());
 
-    // Backward scan.
-    auto riter = store_->NewIterator(ReadOptions());
-    auto rexpected = model.rbegin();
-    for (riter->SeekToLast(); riter->Valid(); riter->Prev(), ++rexpected) {
-      ASSERT_NE(rexpected, model.rend());
-      ASSERT_EQ(riter->key().ToString(), rexpected->first);
-      ASSERT_EQ(riter->value().ToString(), rexpected->second);
-    }
-    ASSERT_EQ(rexpected, model.rend());
-
     // Bounded scans: the model's [lower_bound(start), lower_bound(end))
     // slice, capped at `limit` rows (0 = no cap). Equal and inverted bounds
     // select nothing.

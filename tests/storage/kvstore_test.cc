@@ -112,25 +112,6 @@ TEST_F(KVStoreTest, ScanWithLimit) {
   EXPECT_EQ(rows.size(), 7u);
 }
 
-TEST_F(KVStoreTest, IteratorForwardBackward) {
-  for (int i = 0; i < 10; ++i) {
-    char key[8];
-    snprintf(key, sizeof(key), "k%d", i);
-    ASSERT_TRUE(store_->Put(WriteOptions(), key, std::string(1, 'a' + i))
-                    .ok());
-  }
-  auto iter = store_->NewIterator(ReadOptions());
-  iter->SeekToLast();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "k9");
-  iter->Prev();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "k8");
-  iter->Next();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key().ToString(), "k9");
-}
-
 TEST_F(KVStoreTest, RecoveryFromWal) {
   ASSERT_TRUE(store_->Put(WriteOptions(), "persist", "me").ok());
   Reopen();

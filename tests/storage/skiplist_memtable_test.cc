@@ -31,7 +31,7 @@ TEST(SkipListTest, EmptyList) {
   EXPECT_FALSE(iter.Valid());
   iter.SeekToFirst();
   EXPECT_FALSE(iter.Valid());
-  iter.SeekToLast();
+  iter.Seek(10);
   EXPECT_FALSE(iter.Valid());
 }
 
@@ -59,15 +59,6 @@ TEST(SkipListTest, InsertLookupAndOrderedIteration) {
     ASSERT_TRUE(iter.Valid());
     EXPECT_EQ(iter.key(), expected);
     iter.Next();
-  }
-  EXPECT_FALSE(iter.Valid());
-
-  // Backward iteration.
-  iter.SeekToLast();
-  for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
-    ASSERT_TRUE(iter.Valid());
-    EXPECT_EQ(iter.key(), *it);
-    iter.Prev();
   }
   EXPECT_FALSE(iter.Valid());
 }

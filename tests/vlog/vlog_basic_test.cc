@@ -220,15 +220,6 @@ TEST_F(VlogStoreTest, IteratorAndScanDereferencePointers) {
   }
   EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
   EXPECT_EQ(count, 50);
-
-  // Backward too.
-  iter->SeekToLast();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->key(), Slice(Key(49)));
-  EXPECT_EQ(iter->value(), Slice("s49"));
-  iter->Prev();
-  ASSERT_TRUE(iter->Valid());
-  EXPECT_EQ(iter->value(), Slice(BigValue(48)));
   iter.reset();
 
   std::vector<std::pair<std::string, std::string>> rows;

@@ -78,7 +78,7 @@ void BM_KVStoreBatchPut(benchmark::State& state) {
 BENCHMARK(BM_KVStoreBatchPut)->Arg(10)->Arg(100)->Arg(1000);
 
 // sep=1 measures the pointer-dereference read path (vlog positional read +
-// checksum + deref cache) against the inline baseline.
+// checksum, on every Get) against the inline baseline.
 void BM_KVStoreGet(benchmark::State& state) {
   StoreFixture fixture(state.range(0) != 0);
   std::string value(1000, 'v');

@@ -1100,12 +1100,10 @@ std::string Cluster::Describe() {
     for (int level = 0; level < storage::kNumLevels; ++level) {
       total_files += engine.num_files[level];
     }
-    uint64_t cache_lookups = engine.block_cache_hits +
-                             engine.block_cache_misses;
     snprintf(line, sizeof(line),
              "  node %d [%s]: %llu primary kvps (%.1f%%), %llu scans, "
              "L0=%d files=%d flushes=%llu compactions=%llu "
-             "stall=%.1fms cache-hit=%.0f%% skipped=%llu\n",
+             "stall=%.1fms skipped=%llu\n",
              node->id(), state,
              static_cast<unsigned long long>(stats.primary_writes), share,
              static_cast<unsigned long long>(stats.scans),
@@ -1113,9 +1111,6 @@ std::string Cluster::Describe() {
              static_cast<unsigned long long>(engine.memtable_flushes),
              static_cast<unsigned long long>(engine.compactions),
              engine.write_stall_micros / 1000.0,
-             cache_lookups == 0
-                 ? 0.0
-                 : 100.0 * engine.block_cache_hits / cache_lookups,
              static_cast<unsigned long long>(stats.skipped_replica_writes));
     out += line;
   }

@@ -170,9 +170,9 @@ class Cluster {
   NodeStats GetAggregateStats() const;
 
   /// Multi-line human-readable cluster state: per-node liveness, primary
-  /// write share, storage-engine shape (files per level, stalls, cache
-  /// hit rate) and fault-recovery counters. The operator-facing "describe
-  /// cluster" output.
+  /// write share, storage-engine shape (files per level, flushes,
+  /// compactions, stalls) and fault-recovery counters. The operator-facing
+  /// "describe cluster" output.
   std::string Describe();
 
   /// Coefficient of variation of primary-write load across live nodes:

@@ -76,10 +76,6 @@ std::string Timeline::ToJson() const {
     first = false;
 
     uint64_t ingest = interval.CounterDelta("driver.ingest.kvps");
-    uint64_t cache_hits = interval.CounterDelta("storage.block_cache.hits");
-    uint64_t cache_misses =
-        interval.CounterDelta("storage.block_cache.misses");
-    uint64_t cache_lookups = cache_hits + cache_misses;
     double query_p50 = 0.0;
     double query_p99 = 0.0;
     uint64_t query_count = 0;
@@ -118,12 +114,6 @@ std::string Timeline::ToJson() const {
     out += ",\"vlog_gc_reclaimed_bytes\":";
     out += std::to_string(
         interval.CounterDelta("storage.vlog.gc_reclaimed_bytes"));
-    out += ",\"cache_hit_rate\":";
-    AppendDouble(cache_lookups == 0
-                     ? 0.0
-                     : static_cast<double>(cache_hits) /
-                           static_cast<double>(cache_lookups),
-                 &out);
     out += ",\"hint_queue_depth\":";
     out += std::to_string(interval.GaugeValue("cluster.hints.queue_depth"));
     out += ",\"stall_micros\":";

@@ -63,8 +63,9 @@ struct Timeline {
   ///     {"start_micros":..,"end_micros":..,
   ///      "ingest_kvps":..,"ingest_rate":..,
   ///      "query_count":..,"query_p50_micros":..,"query_p99_micros":..,
-  ///      "flush_bytes":..,"compaction_bytes":..,"cache_hit_rate":..,
-  ///      "hint_queue_depth":..,"stall_micros":..,
+  ///      "flush_bytes":..,"compaction_bytes":..,"vlog_bytes":..,
+  ///      "vlog_gc_reclaimed_bytes":..,"hint_queue_depth":..,
+  ///      "stall_micros":..,
   ///      "node_kvps":{"<id>":..}},...]}
   /// `node_kvps` collects every `cluster.node<id>.primary_kvps` counter.
   std::string ToJson() const;
@@ -85,9 +86,9 @@ struct SamplerOptions {
 /// Background registry sampler: snapshots MetricsRegistry::Global() every
 /// `cadence_micros` and keeps the consecutive `DeltaSince` deltas in a
 /// bounded ring. The product is a Timeline — the per-interval time series
-/// (ingest rate, query percentiles, compaction/flush activity, cache hit
-/// rate, hint-queue depth, per-node ops) that timeline.json and the FDR
-/// "Run timeline" section are built from.
+/// (ingest rate, query percentiles, compaction/flush activity, hint-queue
+/// depth, per-node ops) that timeline.json and the FDR "Run timeline"
+/// section are built from.
 ///
 /// SampleNow() allows clock-driven tests to step the sampler
 /// deterministically without the thread.

@@ -23,8 +23,6 @@ class Block {
   Block(const Block&) = delete;
   Block& operator=(const Block&) = delete;
 
-  size_t size() const { return contents_.size(); }
-
   /// New iterator over the block entries. The Block must outlive it.
   std::unique_ptr<Iterator> NewIterator(const Comparator* comparator) const;
 

@@ -139,9 +139,6 @@ KVStore::KVStore(const Options& options, const std::string& name)
     options_.comparator = BytewiseComparator();
   }
   if (options_.clock == nullptr) options_.clock = Clock::Real();
-  if (options_.block_cache_capacity > 0) {
-    block_cache_ = std::make_unique<LruCache>(options_.block_cache_capacity);
-  }
   // One thread: background_scheduled_ admits one BackgroundCall at a time.
   background_pool_ = std::make_unique<ThreadPool>(1);
 
@@ -179,10 +176,6 @@ KVStore::KVStore(const Options& options, const std::string& name)
   obs_.vlog_appended_bytes =
       registry.GetCounter("storage.vlog.appended_bytes");
   obs_.vlog_dereferences = registry.GetCounter("storage.vlog.dereferences");
-  obs_.vlog_deref_cache_hits =
-      registry.GetCounter("storage.vlog.deref_cache_hits");
-  obs_.vlog_deref_cache_misses =
-      registry.GetCounter("storage.vlog.deref_cache_misses");
   obs_.vlog_gc_passes = registry.GetCounter("storage.vlog.gc_passes");
   obs_.vlog_gc_scanned_bytes =
       registry.GetCounter("storage.vlog.gc_scanned_bytes");
@@ -247,8 +240,7 @@ Status KVStore::Recover() {
   IOTDB_RETURN_NOT_OK(LoadManifest(&manifest_found));
 
   if (options_.value_separation) {
-    vlog_reader_ = std::make_unique<vlog::VlogReader>(env_, dbname_,
-                                                      block_cache_.get());
+    vlog_reader_ = std::make_unique<vlog::VlogReader>(env_, dbname_);
     // Seal any vlog file a crash left active (its valid record prefix
     // becomes a sealed file) before WAL replay dereferences pointers.
     IOTDB_RETURN_NOT_OK(RecoverVlogFiles());
@@ -405,7 +397,6 @@ Status KVStore::OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta) {
   table_options.comparator = &icmp_;
   IOTDB_ASSIGN_OR_RETURN(auto table,
                          Table::Open(table_options, std::move(file),
-                                     block_cache_.get(), number,
                                      TableFileName(number)));
   auto fm = std::make_shared<FileMeta>();
   fm->number = number;
@@ -413,13 +404,12 @@ Status KVStore::OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta) {
   fm->table = std::shared_ptr<Table>(std::move(table));
   // Recompute both bounds from the file. Reading the first and last data
   // blocks checksums them, so a table whose edge blocks rotted fails to open.
-  auto iter = fm->table->NewIterator(ReadOptions());
+  auto iter = fm->table->NewIterator();
   iter->SeekToFirst();
   IOTDB_RETURN_NOT_OK(iter->status());
   if (iter->Valid()) {
     fm->smallest = iter->key().ToString();
-    IOTDB_ASSIGN_OR_RETURN(fm->largest,
-                           fm->table->ReadLastKey(ReadOptions()));
+    IOTDB_ASSIGN_OR_RETURN(fm->largest, fm->table->ReadLastKey());
   }
   *meta = std::move(fm);
   return Status::OK();
@@ -1307,14 +1297,9 @@ Status KVStore::RunCompactionAtLevel(int level,
   // vlog bookkeeping at install time (under mu_) to gate background GC.
   std::map<uint64_t, uint64_t> vlog_dead;
   {
-    // Input blocks are still CRC-checked, but kept out of the shared block
-    // cache: their files are about to be deleted, and inserting them would
-    // evict the blocks queries are using.
-    ReadOptions input_options;
-    input_options.fill_cache = false;
     std::vector<std::unique_ptr<Iterator>> children;
     for (const auto& f : all_inputs) {
-      children.push_back(f->table->NewIterator(input_options));
+      children.push_back(f->table->NewIterator());
       bytes_read += f->file_size;
     }
     auto merged = NewMergingIterator(&icmp_, std::move(children));
@@ -1502,8 +1487,7 @@ void GetHandler(void* arg, const Slice& internal_key, const Slice& v) {
 
 }  // namespace
 
-Result<std::string> KVStore::Get(const ReadOptions& options,
-                                 const Slice& key) {
+Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
   MemTable* mem;
   MemTable* imm;
   std::vector<std::shared_ptr<FileMeta>> candidates;
@@ -1574,8 +1558,7 @@ Result<std::string> KVStore::Get(const ReadOptions& options,
   state.snapshot = snapshot;
   std::string lookup_key = MakeLookupKey(key, snapshot);
   for (const auto& f : candidates) {
-    Status ts = f->table->InternalGet(options, Slice(lookup_key), &state,
-                                      GetHandler);
+    Status ts = f->table->InternalGet(Slice(lookup_key), &state, GetHandler);
     if (!ts.ok()) {
       if (ts.IsCorruption()) {
         // Evict the damaged table right away so it never serves another
@@ -1653,7 +1636,7 @@ class VlogDerefIterator final : public Iterator {
 };
 
 std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
-    const ReadOptions& options, const Slice& start, const Slice& end,
+    const Slice& start, const Slice& end,
     std::vector<std::shared_ptr<FileMeta>>* opened) {
   std::vector<std::unique_ptr<Iterator>> children;
   std::vector<std::shared_ptr<FileMeta>> pinned_tables;
@@ -1680,7 +1663,7 @@ std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
     for (int level = 0; level < kNumLevels; ++level) {
       for (const auto& f : levels_.files[level]) {
         if (!FileOverlapsRange(icmp_, *f, start, end)) continue;
-        children.push_back(f->table->NewIterator(options));
+        children.push_back(f->table->NewIterator());
         pinned_tables.push_back(f);
       }
     }
@@ -1700,18 +1683,19 @@ std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
   return pinned;
 }
 
-std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions& options) {
-  return NewBoundedIterator(options, Slice(), Slice(), nullptr);
+std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions&) {
+  return NewBoundedIterator(Slice(), Slice(), nullptr);
 }
 
-Status KVStore::Scan(const ReadOptions& options, const Slice& start,
+Status KVStore::Scan(const ReadOptions&, const Slice& start,
                      const Slice& end_exclusive, size_t limit,
                      std::vector<std::pair<std::string, std::string>>* out) {
   counters_.scans.Increment();
   obs_.scans->Increment();
   std::vector<std::shared_ptr<FileMeta>> opened;
-  auto iter = NewBoundedIterator(options, start, end_exclusive, &opened);
+  auto iter = NewBoundedIterator(start, end_exclusive, &opened);
   const Comparator* ucmp = icmp_.user_comparator();
+  const size_t before = out->size();  // rows the caller already had
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
        iter->Valid(); iter->Next()) {
     if (!end_exclusive.empty() &&
@@ -1719,7 +1703,7 @@ Status KVStore::Scan(const ReadOptions& options, const Slice& start,
       break;
     }
     out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    if (limit > 0 && out->size() >= limit) break;
+    if (limit > 0 && out->size() - before >= limit) break;
   }
   Status s = iter->status();
   iter.reset();  // its destructor may take mu_
@@ -1835,10 +1819,6 @@ KVStoreStats KVStore::GetStats() {
     std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
     stats.vlog_files =
         vlog_files_.size() + (vlog_writer_ != nullptr ? 1 : 0);
-  }
-  if (block_cache_ != nullptr) {
-    stats.block_cache_hits = block_cache_->hits();
-    stats.block_cache_misses = block_cache_->misses();
   }
   return stats;
 }
@@ -2028,17 +2008,10 @@ Status KVStore::MaterializeValue(const Slice& user_key, std::string* value) {
   if (!vlog::DecodeValuePointer(Slice(*value), &ptr)) {
     return Status::Corruption("malformed value pointer");
   }
-  vlog::VlogReader::DerefStats stats;
   std::string out;
-  Status s = vlog_reader_->Get(ptr, user_key, &out, &stats);
+  Status s = vlog_reader_->Get(ptr, user_key, &out);
   counters_.vlog_dereferences.Increment();
   obs_.vlog_dereferences->Increment();
-  if (stats.cache_hits > 0) {
-    obs_.vlog_deref_cache_hits->Add(stats.cache_hits);
-  }
-  if (stats.cache_misses > 0) {
-    obs_.vlog_deref_cache_misses->Add(stats.cache_misses);
-  }
   if (!s.ok()) {
     // A rotten record poisons the whole file's trust: quarantine it so no
     // later read trips over it, and surface the error — the cluster layer
@@ -2075,8 +2048,8 @@ Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& f : levels_.files[level]) {
       if (!FileOverlapsRange(icmp_, *f, user_key, user_key)) continue;
-      IOTDB_RETURN_NOT_OK(f->table->InternalGet(
-          ReadOptions(), Slice(lookup_key), &state, GetHandler));
+      IOTDB_RETURN_NOT_OK(
+          f->table->InternalGet(Slice(lookup_key), &state, GetHandler));
     }
   }
   if (state.found && !state.is_deletion) {

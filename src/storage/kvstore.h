@@ -18,7 +18,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
-#include "storage/cache.h"
 #include "storage/db_iter.h"
 #include "storage/dbformat.h"
 #include "storage/env.h"
@@ -49,8 +48,6 @@ struct KVStoreStats {
   uint64_t bytes_compacted = 0;
   int num_files[kNumLevels] = {};
   uint64_t level_bytes[kNumLevels] = {};
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
   uint64_t wal_recovery_dropped_bytes = 0;
   uint64_t scrubbed_files = 0;
   uint64_t quarantined_files = 0;
@@ -135,11 +132,12 @@ class KVStore {
   /// returned iterator pins the memtables/tables it reads.
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options);
 
-  /// Range scan convenience: fills `out` with key/value pairs where
+  /// Range scan convenience: appends to `out` the key/value pairs where
   /// start <= key < end_exclusive (empty end = unbounded), at most `limit`
-  /// pairs when limit > 0. Reads the memtables plus only the tables whose
-  /// key range overlaps the bounds. A Corruption status quarantines every
-  /// table of the scan that fails verification, as Get does.
+  /// of them when limit > 0; pairs `out` already held do not count. Reads
+  /// the memtables plus only the tables whose key range overlaps the
+  /// bounds. A Corruption status quarantines every table of the scan that
+  /// fails verification, as Get does.
   Status Scan(const ReadOptions& options, const Slice& start,
               const Slice& end_exclusive, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out);
@@ -155,7 +153,7 @@ class KVStore {
   Status CompactAll();
 
   /// Scrub: checksum-walks every live SSTable (footer, index, filter, and
-  /// every data block, bypassing the block cache) plus the live WAL tail.
+  /// every data block) plus the live WAL tail.
   /// Files that fail verification are atomically quarantined — renamed to
   /// `<name>.quarantined`, dropped from the version set, and reported via
   /// Options::corruption_reporter — so they never serve another read.
@@ -303,14 +301,13 @@ class KVStore {
   // bounds, passes any; NewIterator is the unbounded case. `opened`, when
   // non-null, receives the tables the iterator reads.
   std::unique_ptr<Iterator> NewBoundedIterator(
-      const ReadOptions& options, const Slice& start, const Slice& end,
+      const Slice& start, const Slice& end,
       std::vector<std::shared_ptr<FileMeta>>* opened);
 
   Options options_;
   Env* env_;
   std::string dbname_;
   InternalKeyComparator icmp_;
-  std::unique_ptr<LruCache> block_cache_;
 
   std::mutex mu_;
   std::condition_variable background_work_finished_cv_;
@@ -437,8 +434,6 @@ class KVStore {
     obs::Counter* vlog_appended_records;
     obs::Counter* vlog_appended_bytes;
     obs::Counter* vlog_dereferences;
-    obs::Counter* vlog_deref_cache_hits;
-    obs::Counter* vlog_deref_cache_misses;
     obs::Counter* vlog_gc_passes;
     obs::Counter* vlog_gc_scanned_bytes;
     obs::Counter* vlog_gc_reclaimed_bytes;

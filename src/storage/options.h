@@ -53,9 +53,6 @@ struct Options {
   /// deferred log flush). If true, every commit syncs.
   bool wal_sync = false;
 
-  /// Capacity of the shared block cache in bytes; 0 disables caching.
-  size_t block_cache_capacity = 8 * 1024 * 1024;
-
   /// Optional hook dropping entries during compaction (data retention);
   /// see compaction_filter.h. Not owned; must outlive the store.
   const CompactionFilter* compaction_filter = nullptr;
@@ -95,11 +92,9 @@ struct Options {
   bool background_vlog_gc = true;
 };
 
-/// Per-read options. Every block read is checksum-verified.
-struct ReadOptions {
-  /// Whether blocks this read loads enter the block cache.
-  bool fill_cache = true;
-};
+/// Per-read options; none yet. Every read reads and checksum-verifies each
+/// block it touches.
+struct ReadOptions {};
 
 /// Per-write options.
 struct WriteOptions {

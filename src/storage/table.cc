@@ -32,7 +32,8 @@ Result<std::string> ReadBlockContents(const RandomAccessFile* file,
   const size_t n = static_cast<size_t>(handle.size);
   // The block's own string is the read buffer. The checksum is verified
   // where the bytes lie, and bytes handed out in place are copied once, into
-  // the block: a cached block outlives its file, whose memory may be reused.
+  // the block: a block that borrowed them instead would live only as long
+  // as the read handle, and borrowing measured no faster on dashboard scans.
   std::string block(n + kBlockTrailerSize, '\0');
   Slice contents;
   IOTDB_RETURN_NOT_OK(file->Read(handle.offset, n + kBlockTrailerSize,
@@ -56,16 +57,12 @@ Result<std::string> ReadBlockContents(const RandomAccessFile* file,
 }
 
 Table::Table(const Options& options, std::unique_ptr<RandomAccessFile> file,
-             LruCache* cache, uint64_t cache_id, std::string name)
-    : options_(options),
-      file_(std::move(file)),
-      cache_(cache),
-      cache_id_(cache_id),
-      name_(std::move(name)) {}
+             std::string name)
+    : options_(options), file_(std::move(file)), name_(std::move(name)) {}
 
 Result<std::unique_ptr<Table>> Table::Open(
     const Options& options, std::unique_ptr<RandomAccessFile> file,
-    LruCache* cache, uint64_t cache_id, const std::string& name) {
+    const std::string& name) {
   uint64_t size = file->Size();
   if (size < Footer::kEncodedLength) {
     return Status::Corruption(
@@ -81,7 +78,7 @@ Result<std::unique_ptr<Table>> Table::Open(
   IOTDB_RETURN_NOT_OK(footer.DecodeFrom(&footer_input));
 
   auto table = std::unique_ptr<Table>(
-      new Table(options, std::move(file), cache, cache_id, name));
+      new Table(options, std::move(file), name));
 
   IOTDB_ASSIGN_OR_RETURN(
       std::string index_contents,
@@ -96,24 +93,11 @@ Result<std::unique_ptr<Table>> Table::Open(
   return table;
 }
 
-Result<std::shared_ptr<Block>> Table::ReadBlockCached(
-    const ReadOptions& read_options, const BlockHandle& handle) const {
-  const CacheKey cache_key{cache_id_, handle.offset};
-  const bool will_cache = cache_ != nullptr && read_options.fill_cache;
-  if (cache_ != nullptr) {
-    if (auto cached = cache_->Lookup(cache_key)) {
-      return std::static_pointer_cast<Block>(cached);
-    }
-  }
-  // Verified before it can be cached: a corrupt block never reaches the
-  // shared cache, where every later reader would be served it.
+Result<std::unique_ptr<Block>> Table::ReadBlock(
+    const BlockHandle& handle) const {
   IOTDB_ASSIGN_OR_RETURN(std::string contents,
                          ReadBlockContents(file_.get(), handle, name_));
-  auto block = std::make_shared<Block>(std::move(contents));
-  if (will_cache) {
-    cache_->Insert(cache_key, block, block->size());
-  }
-  return block;
+  return std::make_unique<Block>(std::move(contents));
 }
 
 Status Table::VerifyIntegrity(uint64_t* bytes_checked) const {
@@ -178,14 +162,13 @@ Status Table::VerifyIntegrity(uint64_t* bytes_checked) const {
 
 namespace {
 
-/// Two-level iterator: walks the index block; for each index entry opens the
-/// referenced data block and iterates it. Keeps a shared_ptr to the current
-/// block so cache eviction cannot free it underneath us.
+/// Two-level iterator: walks the index block; for each index entry reads the
+/// referenced data block and iterates it. Owns the current block, which its
+/// data iterator points into.
 class TwoLevelIterator final : public Iterator {
  public:
-  TwoLevelIterator(const Table* table, const ReadOptions& read_options)
+  explicit TwoLevelIterator(const Table* table)
       : table_(table),
-        read_options_(read_options),
         index_iter_(
             table->index_block()->NewIterator(table->comparator())) {}
 
@@ -238,7 +221,7 @@ class TwoLevelIterator final : public Iterator {
       SetDataBlock(nullptr);
       return;
     }
-    auto block_result = table_->ReadBlockCached(read_options_, handle);
+    auto block_result = table_->ReadBlock(handle);
     if (!block_result.ok()) {
       status_ = block_result.status();
       SetDataBlock(nullptr);
@@ -247,7 +230,7 @@ class TwoLevelIterator final : public Iterator {
     SetDataBlock(std::move(block_result).MoveValueUnsafe());
   }
 
-  void SetDataBlock(std::shared_ptr<Block> block) {
+  void SetDataBlock(std::unique_ptr<Block> block) {
     data_block_ = std::move(block);
     data_iter_ = data_block_ == nullptr
                      ? nullptr
@@ -267,21 +250,19 @@ class TwoLevelIterator final : public Iterator {
   }
 
   const Table* table_;
-  ReadOptions read_options_;
   std::unique_ptr<Iterator> index_iter_;
-  std::shared_ptr<Block> data_block_;
+  std::unique_ptr<Block> data_block_;
   std::unique_ptr<Iterator> data_iter_;
   Status status_;
 };
 
 }  // namespace
 
-std::unique_ptr<Iterator> Table::NewIterator(
-    const ReadOptions& read_options) const {
-  return std::make_unique<TwoLevelIterator>(this, read_options);
+std::unique_ptr<Iterator> Table::NewIterator() const {
+  return std::make_unique<TwoLevelIterator>(this);
 }
 
-Result<std::string> Table::ReadLastKey(const ReadOptions& read_options) const {
+Result<std::string> Table::ReadLastKey() const {
   // One index entry per data block, in key order: the last one locates the
   // block that holds the largest key.
   std::string last_handle;
@@ -296,7 +277,7 @@ Result<std::string> Table::ReadLastKey(const ReadOptions& read_options) const {
   BlockHandle handle;
   Slice input(last_handle);
   IOTDB_RETURN_NOT_OK(handle.DecodeFrom(&input));
-  IOTDB_ASSIGN_OR_RETURN(auto block, ReadBlockCached(read_options, handle));
+  IOTDB_ASSIGN_OR_RETURN(auto block, ReadBlock(handle));
   auto block_iter = block->NewIterator(options_.comparator);
   for (block_iter->SeekToFirst(); block_iter->Valid(); block_iter->Next()) {
     last_key.assign(block_iter->key().data(), block_iter->key().size());
@@ -309,8 +290,7 @@ Result<std::string> Table::ReadLastKey(const ReadOptions& read_options) const {
   return last_key;
 }
 
-Status Table::InternalGet(const ReadOptions& read_options, const Slice& k,
-                          void* arg,
+Status Table::InternalGet(const Slice& k, void* arg,
                           void (*handle_result)(void*, const Slice&,
                                                 const Slice&)) const {
   if (!filter_data_.empty()) {
@@ -333,7 +313,7 @@ Status Table::InternalGet(const ReadOptions& read_options, const Slice& k,
   BlockHandle handle;
   Slice input = index_iter->value();
   IOTDB_RETURN_NOT_OK(handle.DecodeFrom(&input));
-  IOTDB_ASSIGN_OR_RETURN(auto block, ReadBlockCached(read_options, handle));
+  IOTDB_ASSIGN_OR_RETURN(auto block, ReadBlock(handle));
   auto block_iter = block->NewIterator(options_.comparator);
   block_iter->Seek(k);
   if (block_iter->Valid()) {

@@ -14,8 +14,8 @@ std::string VlogFileName(const std::string& dir, uint64_t file_no) {
   return dir + buf;
 }
 
-VlogReader::VlogReader(Env* env, std::string dir, LruCache* cache)
-    : env_(env), dir_(std::move(dir)), cache_(cache) {}
+VlogReader::VlogReader(Env* env, std::string dir)
+    : env_(env), dir_(std::move(dir)) {}
 
 Status VlogReader::GetFile(uint64_t file_no,
                            std::shared_ptr<RandomAccessFile>* file) {
@@ -43,17 +43,7 @@ void VlogReader::Evict(uint64_t file_no) {
 }
 
 Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
-                       std::string* value, DerefStats* stats) {
-  const CacheKey cache_key{ptr.file_no, ptr.offset};
-  if (cache_ != nullptr) {
-    if (auto cached = cache_->Lookup(cache_key)) {
-      if (stats != nullptr) stats->cache_hits++;
-      *value = *std::static_pointer_cast<std::string>(cached);
-      return Status::OK();
-    }
-    if (stats != nullptr) stats->cache_misses++;
-  }
-
+                       std::string* value) {
   std::shared_ptr<RandomAccessFile> file;
   IOTDB_RETURN_NOT_OK(GetFile(ptr.file_no, &file));
 
@@ -76,10 +66,6 @@ Status VlogReader::Get(const ValuePointer& ptr, const Slice& expected_key,
 
   memmove(value->data(), val.data(), val.size());
   value->resize(val.size());
-  if (cache_ != nullptr) {
-    cache_->Insert(cache_key, std::make_shared<std::string>(*value),
-                   value->size() + kCacheChargeOverhead);
-  }
   return Status::OK();
 }
 

@@ -9,7 +9,6 @@
 
 #include "common/slice.h"
 #include "common/status.h"
-#include "storage/cache.h"
 #include "storage/env.h"
 #include "storage/vlog_format.h"
 
@@ -17,20 +16,12 @@ namespace iotdb {
 namespace storage {
 namespace vlog {
 
-/// Dereferences ValuePointers and checksum-walks whole vlog files. Caches
-/// open RandomAccessFile handles per file number and (optionally) decoded
-/// values in the store's LruCache keyed {file_no, offset}; tables key their
-/// blocks by their own file numbers, drawn from the same counter, so the two
-/// never collide. Thread-safe.
+/// Dereferences ValuePointers and checksum-walks whole vlog files. Keeps
+/// the open RandomAccessFile handle per file number; every dereference
+/// reads and verifies its record from the file. Thread-safe.
 class VlogReader {
  public:
-  /// Bytes of bookkeeping charged to the cache per cached value, on top of
-  /// the value's own size.
-  static constexpr size_t kCacheChargeOverhead = 64;
-
-  /// `cache` may be null (no value caching). Each cached value is charged
-  /// its size plus kCacheChargeOverhead.
-  VlogReader(Env* env, std::string dir, LruCache* cache);
+  VlogReader(Env* env, std::string dir);
 
   VlogReader(const VlogReader&) = delete;
   VlogReader& operator=(const VlogReader&) = delete;
@@ -38,14 +29,9 @@ class VlogReader {
   /// Reads the record named by `ptr`, verifies its checksum and that its
   /// embedded key equals `expected_key`, and sets *value to the record's
   /// value. Returns Corruption on any mismatch, leaving *value unspecified;
-  /// the caller decides whether to quarantine. `stats` (optional) receives
-  /// cache hit/miss accounting.
-  struct DerefStats {
-    uint64_t cache_hits = 0;
-    uint64_t cache_misses = 0;
-  };
+  /// the caller decides whether to quarantine.
   Status Get(const ValuePointer& ptr, const Slice& expected_key,
-             std::string* value, DerefStats* stats = nullptr);
+             std::string* value);
 
   /// Sequentially parses every record of file `file_no` from offset 0 to
   /// `limit` (its current durable size when the walk starts, so a
@@ -64,7 +50,6 @@ class VlogReader {
 
   Env* const env_;
   const std::string dir_;
-  LruCache* const cache_;
 
   std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<RandomAccessFile>> files_;

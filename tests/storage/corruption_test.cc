@@ -1,7 +1,7 @@
 // End-to-end corruption resilience at the storage layer: bit-rot
-// injection, full-file integrity verification, quarantine, block-cache
-// poisoning regression, corruption status context, WAL recovery drop
-// accounting, and a byte-flip fuzz over a whole SSTable.
+// injection, full-file integrity verification, quarantine, per-read block
+// verification, corruption status context, WAL recovery drop accounting,
+// and a byte-flip fuzz over a whole SSTable.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "storage/block.h"
-#include "storage/cache.h"
 #include "storage/corruption_reporter.h"
 #include "storage/dbformat.h"
 #include "storage/env.h"
@@ -114,7 +112,7 @@ TEST(BitRotTest, CorruptRandomFileSkipsIneligibleFiles) {
   EXPECT_TRUE(none.status().IsNotFound());
 }
 
-// --- SSTable verification, cache poisoning, status context ------------------
+// --- SSTable verification, per-read checks, status context -----------------
 
 class TableCorruptionTest : public ::testing::Test {
  protected:
@@ -144,10 +142,9 @@ class TableCorruptionTest : public ::testing::Test {
     ASSERT_TRUE(env_->ReadFileToString(kPath, &pristine_).ok());
   }
 
-  Result<std::unique_ptr<Table>> OpenTable(LruCache* cache = nullptr) {
+  Result<std::unique_ptr<Table>> OpenTable() {
     auto file = env_->NewRandomAccessFile(kPath).MoveValueUnsafe();
-    return Table::Open(options_, std::move(file), cache, next_cache_id_++,
-                       kPath);
+    return Table::Open(options_, std::move(file), kPath);
   }
 
   void FlipBit(size_t byte, int bit) {
@@ -162,7 +159,6 @@ class TableCorruptionTest : public ::testing::Test {
   Options options_;
   std::map<std::string, std::string> model_;
   std::string pristine_;
-  uint64_t next_cache_id_ = 1;
 };
 
 TEST_F(TableCorruptionTest, VerifyIntegrityCoversTheWholeFile) {
@@ -201,19 +197,14 @@ TEST_F(TableCorruptionTest, CorruptionStatusNamesFileAndOffset) {
   EXPECT_NE(s.message().find("offset"), std::string::npos) << s.ToString();
 }
 
-// Regression: a corrupt block must never enter the shared cache, where a
-// later read would be served it from a hit without a checksum check.
-TEST_F(TableCorruptionTest, CorruptBlockIsNeverCached) {
+// Every read checks the blocks it reads: a corrupt block fails the first
+// scan through it and every later one, and never serves its damaged rows.
+TEST_F(TableCorruptionTest, CorruptBlockFailsEveryRead) {
   BuildTable(1500);
   FlipBit(10, 1);  // first data block
-  LruCache cache(1 << 20);
-  auto table = OpenTable(&cache).MoveValueUnsafe();
+  auto table = OpenTable().MoveValueUnsafe();
 
-  // A caching read must detect the corrupt block before the insert, not
-  // serve and cache it.
-  ReadOptions caching;
-  caching.fill_cache = true;
-  auto iter = table->NewIterator(caching);
+  auto iter = table->NewIterator();
   int rows = 0;
   for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
     ASSERT_EQ(iter->value().ToString(),
@@ -223,46 +214,14 @@ TEST_F(TableCorruptionTest, CorruptBlockIsNeverCached) {
   EXPECT_TRUE(iter->status().IsCorruption()) << iter->status().ToString();
   EXPECT_LT(rows, 1500);
 
-  // A second scan must surface the corruption too — it would silently
-  // return the damaged rows if the cache had been poisoned.
-  auto iter2 = table->NewIterator(ReadOptions());
+  // A second scan reads and checks the block again, so it fails the same
+  // way instead of returning the damaged rows.
+  auto iter2 = table->NewIterator();
   for (iter2->SeekToFirst(); iter2->Valid(); iter2->Next()) {
     ASSERT_EQ(iter2->value().ToString(),
               model_[ExtractUserKey(iter2->key()).ToString()]);
   }
   EXPECT_TRUE(iter2->status().IsCorruption()) << iter2->status().ToString();
-}
-
-// A cached block is a copy: it outlives its table and file, and a new file
-// that reuses the dead file's MemEnv chunks does not change it.
-TEST_F(TableCorruptionTest, CachedBlockOutlivesItsFileAndChunkReuse) {
-  BuildTable(1500);
-  LruCache cache(1 << 20);
-  const uint64_t cache_id = next_cache_id_;
-  auto table = OpenTable(&cache).MoveValueUnsafe();
-  auto iter = table->NewIterator(ReadOptions());
-  for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-  }
-  ASSERT_TRUE(iter->status().ok());
-  auto block = std::static_pointer_cast<Block>(cache.Lookup({cache_id, 0}));
-  ASSERT_NE(block, nullptr);
-
-  iter.reset();
-  table.reset();
-  ASSERT_TRUE(env_->RemoveFile(kPath).ok());
-  ASSERT_TRUE(
-      env_->WriteStringToFile("/other", std::string(pristine_.size(), 'z'))
-          .ok());
-
-  auto block_iter = block->NewIterator(&icmp_);
-  int rows = 0;
-  for (block_iter->SeekToFirst(); block_iter->Valid(); block_iter->Next()) {
-    ASSERT_EQ(block_iter->value().ToString(),
-              model_[ExtractUserKey(block_iter->key()).ToString()]);
-    rows++;
-  }
-  EXPECT_TRUE(block_iter->status().ok());
-  EXPECT_GT(rows, 0);
 }
 
 // Byte-flip fuzz: for every byte of a small SSTable (a seeded stride under
@@ -278,7 +237,7 @@ TEST_F(TableCorruptionTest, ByteFlipFuzzNeverReturnsWrongData) {
     FlipBit(byte, static_cast<int>(rng.Uniform(8)));
     auto table = OpenTable();
     if (!table.ok()) continue;  // clean open failure
-    auto iter = table.ValueOrDie()->NewIterator(ReadOptions());
+    auto iter = table.ValueOrDie()->NewIterator();
     size_t rows = 0;
     bool wrong = false;
     for (iter->SeekToFirst(); iter->Valid() && rows <= model_.size();
@@ -354,6 +313,16 @@ class ScrubTest : public ::testing::Test {
       live_tables += stats.num_files[level];
     }
     ASSERT_EQ(live_tables, 1) << "fixture flush must leave one live table";
+  }
+
+  /// Path of the last SSTable listed in `dir`; empty when there is none.
+  std::string TablePath(const std::string& dir) {
+    const auto files = fenv_->ListDir(dir).MoveValueUnsafe();
+    std::string sst;
+    for (const auto& f : files) {
+      if (ClassifyFile(f) == FileClass::kSSTable) sst = dir + "/" + f;
+    }
+    return sst;
   }
 
   std::unique_ptr<Env> base_env_;
@@ -457,6 +426,25 @@ TEST_F(ScrubTest, ScanPathQuarantinesCorruptTable) {
   EXPECT_EQ(reporter_.paths.size(), 1u);
 }
 
+// Rot that lands after a clean read fails the next read: no read is served
+// bytes that were not checked on that read.
+TEST_F(ScrubTest, RotAfterCleanScanFailsTheNextScan) {
+  auto store = OpenStore();
+  ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(store->Scan(ReadOptions(), "", "", 0, &rows).ok());
+  ASSERT_EQ(rows.size(), 500u);
+
+  const std::string sst = TablePath("/db");
+  ASSERT_FALSE(sst.empty());
+  ComplementByte(fenv_.get(), sst, 0);  // inside the first data block
+
+  rows.clear();
+  Status s = store->Scan(ReadOptions(), "", "", 0, &rows);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(store->GetStats().quarantined_files, 1u);
+}
+
 TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
   {
     auto store = OpenStore();
@@ -464,11 +452,7 @@ TEST_F(ScrubTest, ReopenQuarantinesTableThatFailsToLoad) {
   }
   // Damage the table's footer region: Table::Open fails during manifest
   // load, and recovery must quarantine instead of refusing to start.
-  auto files = fenv_->ListDir("/db").MoveValueUnsafe();
-  std::string sst;
-  for (const auto& f : files) {
-    if (ClassifyFile(f) == FileClass::kSSTable) sst = "/db/" + f;
-  }
+  const std::string sst = TablePath("/db");
   ASSERT_FALSE(sst.empty());
   uint64_t size = fenv_->FileSize(sst).ValueOrDie();
   ComplementByte(fenv_.get(), sst, size - 5);  // inside the footer magic
@@ -494,11 +478,7 @@ TEST_F(ScrubTest, ReopenQuarantinesTableWithCorruptFirstOrLastDataBlock) {
       auto store = KVStore::Open(options_, dir).MoveValueUnsafe();
       ASSERT_NO_FATAL_FAILURE(FillAndFlush(store.get(), 500));
     }
-    auto files = fenv_->ListDir(dir).MoveValueUnsafe();
-    std::string sst;
-    for (const auto& f : files) {
-      if (ClassifyFile(f) == FileClass::kSSTable) sst = dir + "/" + f;
-    }
+    const std::string sst = TablePath(dir);
     ASSERT_FALSE(sst.empty());
 
     // Data blocks run from offset 0 to the filter block.

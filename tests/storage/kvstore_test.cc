@@ -160,46 +160,82 @@ TEST_F(KVStoreTest, CompactAllMovesDataDown) {
   EXPECT_EQ(Get("key001999"), value);
 }
 
-// Compaction streams every block of its inputs once, from files it is about
-// to delete; those blocks must not push the blocks queries use out of a
-// small block cache. Two L0 tables of a key range disjoint from the warmed
-// table are merged: ~4 MiB of input blocks through a 1 MiB cache.
-TEST_F(KVStoreTest, CompactionReadsLeaveCachedBlocksAlone) {
-  options_.write_buffer_size = 16 * 1024 * 1024;  // flush only on request
-  options_.block_cache_capacity = 1024 * 1024;
-  Reopen();
-  const std::string value(1000, 'v');
-  auto put_range = [&](char prefix, int n) {
-    for (int i = 0; i < n; ++i) {
-      char key[32];
-      snprintf(key, sizeof(key), "%c%06d", prefix, i);
-      ASSERT_TRUE(store_->Put(WriteOptions(), key, value).ok());
+// Forwards to a base Env and counts RandomAccessFile::Read calls on .sst
+// files: every block, footer and index read of a table is one call.
+class TableReadCountingEnv final : public Env {
+ public:
+  explicit TableReadCountingEnv(Env* base) : base_(base) {}
+
+  uint64_t table_reads() const {
+    return table_reads_.load(std::memory_order_relaxed);
+  }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    return base_->NewWritableFile(path);
+  }
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    IOTDB_ASSIGN_OR_RETURN(auto file, base_->NewRandomAccessFile(path));
+    if (!path.ends_with(".sst")) return file;
+    return std::unique_ptr<RandomAccessFile>(
+        new CountingFile(std::move(file), &table_reads_));
+  }
+  Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
+      const std::string& path) override {
+    return base_->NewSequentialFile(path);
+  }
+  bool FileExists(const std::string& path) override {
+    return base_->FileExists(path);
+  }
+  Result<std::vector<std::string>> ListDir(const std::string& dir) override {
+    return base_->ListDir(dir);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+  Status RemoveFile(const std::string& path) override {
+    return base_->RemoveFile(path);
+  }
+  Result<uint64_t> FileSize(const std::string& path) override {
+    return base_->FileSize(path);
+  }
+  Status RenameFile(const std::string& from, const std::string& to) override {
+    return base_->RenameFile(from, to);
+  }
+  Status OverwriteFileRange(const std::string& path, uint64_t offset,
+                            const Slice& data) override {
+    return base_->OverwriteFileRange(path, offset, data);
+  }
+
+ private:
+  class CountingFile final : public RandomAccessFile {
+   public:
+    CountingFile(std::unique_ptr<RandomAccessFile> file,
+                 std::atomic<uint64_t>* reads)
+        : file_(std::move(file)), reads_(reads) {}
+
+    Status Read(uint64_t offset, size_t n, Slice* result,
+                char* scratch) const override {
+      reads_->fetch_add(1, std::memory_order_relaxed);
+      return file_->Read(offset, n, result, scratch);
     }
+    uint64_t Size() const override { return file_->Size(); }
+
+   private:
+    std::unique_ptr<RandomAccessFile> file_;
+    std::atomic<uint64_t>* reads_;
   };
-  put_range('a', 1000);
-  ASSERT_TRUE(store_->CompactAll().ok());
-  EXPECT_EQ(Get("a000500"), value);  // warms the block holding a000500
 
-  put_range('b', 2000);
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  put_range('c', 2000);
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  const KVStoreStats before = store_->GetStats();
-  ASSERT_EQ(before.num_files[0], 2);
-  ASSERT_TRUE(store_->CompactAll().ok());
-  const KVStoreStats after = store_->GetStats();
-  ASSERT_GT(after.compactions, before.compactions);
-  ASSERT_GT(after.bytes_compacted, before.bytes_compacted);
-
-  EXPECT_EQ(Get("a000500"), value);
-  const KVStoreStats reread = store_->GetStats();
-  EXPECT_EQ(reread.block_cache_hits, after.block_cache_hits + 1);
-  EXPECT_EQ(reread.block_cache_misses, after.block_cache_misses);
-}
+  Env* const base_;
+  std::atomic<uint64_t> table_reads_{0};
+};
 
 TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
+  TableReadCountingEnv env(env_.get());
+  options_.env = &env;
   options_.write_buffer_size = 1024 * 1024;
-  Reopen();
+  auto store = KVStore::Open(options_, "/bounded").MoveValueUnsafe();
   const std::string value(1000, 'v');
   const int kKeys = 12000;
   auto key = [](int i) {
@@ -208,12 +244,13 @@ TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
     return std::string(buf);
   };
   for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), key(i), value).ok());
+    ASSERT_TRUE(store->Put(WriteOptions(), key(i), value).ok());
   }
-  ASSERT_TRUE(store_->CompactAll().ok());
-  // Every table a scan opens outside its range costs a block lookup, so the
+  ASSERT_TRUE(store->CompactAll().ok());
+  store->WaitForBackgroundWork();
+  // Every table a scan opens outside its range costs a block read, so the
   // store needs enough disjoint tables for that to show.
-  const KVStoreStats compacted = store_->GetStats();
+  const KVStoreStats compacted = store->GetStats();
   int tables = 0;
   for (int level = 0; level < kNumLevels; ++level) {
     tables += compacted.num_files[level];
@@ -221,22 +258,19 @@ TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
   ASSERT_GE(tables, 6);
 
   for (int first : {0, kKeys - 10}) {
-    const KVStoreStats before = store_->GetStats();
+    const uint64_t before = env.table_reads();
     std::vector<std::pair<std::string, std::string>> rows;
-    ASSERT_TRUE(store_->Scan(ReadOptions(), key(first), key(first + 10), 0,
-                             &rows)
+    ASSERT_TRUE(store->Scan(ReadOptions(), key(first), key(first + 10), 0,
+                            &rows)
                     .ok());
     ASSERT_EQ(rows.size(), 10u);
     EXPECT_EQ(rows.front().first, key(first));
     EXPECT_EQ(rows.back().first, key(first + 9));
-    const KVStoreStats after = store_->GetStats();
     // 10 rows of 1000 B span at most 4 blocks of 4 KiB, plus one
     // look-ahead block.
-    const uint64_t lookups =
-        (after.block_cache_hits - before.block_cache_hits) +
-        (after.block_cache_misses - before.block_cache_misses);
-    EXPECT_LE(lookups, 5u) << "scan from " << key(first) << " of " << tables
-                           << " tables";
+    const uint64_t reads = env.table_reads() - before;
+    EXPECT_LE(reads, 5u) << "scan from " << key(first) << " of " << tables
+                         << " tables";
   }
 }
 

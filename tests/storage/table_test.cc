@@ -1,4 +1,4 @@
-// Bloom filter, block, SSTable, and cache tests.
+// Bloom filter, block, and SSTable tests.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -9,7 +9,6 @@
 #include "storage/block.h"
 #include "storage/block_builder.h"
 #include "storage/bloom.h"
-#include "storage/cache.h"
 #include "storage/comparator.h"
 #include "storage/dbformat.h"
 #include "storage/env.h"
@@ -128,9 +127,9 @@ class TableTest : public ::testing::Test {
     ASSERT_TRUE(file->Close().ok());
   }
 
-  std::unique_ptr<Table> OpenTable(LruCache* cache = nullptr) {
+  std::unique_ptr<Table> OpenTable() {
     auto file = env_->NewRandomAccessFile("/table.sst").MoveValueUnsafe();
-    auto result = Table::Open(options_, std::move(file), cache, 1);
+    auto result = Table::Open(options_, std::move(file));
     EXPECT_TRUE(result.ok()) << result.status().ToString();
     return std::move(result).MoveValueUnsafe();
   }
@@ -151,7 +150,7 @@ TEST_F(TableTest, BuildThenScanAll) {
   BuildTable(model);
   auto table = OpenTable();
 
-  auto iter = table->NewIterator(ReadOptions());
+  auto iter = table->NewIterator();
   iter->SeekToFirst();
   for (const auto& [key, value] : model) {
     ASSERT_TRUE(iter->Valid());
@@ -172,7 +171,7 @@ TEST_F(TableTest, SeekAcrossBlocks) {
   }
   BuildTable(model);
   auto table = OpenTable();
-  auto iter = table->NewIterator(ReadOptions());
+  auto iter = table->NewIterator();
 
   // Seek to a key between entries; internal key with max sequence seeks to
   // the first entry >= the user key.
@@ -200,7 +199,7 @@ TEST_F(TableTest, ReadLastKeyIsTheLastKeyAdded) {
   }
   ASSERT_GT(data_blocks, 10);
 
-  auto last = table->ReadLastKey(ReadOptions());
+  auto last = table->ReadLastKey();
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   std::string expected;
   AppendInternalKey(&expected, "user002999", 3000, ValueType::kValue);
@@ -211,7 +210,7 @@ TEST_F(TableTest, ReadLastKeyIsTheLastKeyAdded) {
   table.reset();
   BuildTable({{"only", "v"}});
   table = OpenTable();
-  last = table->ReadLastKey(ReadOptions());
+  last = table->ReadLastKey();
   ASSERT_TRUE(last.ok()) << last.status().ToString();
   expected.clear();
   AppendInternalKey(&expected, "only", 1, ValueType::kValue);
@@ -242,39 +241,14 @@ TEST_F(TableTest, InternalGetFindsAndRejects) {
 
   Hit hit;
   std::string lookup = MakeLookupKey("key250", kMaxSequenceNumber);
-  ASSERT_TRUE(
-      table->InternalGet(ReadOptions(), lookup, &hit, handler).ok());
+  ASSERT_TRUE(table->InternalGet(lookup, &hit, handler).ok());
   EXPECT_TRUE(hit.found);
   EXPECT_EQ(hit.value, "value250");
 
   Hit miss;
   lookup = MakeLookupKey("key_that_is_not_there", kMaxSequenceNumber);
-  ASSERT_TRUE(
-      table->InternalGet(ReadOptions(), lookup, &miss, handler).ok());
+  ASSERT_TRUE(table->InternalGet(lookup, &miss, handler).ok());
   EXPECT_FALSE(miss.found);
-}
-
-TEST_F(TableTest, BlockCacheIsPopulatedAndHit) {
-  std::map<std::string, std::string> model;
-  for (int i = 0; i < 2000; ++i) {
-    model["key" + std::to_string(100000 + i)] = std::string(50, 'v');
-  }
-  BuildTable(model);
-  LruCache cache(1 << 20);
-  auto table = OpenTable(&cache);
-
-  auto scan = [&] {
-    auto iter = table->NewIterator(ReadOptions());
-    int n = 0;
-    for (iter->SeekToFirst(); iter->Valid(); iter->Next()) n++;
-    EXPECT_EQ(n, 2000);
-  };
-  scan();
-  uint64_t misses_after_first = cache.misses();
-  EXPECT_GT(misses_after_first, 0u);
-  scan();
-  EXPECT_EQ(cache.misses(), misses_after_first);  // second scan all hits
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 TEST_F(TableTest, CorruptedBlockDetected) {
@@ -286,9 +260,9 @@ TEST_F(TableTest, CorruptedBlockDetected) {
   ASSERT_TRUE(env_->WriteStringToFile("/table.sst", contents).ok());
 
   auto file = env_->NewRandomAccessFile("/table.sst").MoveValueUnsafe();
-  auto table_result = Table::Open(options_, std::move(file), nullptr, 1);
+  auto table_result = Table::Open(options_, std::move(file));
   if (table_result.ok()) {
-    auto iter = table_result.ValueOrDie()->NewIterator(ReadOptions());
+    auto iter = table_result.ValueOrDie()->NewIterator();
     iter->SeekToFirst();
     // Either the iterator surfaces corruption or yields nothing.
     if (iter->Valid()) {
@@ -303,45 +277,8 @@ TEST_F(TableTest, NotATableRejected) {
   ASSERT_TRUE(env_->WriteStringToFile("/table.sst",
                                       std::string(2000, 'j')).ok());
   auto file = env_->NewRandomAccessFile("/table.sst").MoveValueUnsafe();
-  auto result = Table::Open(options_, std::move(file), nullptr, 1);
+  auto result = Table::Open(options_, std::move(file));
   EXPECT_FALSE(result.ok());
-}
-
-TEST(LruCacheTest, InsertLookupErase) {
-  LruCache cache(1024, /*shard_bits=*/0);
-  const CacheKey a{1, 0};
-  cache.Insert(a, std::make_shared<int>(1), 100);
-  auto hit = cache.Lookup(a);
-  ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(*std::static_pointer_cast<int>(hit), 1);
-  EXPECT_EQ(cache.Lookup({1, 4096}), nullptr);  // same file, other offset
-  EXPECT_EQ(cache.Lookup({2, 0}), nullptr);     // same offset, other file
-  cache.Erase(a);
-  EXPECT_EQ(cache.Lookup(a), nullptr);
-}
-
-TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache cache(300, /*shard_bits=*/0);  // single shard for determinism
-  const CacheKey a{1, 0}, b{1, 4096}, c{2, 0}, d{2, 4096};
-  cache.Insert(a, std::make_shared<int>(1), 100);
-  cache.Insert(b, std::make_shared<int>(2), 100);
-  cache.Insert(c, std::make_shared<int>(3), 100);
-  ASSERT_NE(cache.Lookup(a), nullptr);  // promote a
-  cache.Insert(d, std::make_shared<int>(4), 100);  // evicts b
-  EXPECT_EQ(cache.Lookup(b), nullptr);
-  EXPECT_NE(cache.Lookup(a), nullptr);
-  EXPECT_NE(cache.Lookup(c), nullptr);
-  EXPECT_NE(cache.Lookup(d), nullptr);
-}
-
-TEST(LruCacheTest, ChargeAccounting) {
-  LruCache cache(1000, 0);
-  const CacheKey x{7, 0}, y{7, 1};
-  cache.Insert(x, std::make_shared<int>(0), 400);
-  cache.Insert(y, std::make_shared<int>(0), 400);
-  EXPECT_EQ(cache.TotalCharge(), 800u);
-  cache.Insert(x, std::make_shared<int>(0), 100);  // replace
-  EXPECT_EQ(cache.TotalCharge(), 500u);
 }
 
 }  // namespace

@@ -65,7 +65,8 @@ int main() {
       iot::KvpCodec::EncodeKey("drill_sub", "pmu_freq_000", 2000000);
   std::string shard(
       iot::KvpCodec::ShardPrefixOf(Slice(start)).ToStringView());
-  bool scan_ok = client.Scan(shard, start, end, 0, &rows).ok();
+  VectorRowSink sink(&rows);
+  bool scan_ok = client.Scan(shard, start, end, 0, &sink).ok();
   printf("  window scan during outage: %s (%zu rows)\n",
          scan_ok ? "SERVED" : "FAILED", rows.size());
 

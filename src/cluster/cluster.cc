@@ -1384,18 +1384,19 @@ Status Client::MultiGet(const std::vector<std::string>& keys,
 
 Status Client::Scan(const Slice& shard_key, const Slice& start,
                     const Slice& end_exclusive, size_t limit,
-                    std::vector<std::pair<std::string, std::string>>* out) {
+                    RowSink* sink) {
   Status last_error = Status::IOError("no replicas available");
   bool corrupt_seen = false;
   for (int node_id : cluster_->ReplicaNodesForShardKey(shard_key)) {
     Node* node = cluster_->node(node_id);
     if (node->is_down()) continue;
     if (!cluster_->IsNodeReachable(node_id)) continue;
-    size_t before = out->size();
     Status s = RetryOp(
         [&]() {
-          out->resize(before);  // drop partial results of a failed attempt
-          return node->Scan(start, end_exclusive, limit, out);
+          // Drop the partial rows of a failed attempt, this replica's or
+          // the last one's.
+          sink->Clear();
+          return node->Scan(start, end_exclusive, limit, sink);
         },
         node);
     if (s.ok()) {

@@ -424,9 +424,11 @@ class Client {
 
   /// Range scan within a single shard: `shard_key` routes the request; the
   /// scan range [start, end_exclusive) must lie within that shard's rows.
+  /// Reads the first live replica, retrying transient failures and failing
+  /// over to the next replica. `sink` is cleared before every attempt, so
+  /// on success it holds exactly the rows of the attempt that succeeded.
   Status Scan(const Slice& shard_key, const Slice& start,
-              const Slice& end_exclusive, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out);
+              const Slice& end_exclusive, size_t limit, RowSink* sink);
 
  private:
   /// Runs `op` under the retry policy. Retries transient failures (IOError/

@@ -33,6 +33,26 @@ NodeInstruments& Instruments() {
   return instruments;
 }
 
+/// Forwards a scan's rows to the caller's sink and counts them.
+class CountingRowSink final : public RowSink {
+ public:
+  explicit CountingRowSink(RowSink* inner) : inner_(inner) {}
+
+  void Add(const Slice& key, const Slice& value) override {
+    inner_->Add(key, value);
+    rows_++;
+  }
+  void Clear() override {
+    inner_->Clear();
+    rows_ = 0;
+  }
+  uint64_t rows() const { return rows_; }
+
+ private:
+  RowSink* inner_;
+  uint64_t rows_ = 0;
+};
+
 }  // namespace
 
 void Node::CorruptionListener::OnQuarantine(const std::string& path,
@@ -164,18 +184,16 @@ Result<std::string> Node::Get(const Slice& key) {
 }
 
 Status Node::Scan(const Slice& start, const Slice& end_exclusive,
-                  size_t limit,
-                  std::vector<std::pair<std::string, std::string>>* out) {
+                  size_t limit, RowSink* sink) {
   std::shared_lock<std::shared_mutex> lock(lifecycle_mu_);
   if (is_down() || store_ == nullptr) return NotRunningError();
   if (under_repair()) return UnderRepairError();
   scans_.fetch_add(1, std::memory_order_relaxed);
-  size_t before = out->size();
-  IOTDB_RETURN_NOT_OK(
-      store_->Scan(storage::ReadOptions(), start, end_exclusive, limit, out));
-  scan_rows_read_.fetch_add(out->size() - before, std::memory_order_relaxed);
+  CountingRowSink counted(sink);
+  IOTDB_RETURN_NOT_OK(store_->Scan(start, end_exclusive, limit, &counted));
+  scan_rows_read_.fetch_add(counted.rows(), std::memory_order_relaxed);
   Instruments().scans->Increment();
-  Instruments().scan_rows->Add(out->size() - before);
+  Instruments().scan_rows->Add(counted.rows());
   return Status::OK();
 }
 

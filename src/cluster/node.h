@@ -9,6 +9,7 @@
 #include <string>
 
 #include "common/result.h"
+#include "common/row_sink.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/corruption_reporter.h"
@@ -119,8 +120,10 @@ class Node {
 
   Result<std::string> Get(const Slice& key);
 
+  /// Hands `sink` the rows of [start, end_exclusive) from the local store;
+  /// the node's row counters count what the sink received.
   Status Scan(const Slice& start, const Slice& end_exclusive, size_t limit,
-              std::vector<std::pair<std::string, std::string>>* out);
+              RowSink* sink);
 
   /// Counts replica writes skipped because this node was down (recorded as
   /// hints by the cluster).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -113,15 +114,13 @@ Result<double> KvpCodec::DecodeSensorValue(const Slice& value) {
   if (sep == nullptr || sep == value.data()) {
     return Status::Corruption("kvp value has no sensor value");
   }
-  // The numeric prefix is short; strtod with a bounded copy keeps us safe
-  // on non-terminated slices.
-  char buf[32];
-  size_t len = std::min<size_t>(sep - value.data(), sizeof(buf) - 1);
-  memcpy(buf, value.data(), len);
-  buf[len] = '\0';
-  char* parse_end = nullptr;
-  double v = strtod(buf, &parse_end);
-  if (parse_end == buf) return Status::Corruption("bad sensor value");
+  // Parsed where it lies: from_chars needs no terminator and reads nothing
+  // past the separator. The whole field must be the number.
+  double v = 0;
+  const auto [parse_end, ec] = std::from_chars(value.data(), sep, v);
+  if (ec != std::errc() || parse_end != sep) {
+    return Status::Corruption("bad sensor value");
+  }
   return v;
 }
 

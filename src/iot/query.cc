@@ -1,7 +1,8 @@
 #include "iot/query.h"
 
 #include <algorithm>
-#include <vector>
+
+#include "common/row_sink.h"
 
 namespace iotdb {
 namespace iot {
@@ -59,39 +60,59 @@ Query QueryGenerator::Next() {
   return query;
 }
 
+namespace {
+
+/// Folds each scanned row's sensor value into a window aggregate where the
+/// row lies (projection: the value only). The first malformed value stops
+/// the fold and is the window's status.
+class AggregateSink final : public RowSink {
+ public:
+  explicit AggregateSink(WindowAggregate* agg) : agg_(agg) { Clear(); }
+
+  void Add(const Slice& /*key*/, const Slice& value) override {
+    if (!status_.ok()) return;
+    auto v = KvpCodec::DecodeSensorValue(value);
+    if (!v.ok()) {
+      status_ = v.status();
+      return;
+    }
+    const double reading = v.ValueOrDie();
+    if (agg_->count == 0) {
+      agg_->min = agg_->max = reading;
+    } else {
+      agg_->min = std::min(agg_->min, reading);
+      agg_->max = std::max(agg_->max, reading);
+    }
+    agg_->sum += reading;
+    agg_->count++;
+  }
+
+  void Clear() override {
+    *agg_ = WindowAggregate();
+    status_ = Status::OK();
+  }
+
+  const Status& status() const { return status_; }
+
+ private:
+  WindowAggregate* agg_;
+  Status status_;
+};
+
+}  // namespace
+
 Status QueryExecutor::ScanWindow(const Query& query, uint64_t start_micros,
                                  uint64_t end_micros, WindowAggregate* agg) {
   std::string start_key = KvpCodec::EncodeKey(query.substation_key,
                                               query.sensor_key, start_micros);
   std::string end_key = KvpCodec::EncodeKey(query.substation_key,
                                             query.sensor_key, end_micros);
-  std::string shard_key(
-      KvpCodec::ShardPrefixOf(Slice(start_key)).ToStringView());
+  const Slice shard_key = KvpCodec::ShardPrefixOf(Slice(start_key));
 
-  std::vector<std::pair<std::string, std::string>> rows;
+  AggregateSink sink(agg);
   IOTDB_RETURN_NOT_OK(
-      db_->Scan(Slice(shard_key), Slice(start_key), Slice(end_key), 0,
-                &rows));
-
-  agg->count = 0;
-  agg->min = 0;
-  agg->max = 0;
-  agg->sum = 0;
-  for (const auto& [key, value] : rows) {
-    // Projection: sensor value and timestamp only.
-    auto v = KvpCodec::DecodeSensorValue(Slice(value));
-    if (!v.ok()) return v.status();
-    double reading = v.ValueOrDie();
-    if (agg->count == 0) {
-      agg->min = agg->max = reading;
-    } else {
-      agg->min = std::min(agg->min, reading);
-      agg->max = std::max(agg->max, reading);
-    }
-    agg->sum += reading;
-    agg->count++;
-  }
-  return Status::OK();
+      db_->Scan(shard_key, Slice(start_key), Slice(end_key), 0, &sink));
+  return sink.status();
 }
 
 Result<QueryResult> QueryExecutor::Execute(const Query& query) {

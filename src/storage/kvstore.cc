@@ -1687,23 +1687,22 @@ std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions&) {
   return NewBoundedIterator(Slice(), Slice(), nullptr);
 }
 
-Status KVStore::Scan(const ReadOptions&, const Slice& start,
-                     const Slice& end_exclusive, size_t limit,
-                     std::vector<std::pair<std::string, std::string>>* out) {
+Status KVStore::Scan(const Slice& start, const Slice& end_exclusive,
+                     size_t limit, RowSink* sink) {
   counters_.scans.Increment();
   obs_.scans->Increment();
   std::vector<std::shared_ptr<FileMeta>> opened;
   auto iter = NewBoundedIterator(start, end_exclusive, &opened);
   const Comparator* ucmp = icmp_.user_comparator();
-  const size_t before = out->size();  // rows the caller already had
+  size_t rows = 0;
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
        iter->Valid(); iter->Next()) {
     if (!end_exclusive.empty() &&
         ucmp->Compare(iter->key(), end_exclusive) >= 0) {
       break;
     }
-    out->emplace_back(iter->key().ToString(), iter->value().ToString());
-    if (limit > 0 && out->size() - before >= limit) break;
+    sink->Add(iter->key(), iter->value());
+    if (limit > 0 && ++rows >= limit) break;
   }
   Status s = iter->status();
   iter.reset();  // its destructor may take mu_
@@ -1716,6 +1715,13 @@ Status KVStore::Scan(const ReadOptions&, const Slice& start,
     QuarantineCorruptTables(&lock, opened, &report);
   }
   return s;
+}
+
+Status KVStore::Scan(const ReadOptions&, const Slice& start,
+                     const Slice& end_exclusive, size_t limit,
+                     std::vector<std::pair<std::string, std::string>>* out) {
+  VectorRowSink sink(out);
+  return Scan(start, end_exclusive, limit, &sink);
 }
 
 SequenceNumber KVStore::GetSnapshot() {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/row_sink.h"
 #include "common/slice.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -95,7 +96,7 @@ struct KvEntry {
 ///   auto store = KVStore::Open(options, "/data/gw").MoveValueUnsafe();
 ///   store->Put(WriteOptions(), key, value);
 ///   auto val = store->Get(ReadOptions(), key);
-///   store->Scan(ReadOptions(), start, end, 0, &rows);
+///   store->Scan(start, end, 0, &sink);
 class KVStore {
  public:
   /// Opens (creating if needed) the store in directory `name`, replaying any
@@ -132,12 +133,17 @@ class KVStore {
   /// returned iterator pins the memtables/tables it reads.
   std::unique_ptr<Iterator> NewIterator(const ReadOptions& options);
 
-  /// Range scan convenience: appends to `out` the key/value pairs where
-  /// start <= key < end_exclusive (empty end = unbounded), at most `limit`
-  /// of them when limit > 0; pairs `out` already held do not count. Reads
-  /// the memtables plus only the tables whose key range overlaps the
-  /// bounds. A Corruption status quarantines every table of the scan that
-  /// fails verification, as Get does.
+  /// Range scan: hands `sink` the key/value pairs where start <= key <
+  /// end_exclusive (empty end = unbounded) in key order, at most `limit` of
+  /// them when limit > 0, each where it lies (see RowSink). Reads the
+  /// memtables plus only the tables whose key range overlaps the bounds. A
+  /// Corruption status quarantines every table of the scan that fails
+  /// verification, as Get does; the sink may have received some rows.
+  Status Scan(const Slice& start, const Slice& end_exclusive, size_t limit,
+              RowSink* sink);
+
+  /// Scan that appends copies of the rows to `out`; pairs `out` already
+  /// held do not count against `limit`.
   Status Scan(const ReadOptions& options, const Slice& start,
               const Slice& end_exclusive, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out);

@@ -36,7 +36,14 @@ class ClusterDB final : public DB {
               const Slice& end_exclusive, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out)
       override {
-    return client_.Scan(shard_key, start, end_exclusive, limit, out);
+    VectorRowSink sink(out);
+    return Scan(shard_key, start, end_exclusive, limit, &sink);
+  }
+
+  Status Scan(const Slice& shard_key, const Slice& start,
+              const Slice& end_exclusive, size_t limit,
+              RowSink* sink) override {
+    return client_.Scan(shard_key, start, end_exclusive, limit, sink);
   }
 
  private:
@@ -71,12 +78,18 @@ class KVStoreDB final : public DB {
     return store_->Get(storage::ReadOptions(), key);
   }
 
-  Status Scan(const Slice& /*shard_key*/, const Slice& start,
+  Status Scan(const Slice& shard_key, const Slice& start,
               const Slice& end_exclusive, size_t limit,
               std::vector<std::pair<std::string, std::string>>* out)
       override {
-    return store_->Scan(storage::ReadOptions(), start, end_exclusive, limit,
-                        out);
+    VectorRowSink sink(out);
+    return Scan(shard_key, start, end_exclusive, limit, &sink);
+  }
+
+  Status Scan(const Slice& /*shard_key*/, const Slice& start,
+              const Slice& end_exclusive, size_t limit,
+              RowSink* sink) override {
+    return store_->Scan(start, end_exclusive, limit, sink);
   }
 
  private:

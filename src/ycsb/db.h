@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/row_sink.h"
 #include "common/slice.h"
 #include "common/status.h"
 
@@ -29,13 +30,21 @@ class DB {
 
   virtual Result<std::string> Read(const Slice& key) = 0;
 
-  /// Range scan: rows in [start, end_exclusive), at most `limit` when
-  /// limit > 0. `shard_key` routes sharded bindings; unsharded bindings may
-  /// ignore it.
+  /// Range scan: appends the rows in [start, end_exclusive) to `out`, at
+  /// most `limit` when limit > 0. `shard_key` routes sharded bindings;
+  /// unsharded bindings may ignore it.
   virtual Status Scan(const Slice& shard_key, const Slice& start,
                       const Slice& end_exclusive, size_t limit,
                       std::vector<std::pair<std::string, std::string>>* out)
       = 0;
+
+  /// The same scan, handing each row to `sink` (see RowSink). The default
+  /// materializes the rows through the vector Scan above, so a binding that
+  /// overrides only that one still serves it; bindings that can pass rows
+  /// straight through override this one.
+  virtual Status Scan(const Slice& shard_key, const Slice& start,
+                      const Slice& end_exclusive, size_t limit,
+                      RowSink* sink);
 };
 
 }  // namespace ycsb

@@ -151,7 +151,8 @@ TEST(ClusterTest, ShardedScanStaysOrderedWithinShard) {
   std::string shard(
       iot::KvpCodec::ShardPrefixOf(Slice(start)).ToStringView());
   std::vector<std::pair<std::string, std::string>> rows;
-  ASSERT_TRUE(client.Scan(shard, start, end, 0, &rows).ok());
+  VectorRowSink sink(&rows);
+  ASSERT_TRUE(client.Scan(shard, start, end, 0, &sink).ok());
   ASSERT_EQ(rows.size(), 10u);
   EXPECT_EQ(rows.front().second, "v1020");
   EXPECT_EQ(rows.back().second, "v1029");

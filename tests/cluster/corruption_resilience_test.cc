@@ -196,14 +196,72 @@ TEST(CorruptionResilienceTest, ScanFailsOverFromUnderRepairReplica) {
   ASSERT_EQ(report.quarantined_files, 1u);
 
   std::vector<std::pair<std::string, std::string>> rows;
+  VectorRowSink sink(&rows);
   ASSERT_TRUE(client.Scan(shard, shard + "#", shard + "$",
-                          /*limit=*/0, &rows)
+                          /*limit=*/0, &sink)
                   .ok());
   EXPECT_EQ(rows.size(), 50u);
   EXPECT_GT(cluster->GetFaultRecoveryStats().read_repairs, 0u);
 
   ASSERT_TRUE(cluster->RunPendingRepairs().ok());
   EXPECT_FALSE(victim->under_repair());
+}
+
+// A replica whose table rots mid-window hands the sink the rows before the
+// bad block, then fails with Corruption. The failover must drop those rows,
+// not append the next replica's full window after them.
+TEST(CorruptionResilienceTest, ScanFailoverDropsPartialRowsOfCorruptReplica) {
+  ClusterOptions options = CorruptibleClusterOptions(3);
+  options.shard_key_fn = SensorShardKey;
+  // Large enough that each replica flushes the shard into one table.
+  options.storage_options.write_buffer_size = 4 << 20;
+  auto cluster = Cluster::Start(options).MoveValueUnsafe();
+  Client client(cluster.get());
+  const std::string shard = "sensor-a";
+  std::vector<std::pair<std::string, std::string>> batch;
+  for (int i = 0; i < 200; ++i) {
+    char key[32];
+    snprintf(key, sizeof(key), "%s#%04d", shard.c_str(), i);
+    batch.emplace_back(key,
+                       std::string(1000, static_cast<char>('a' + i % 26)));
+  }
+  ASSERT_TRUE(client.PutBatch(batch).ok());
+  ASSERT_TRUE(cluster->FlushAll().ok());
+
+  // Complement one byte in the middle of the primary's table: a data block
+  // about halfway through the window fails its CRC.
+  Node* victim = cluster->node(cluster->PrimaryNodeFor(batch[0].first));
+  storage::Env* env = cluster->fault_env();
+  const auto files = env->ListDir(victim->data_dir()).MoveValueUnsafe();
+  std::string sst;
+  for (const auto& f : files) {
+    if (storage::ClassifyFile(f) == storage::FileClass::kSSTable) {
+      ASSERT_TRUE(sst.empty()) << "expected one table";
+      sst = victim->data_dir() + "/" + f;
+    }
+  }
+  ASSERT_FALSE(sst.empty());
+  std::string contents;
+  ASSERT_TRUE(env->ReadFileToString(sst, &contents).ok());
+  const size_t offset = contents.size() / 2;
+  const char flipped = static_cast<char>(~contents[offset]);
+  ASSERT_TRUE(env->OverwriteFileRange(sst, offset, Slice(&flipped, 1)).ok());
+
+  std::vector<std::pair<std::string, std::string>> rows;
+  VectorRowSink sink(&rows);
+  ASSERT_TRUE(client.Scan(shard, shard + "#", shard + "$", /*limit=*/0,
+                          &sink)
+                  .ok());
+  EXPECT_EQ(victim->files_quarantined(), 1u);
+  ASSERT_EQ(rows.size(), batch.size());
+  EXPECT_EQ(rows, batch);
+  // Only the replica that answered counts the rows it handed over.
+  uint64_t counted = 0;
+  for (int i = 0; i < cluster->num_nodes(); ++i) {
+    counted += cluster->node(i)->GetStats().scan_rows_read;
+  }
+  EXPECT_EQ(victim->GetStats().scan_rows_read, 0u);
+  EXPECT_EQ(counted, batch.size());
 }
 
 TEST(CorruptionResilienceTest, RestartOfUnderRepairNodeForcesRecopy) {

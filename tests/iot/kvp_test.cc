@@ -1,7 +1,12 @@
 // Sensor catalog, kvp codec, and execution-rule tests.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "iot/kvp.h"
 #include "iot/rules.h"
@@ -103,6 +108,29 @@ TEST(KvpCodecTest, RoundTrip) {
   EXPECT_EQ(out.timestamp_micros, 1234567890123456ull);
   EXPECT_NEAR(out.value, 1543.2188, 1e-4);
   EXPECT_EQ(out.unit, "ppm");
+
+  // The in-place parse gives strtod's double, bit for bit, for every value
+  // the encoder writes (%.4f), negatives and zero included.
+  for (int64_t i = -2000000; i <= 2000000; i += 997) {
+    for (double v : {i / 1e4, i / 7.0, i * 1234.5678}) {
+      char buf[64];
+      snprintf(buf, sizeof(buf), "%.4f", v);
+      const double expected = strtod(buf, nullptr);
+      auto parsed =
+          KvpCodec::DecodeSensorValue(std::string(buf) + "|unit|pad");
+      ASSERT_TRUE(parsed.ok()) << buf;
+      ASSERT_EQ(std::bit_cast<uint64_t>(parsed.ValueOrDie()),
+                std::bit_cast<uint64_t>(expected))
+          << buf;
+    }
+  }
+  for (const char* zero : {"0.0000", "-0.0000"}) {
+    auto parsed = KvpCodec::DecodeSensorValue(std::string(zero) + "|u|p");
+    ASSERT_TRUE(parsed.ok()) << zero;
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed.ValueOrDie()),
+              std::bit_cast<uint64_t>(strtod(zero, nullptr)))
+        << zero;
+  }
 }
 
 TEST(KvpCodecTest, KeysSortByTimeWithinSensor) {
@@ -135,6 +163,7 @@ TEST(KvpCodecTest, MalformedInputsRejected) {
   std::string good_key = KvpCodec::EncodeKey("s", "x", 1);
   EXPECT_FALSE(KvpCodec::Decode(good_key, "novalueseparator").ok());
   EXPECT_FALSE(KvpCodec::DecodeSensorValue("|unit|pad").ok());
+  EXPECT_FALSE(KvpCodec::DecodeSensorValue("x1.0|u").ok());
 }
 
 TEST(RulesTest, Equation1SystemRate) {

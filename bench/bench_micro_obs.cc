@@ -130,7 +130,7 @@ int main() {
   // a stage; it is never completed, so no histogram is recorded.
   double bc_ns = MinNsPerOp([&](uint64_t i) {
     iotdb::obs::ScopedOpBreadcrumb bc("bench.op", 0, 1);
-    iotdb::obs::AddStageMicros(iotdb::obs::Stage::kVlog, i);
+    iotdb::obs::AddStageMicros(iotdb::obs::Stage::kWalSync, i);
   });
   printf("  %-44s %8.2f ns/op (budget %.0f)\n",
          "breadcrumb + stage (installed, uncompleted)", bc_ns,

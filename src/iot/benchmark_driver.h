@@ -84,8 +84,9 @@ struct BenchmarkConfig {
   /// the execution so the schedule always exercises detection and repair.
   /// Requires the cluster to run with fault injection enabled.
   /// fault_corrupt_target picks the victim file class: "sstable" (default)
-  /// or "vlog" (`fault.corrupt_target` in kit properties; vlog requires the
-  /// SUT stores to run with Options::value_separation).
+  /// or "vlog" (`fault.corrupt_target` in kit properties; every store has
+  /// vlog files once a flush separated its large values, and the flush
+  /// before the injection guarantees one).
   int fault_corrupt_node = -1;
   uint64_t fault_corrupt_at_ops = 0;
   int fault_corrupt_bits = 8;

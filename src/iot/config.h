@@ -29,7 +29,7 @@ namespace iot {
 ///   fault.corrupt_at_ops  (0)      acked kvps before the bit flips
 ///   fault.corrupt_bits    (8)      number of random bits flipped
 ///   fault.corrupt_target  (sstable) victim file class: sstable or vlog
-///                                  (vlog needs value-separated stores)
+///                                  (a flush writes the vlog files)
 ///   fault.net_partition_node (-1)  node partitioned off mid-run
 ///   fault.net_partition_at_ops (0) acked kvps before the partition
 ///   fault.net_heal_after_ops (0)   acked kvps from partition to heal

@@ -3,14 +3,22 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
-#include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <system_error>
 
 namespace iotdb {
 namespace iot {
 
 namespace {
+
+/// 10^kTimestampDigits: the first timestamp that needs more digits.
+constexpr uint64_t kTimestampLimit = [] {
+  uint64_t limit = 1;
+  for (int i = 0; i < KvpCodec::kTimestampDigits; ++i) limit *= 10;
+  return limit;
+}();
 
 /// Cheap deterministic padding: repeats a printable alphabet with a
 /// seed-dependent rotation, so padding differs between kvps without
@@ -42,9 +50,15 @@ std::string KvpCodec::EncodeKey(const Slice& substation_key,
   key.push_back(kKeySeparator);
   key.append(sensor_key.data(), sensor_key.size());
   key.push_back(kKeySeparator);
-  char ts[kTimestampDigits + 1];
-  snprintf(ts, sizeof(ts), "%017" PRIu64, timestamp_micros);
-  key.append(ts, kTimestampDigits);
+  // The digits of "%017" PRIu64, written directly; a timestamp past the
+  // field keeps its leading digits, as snprintf's truncation would.
+  uint64_t t = timestamp_micros;
+  while (t >= kTimestampLimit) t /= 10;
+  const size_t ts_at = key.size();
+  key.resize(ts_at + kTimestampDigits);
+  for (char* p = key.data() + key.size(); p != key.data() + ts_at; t /= 10) {
+    *--p = static_cast<char>('0' + t % 10);
+  }
   return key;
 }
 
@@ -60,11 +74,14 @@ Kvp KvpCodec::Encode(const Reading& reading, uint64_t padding_seed) {
   kvp.key = EncodeKey(reading.substation_key, reading.sensor_key,
                       reading.timestamp_micros);
 
-  char value_buf[32];
-  int value_len = snprintf(value_buf, sizeof(value_buf), "%.4f",
-                           reading.value);
+  // "%.4f" of any double, DBL_MAX's 309 integer digits included.
+  char value_buf[std::numeric_limits<double>::max_exponent10 + 8];
+  const std::to_chars_result formatted =
+      std::to_chars(value_buf, value_buf + sizeof(value_buf), reading.value,
+                    std::chars_format::fixed, 4);
+  assert(formatted.ec == std::errc());
   kvp.value.reserve(kKvpBytes - kvp.key.size());
-  kvp.value.append(value_buf, value_len);
+  kvp.value.append(value_buf, formatted.ptr);
   kvp.value.push_back(kValueSeparator);
   kvp.value.append(reading.unit);
   kvp.value.push_back(kValueSeparator);

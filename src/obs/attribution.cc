@@ -13,7 +13,6 @@ thread_local constinit OpBreadcrumb* tls_breadcrumb = nullptr;
 const char* StageName(Stage stage) {
   switch (stage) {
     case Stage::kCommitQueueWait: return "commit_queue_wait";
-    case Stage::kVlog: return "vlog";
     case Stage::kWalSync: return "wal_sync";
     case Stage::kCommitWait: return "commit_wait";
     case Stage::kFanoutSend: return "fanout_send";

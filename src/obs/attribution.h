@@ -26,7 +26,6 @@ namespace obs {
 /// actually executed on its own thread.
 enum class Stage : int {
   kCommitQueueWait = 0,  // time queued behind the group-commit leader
-  kVlog,                 // value-log separation + sync (leader, per group)
   kWalSync,              // WAL append + sync (leader, per group)
   kCommitWait,           // memtable insert + sequence publication + handoff
   kFanoutSend,           // building + sending replica write requests
@@ -34,7 +33,7 @@ enum class Stage : int {
   kRetryBackoff,         // driver retry sleeps on Unavailable/TimedOut
 };
 
-inline constexpr int kNumStages = 7;
+inline constexpr int kNumStages = 6;
 
 /// Stable lowercase stage slug ("commit_queue_wait", ...), used for registry
 /// instrument names, slowops.json keys, and FDR rows.

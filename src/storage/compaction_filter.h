@@ -19,7 +19,12 @@ class CompactionFilter {
  public:
   virtual ~CompactionFilter() = default;
 
-  /// True when the entry should be removed from the store.
+  /// True when the entry should be removed from the store. `value` is the
+  /// value as the table stores it: the row's bytes for a value shorter than
+  /// Options::min_value_size, but for a separated row the 20-byte encoded
+  /// vlog::ValuePointer, never the row (compaction reads no vlog record). A
+  /// filter that must look at large rows cannot; the retention filter reads
+  /// only the key. A dropped pointer's record counts as dead vlog bytes.
   virtual bool ShouldDrop(const Slice& user_key, const Slice& value) const
       = 0;
 

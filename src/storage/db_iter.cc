@@ -10,15 +10,20 @@ namespace {
 class DBIter final : public Iterator {
  public:
   DBIter(const InternalKeyComparator* icmp,
-         std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence)
+         std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence,
+         std::unique_ptr<ValueResolver> resolver, const Slice& upper_bound)
       : user_comparator_(icmp->user_comparator()),
         iter_(std::move(internal_iter)),
         sequence_(sequence),
+        resolver_(std::move(resolver)),
+        upper_bound_(upper_bound.ToString()),
         valid_(false) {}
 
   bool Valid() const override { return valid_; }
   Slice key() const override { return ExtractUserKey(iter_->key()); }
-  Slice value() const override { return iter_->value(); }
+  Slice value() const override {
+    return resolved_ ? resolved_value_ : iter_->value();
+  }
 
   Status status() const override {
     if (status_.ok()) return iter_->status();
@@ -32,6 +37,9 @@ class DBIter final : public Iterator {
  private:
   void FindNextUserEntry(bool skipping, std::string* skip);
   bool ParseKey(ParsedInternalKey* key);
+  // Lands on the current entry, a visible value of ikey.user_key: ends the
+  // iteration at the upper bound, and resolves a pointer entry.
+  void Land(const ParsedInternalKey& ikey);
 
   void SaveKey(const Slice& k, std::string* dst) {
     dst->assign(k.data(), k.size());
@@ -41,9 +49,14 @@ class DBIter final : public Iterator {
   std::unique_ptr<Iterator> iter_;
   SequenceNumber const sequence_;
 
+  std::unique_ptr<ValueResolver> const resolver_;
+  const std::string upper_bound_;  // empty: unbounded
+
   Status status_;
   std::string saved_key_;  // user key to skip past, or a seek target
   bool valid_;
+  bool resolved_ = false;  // value() is resolved_value_
+  Slice resolved_value_;
 };
 
 bool DBIter::ParseKey(ParsedInternalKey* ikey) {
@@ -79,12 +92,13 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
           skipping = true;
           break;
         case ValueType::kValue:
+        case ValueType::kValuePointer:
           if (skipping &&
               user_comparator_->Compare(ikey.user_key, Slice(*skip)) <= 0) {
             // Hidden: older version of a key we already emitted/deleted.
           } else {
-            valid_ = true;
             saved_key_.clear();
+            Land(ikey);
             return;
           }
           break;
@@ -94,6 +108,28 @@ void DBIter::FindNextUserEntry(bool skipping, std::string* skip) {
   } while (iter_->Valid());
   saved_key_.clear();
   valid_ = false;
+}
+
+void DBIter::Land(const ParsedInternalKey& ikey) {
+  resolved_ = false;
+  if (!upper_bound_.empty() &&
+      user_comparator_->Compare(ikey.user_key, Slice(upper_bound_)) >= 0) {
+    valid_ = false;
+    return;
+  }
+  if (ikey.type == ValueType::kValuePointer) {
+    Status s = resolver_ != nullptr
+                   ? resolver_->Resolve(ikey.user_key, iter_->value(),
+                                        &resolved_value_)
+                   : Status::Corruption("value pointer without a resolver");
+    if (!s.ok()) {
+      status_ = s;
+      valid_ = false;
+      return;
+    }
+    resolved_ = true;
+  }
+  valid_ = true;
 }
 
 void DBIter::Seek(const Slice& target) {
@@ -120,8 +156,10 @@ void DBIter::SeekToFirst() {
 
 std::unique_ptr<Iterator> NewDBIterator(
     const InternalKeyComparator* icmp,
-    std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence) {
-  return std::make_unique<DBIter>(icmp, std::move(internal_iter), sequence);
+    std::unique_ptr<Iterator> internal_iter, SequenceNumber sequence,
+    std::unique_ptr<ValueResolver> resolver, const Slice& upper_bound) {
+  return std::make_unique<DBIter>(icmp, std::move(internal_iter), sequence,
+                                  std::move(resolver), upper_bound);
 }
 
 }  // namespace storage

@@ -21,10 +21,17 @@ static constexpr SequenceNumber kMaxSequenceNumber = ((1ull << 56) - 1);
 enum class ValueType : uint8_t {
   kDeletion = 0x0,
   kValue = 0x1,
+  /// The value is an encoded vlog::ValuePointer to the row's bytes in a
+  /// value-log file. Only tables hold such entries: a flush writes them
+  /// (see KVStore::FlushImmutable); the WAL and memtables never do.
+  kValuePointer = 0x2,
 };
 
 /// Sentinel used when looking up: seeks to the newest entry <= the sequence.
-static constexpr ValueType kValueTypeForSeek = ValueType::kValue;
+/// It must be the highest type: entries of one sequence order by descending
+/// type, so a lower sentinel would seek past an entry of exactly that
+/// sequence with a higher type.
+static constexpr ValueType kValueTypeForSeek = ValueType::kValuePointer;
 
 /// Internal keys are user_key + 8-byte trailer ((seq << 8) | type). Ordering:
 /// ascending user key, then descending sequence, then descending type, so the
@@ -52,7 +59,7 @@ inline bool ParseInternalKey(const Slice& internal_key,
   if (internal_key.size() < 8) return false;
   uint64_t num = DecodeFixed64(internal_key.data() + internal_key.size() - 8);
   uint8_t tag = num & 0xff;
-  if (tag > static_cast<uint8_t>(ValueType::kValue)) return false;
+  if (tag > static_cast<uint8_t>(ValueType::kValuePointer)) return false;
   result->sequence = num >> 8;
   result->type = static_cast<ValueType>(tag);
   result->user_key = Slice(internal_key.data(), internal_key.size() - 8);

@@ -15,6 +15,7 @@
 #include "storage/log_reader.h"
 #include "storage/merger.h"
 #include "storage/table_builder.h"
+#include "storage/vlog_writer.h"
 
 namespace iotdb {
 namespace storage {
@@ -183,8 +184,6 @@ KVStore::KVStore(const Options& options, const std::string& name)
       registry.GetCounter("storage.vlog.gc_reclaimed_bytes");
   obs_.vlog_gc_rewritten_records =
       registry.GetCounter("storage.vlog.gc_rewritten_records");
-  obs_.vlog_recovery_dropped_pointers =
-      registry.GetCounter("storage.vlog.recovery_dropped_pointers");
 }
 
 KVStore::~KVStore() {
@@ -238,48 +237,35 @@ Status KVStore::Recover() {
 
   bool manifest_found = false;
   IOTDB_RETURN_NOT_OK(LoadManifest(&manifest_found));
-
-  if (options_.value_separation) {
-    vlog_reader_ = std::make_unique<vlog::VlogReader>(env_, dbname_);
-    // Seal any vlog file a crash left active (its valid record prefix
-    // becomes a sealed file) before WAL replay dereferences pointers.
-    IOTDB_RETURN_NOT_OK(RecoverVlogFiles());
-  }
+  vlog_reader_ = std::make_unique<vlog::VlogReader>(env_, dbname_);
 
   mem_ = new MemTable(icmp_);
   mem_->Ref();
 
   // Replay every WAL not yet represented by flushed tables, oldest first:
-  // one WAL chain, so file order is commit order.
+  // one WAL chain, so file order is commit order. New files number past
+  // every file on disk, including the outputs of a flush or compaction
+  // that crashed before its manifest write (RemoveObsoleteFiles below
+  // deletes those).
   IOTDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(dbname_));
   std::vector<uint64_t> logs;
   uint64_t max_file_number = next_file_number_.load(std::memory_order_relaxed);
   for (const std::string& f : files) {
     uint64_t number;
     std::string suffix;
-    if (ParseFileName(f, &number, &suffix) && suffix == "log" &&
-        number >= log_number_) {
-      logs.push_back(number);
-      max_file_number = std::max(max_file_number, number + 1);
-    }
+    if (!ParseFileName(f, &number, &suffix)) continue;
+    max_file_number = std::max(max_file_number, number + 1);
+    if (suffix == "log" && number >= log_number_) logs.push_back(number);
   }
   next_file_number_.store(max_file_number, std::memory_order_relaxed);
   std::sort(logs.begin(), logs.end());
 
   uint64_t dropped_bytes = 0;
-  uint64_t dropped_pointers = 0;
   SequenceNumber max_sequence = visible_seq_.load(std::memory_order_relaxed);
   for (uint64_t number : logs) {
-    IOTDB_RETURN_NOT_OK(ReplayLogFile(number, &dropped_bytes,
-                                      &dropped_pointers, &max_sequence));
+    IOTDB_RETURN_NOT_OK(ReplayLogFile(number, &dropped_bytes, &max_sequence));
   }
   visible_seq_.store(max_sequence, std::memory_order_release);
-  if (dropped_pointers > 0) {
-    IOTDB_LOG(Warn) << "WAL replay dropped " << dropped_pointers
-                    << " value pointers whose vlog records were lost";
-    counters_.vlog_recovery_dropped_pointers.Add(dropped_pointers);
-    obs_.vlog_recovery_dropped_pointers->Add(dropped_pointers);
-  }
   if (dropped_bytes > 0) {
     // Recovery skipped damaged regions rather than dropping them silently;
     // the counter lets the FDR warn per node.
@@ -297,9 +283,6 @@ Status KVStore::Recover() {
 
   {
     std::unique_lock<std::mutex> lock(mu_);
-    if (options_.value_separation) {
-      IOTDB_RETURN_NOT_OK(OpenVlogWriterLocked());
-    }
     if (mem_->NumEntries() > 0) {
       {
         std::lock_guard<std::mutex> write_lock(write_mu_);
@@ -318,7 +301,6 @@ Status KVStore::Recover() {
 }
 
 Status KVStore::ReplayLogFile(uint64_t number, uint64_t* dropped_bytes,
-                              uint64_t* dropped_pointers,
                               SequenceNumber* max_sequence) {
   const std::string path = LogFileName(number);
   IOTDB_ASSIGN_OR_RETURN(auto file, env_->NewSequentialFile(path));
@@ -328,60 +310,17 @@ Status KVStore::ReplayLogFile(uint64_t number, uint64_t* dropped_bytes,
   std::string scratch;
   while (reader.ReadRecord(&record, &scratch)) {
     if (record.size() < 12) continue;
-    IOTDB_RETURN_NOT_OK(ReplayBatch(record, dropped_pointers, max_sequence));
+    IOTDB_RETURN_NOT_OK(ReplayBatch(record, max_sequence));
   }
   *dropped_bytes += reporter.dropped_bytes;
   return Status::OK();
 }
 
-Status KVStore::ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
+Status KVStore::ReplayBatch(const Slice& contents,
                             SequenceNumber* max_sequence) {
-  // Under key-value separation a WAL record can outlive the vlog record it
-  // points at (torn vlog tail, rot): a pointer that no longer dereferences
-  // cleanly is dropped — the key falls back to its previous version or
-  // NotFound, never to garbage bytes. The per-entry sequence numbering
-  // still advances for dropped entries so surviving entries keep the exact
-  // sequence the WAL assigned them.
-  class Replayer final : public WriteBatch::Handler {
-   public:
-    Replayer(MemTable* mem, vlog::VlogReader* reader, SequenceNumber seq)
-        : mem_(mem), reader_(reader), seq_(seq) {}
-
-    void Put(const Slice& key, const Slice& value) override {
-      if (reader_ != nullptr) {
-        vlog::ValuePointer ptr;
-        if (vlog::DecodeValuePointer(value, &ptr)) {
-          std::string unused;
-          if (!reader_->Get(ptr, key, &unused).ok()) {
-            dropped_pointers_++;
-            seq_++;
-            return;
-          }
-        }
-      }
-      mem_->Add(seq_++, ValueType::kValue, key, value);
-    }
-
-    void Delete(const Slice& key) override {
-      mem_->Add(seq_++, ValueType::kDeletion, key, Slice());
-    }
-
-    uint64_t dropped_pointers() const { return dropped_pointers_; }
-
-   private:
-    MemTable* const mem_;
-    vlog::VlogReader* const reader_;
-    SequenceNumber seq_;
-    uint64_t dropped_pointers_ = 0;
-  };
-
   WriteBatch batch;
   IOTDB_RETURN_NOT_OK(WriteBatch::SetContents(&batch, contents));
-  Replayer replayer(mem_,
-                    options_.value_separation ? vlog_reader_.get() : nullptr,
-                    batch.sequence());
-  IOTDB_RETURN_NOT_OK(batch.Iterate(&replayer));
-  *dropped_pointers += replayer.dropped_pointers();
+  IOTDB_RETURN_NOT_OK(batch.InsertInto(mem_));
   if (batch.Count() > 0) {
     SequenceNumber last = batch.sequence() + batch.Count() - 1;
     *max_sequence = std::max(*max_sequence, last);
@@ -427,7 +366,6 @@ Status KVStore::WriteManifest() {
   out << "last_sequence " << visible_seq_.load(std::memory_order_relaxed)
       << "\n";
   out << "log_number " << log_number_ << "\n";
-  out << "vlog_sep " << (options_.value_separation ? 1 : 0) << "\n";
   for (const auto& vf : vlog_files_) {
     out << "vlog " << vf.number << " " << vf.size << " " << vf.dead_bytes
         << "\n";
@@ -466,16 +404,6 @@ Status KVStore::LoadManifest(bool* found) {
       visible_seq_.store(last_sequence, std::memory_order_relaxed);
     } else if (tag == "log_number") {
       in >> log_number_;
-    } else if (tag == "vlog_sep") {
-      int sep;
-      in >> sep;
-      // The data format is a property of the store, not of this Open call:
-      // stored pointers are meaningless without separation enabled.
-      if ((sep != 0) != options_.value_separation) {
-        IOTDB_LOG(Warn) << dbname_ << ": manifest value_separation="
-                        << sep << " overrides Options";
-        options_.value_separation = (sep != 0);
-      }
     } else if (tag == "vlog") {
       vlog::VlogFileInfo vf;
       in >> vf.number >> vf.size >> vf.dead_bytes;
@@ -697,9 +625,7 @@ Status KVStore::VerifyIntegrity(ScrubReport* report) {
     }
   }
   QuarantineCorruptTables(&lock, LiveTablesLocked(), rep);
-  if (options_.value_separation) {
-    VerifyVlogFiles(&lock, rep);
-  }
+  VerifyVlogFiles(&lock, rep);
   return Status::OK();
 }
 
@@ -808,7 +734,6 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
                         options_.clock->NowMicros() - queue_t0);
   }
   WriterState* last_writer = &w;
-  bool separated_commit = false;
   uint64_t group_commit_ts = 0;  // WAL-commit wall time, for follower links
   if (status.ok()) {
     WriteBatch* updates = BuildBatchGroup(&last_writer);
@@ -827,40 +752,8 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
       // from pulling the memtable out from under us.
       leader_active_ = true;
       lock.unlock();
-      WriteBatch* to_commit = updates;
-      const uint64_t vlog_t0 =
-          bc != nullptr && options_.value_separation
-              ? options_.clock->NowMicros()
-              : 0;
-      if (options_.value_separation) {
-        // Key-value separation: divert large values into the active vlog
-        // file and commit a batch of pointers instead. vlog_mu_ keeps the
-        // seal/roll, GC and scrub paths off the active file meanwhile.
-        // The vlog bytes are flushed (synced when the commit syncs)
-        // *before* the WAL record referencing them, so a replayable
-        // pointer always has its record on disk.
-        std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-        if (vlog_writer_ == nullptr) {
-          // A previous roll failed to reopen the active file; retry.
-          status = OpenVlogWriterVlogHeld();
-        }
-        if (status.ok()) {
-          status = SeparateBatch(updates, &sep_batch_);
-        }
-        if (status.ok()) {
-          to_commit = &sep_batch_;
-          status = w.sync ? vlog_writer_->Sync() : vlog_writer_->Flush();
-        }
-        if (status.ok()) separated_commit = true;
-      }
-      if (vlog_t0 != 0) {
-        obs::AddStageMicros(obs::Stage::kVlog,
-                            options_.clock->NowMicros() - vlog_t0);
-      }
       const uint64_t t0 = options_.clock->NowMicros();
-      if (status.ok()) {
-        status = log_->AddRecord(to_commit->Contents());
-      }
+      status = log_->AddRecord(updates->Contents());
       const uint64_t t1 = options_.clock->NowMicros();
       if (status.ok() && w.sync) {
         status = log_file_->Sync();
@@ -884,7 +777,7 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
                                                : obs::TraceContext());
       }
       if (status.ok()) {
-        status = to_commit->InsertInto(mem_);
+        status = updates->InsertInto(mem_);
       }
       // Publish even when the commit failed: the WAL may hold part of the
       // record, so its sequences must never be handed out again.
@@ -905,7 +798,6 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
       }
     }
     if (updates == &tmp_batch_) tmp_batch_.Clear();
-    sep_batch_.Clear();
   }
 
   while (true) {
@@ -930,18 +822,10 @@ Status KVStore::Write(const WriteOptions& options, WriteBatch* batch) {
   }
   lock.unlock();
 
-  // Store-level follow-up that needs mu_ — never taken while write_mu_ is
-  // held: schedule the flush of a switched-out memtable, roll the vlog.
-  if (switched || separated_commit) {
+  // Scheduling the flush of a switched-out memtable needs mu_, which is
+  // never taken while write_mu_ is held.
+  if (switched) {
     std::lock_guard<std::mutex> store_lock(mu_);
-    if (separated_commit && status.ok()) {
-      // A failed reopen leaves no active writer and the next leader's
-      // commit retries. The committed write itself succeeded.
-      Status roll = MaybeRollVlogLocked();
-      if (!roll.ok()) {
-        IOTDB_LOG(Error) << "vlog roll failed: " << roll.ToString();
-      }
-    }
     MaybeScheduleBackgroundWork();
   }
   return status;
@@ -1041,6 +925,9 @@ Status KVStore::SwitchMemTable() {
 
 void KVStore::MaybeScheduleBackgroundWork() {
   if (background_scheduled_ || shutting_down_) return;
+  // After a hard error the store takes no more writes; retrying the failed
+  // flush would only spin and leave its outputs behind each time.
+  if (!BackgroundErrorSnapshot().ok()) return;
   if (!has_imm_.load(std::memory_order_acquire) && !NeedsCompaction() &&
       pending_scrub_.empty() && pending_vlog_scrub_.empty() &&
       !NeedsVlogGcLocked()) {
@@ -1116,38 +1003,22 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
 
   lock->unlock();
   obs::TraceSpan flush_span("storage.flush", nullptr, options_.clock);
-  // The immutable memtable cannot change; build its table without the lock.
-  Status s;
+  // The immutable memtable cannot change; write its outputs without the
+  // lock.
   std::shared_ptr<FileMeta> meta;
-  {
-    Options table_options = options_;
-    table_options.comparator = &icmp_;
-    auto file_result = env_->NewWritableFile(TableFileName(file_number));
-    if (!file_result.ok()) {
-      s = file_result.status();
-    } else {
-      auto file = std::move(file_result).MoveValueUnsafe();
-      TableBuilder builder(table_options, file.get());
-      auto iter = imm->NewIterator();
-      for (iter->SeekToFirst(); iter->Valid(); iter->Next()) {
-        builder.Add(iter->key(), iter->value());
-      }
-      if (builder.NumEntries() > 0) {
-        s = builder.Finish();
-        if (s.ok()) s = file->Sync();
-        if (s.ok()) s = file->Close();
-        if (s.ok()) s = OpenTable(file_number, &meta);
-      } else {
-        builder.Abandon();
-        file->Close();
-        env_->RemoveFile(TableFileName(file_number)).ok();
-      }
-    }
-  }
+  std::vector<vlog::VlogFileInfo> vlog_outputs;
+  uint64_t vlog_records = 0;
+  Status s = BuildFlushOutputs(imm, file_number, &vlog_outputs, &vlog_records,
+                               &meta);
+  uint64_t vlog_bytes = 0;
+  for (const auto& vf : vlog_outputs) vlog_bytes += vf.size;
   if (meta != nullptr) flush_span.SetArg("bytes", meta->file_size);
+  flush_span.SetArg("vlog_bytes", vlog_bytes);
   flush_span.Stop();
   lock->lock();
 
+  // A failed flush leaves what it wrote as orphans: no manifest names
+  // them, and RemoveObsoleteFiles deletes them.
   if (!s.ok()) return s;
   if (meta != nullptr) {
     // Newest L0 file goes first.
@@ -1159,10 +1030,17 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
     obs_.bytes_flushed->Add(meta->file_size);
     if (options_.background_scrub) pending_scrub_.push_back(meta->number);
   }
+  for (const auto& vf : vlog_outputs) {
+    vlog_files_.push_back(vf);
+    if (options_.background_scrub) pending_vlog_scrub_.push_back(vf.number);
+  }
+  counters_.vlog_appended_bytes.Add(vlog_bytes);
+  obs_.vlog_appended_bytes->Add(vlog_bytes);
+  obs_.vlog_appended_records->Add(vlog_records);
   // Advance the WAL threshold only now that the table is installed in the
   // version set: a manifest written by any mu_ holder sees either the old
   // threshold (and keeps the flushed records' WAL) or the new one plus the
-  // table.
+  // table and its vlog files.
   log_number_ = wal_number;
   {
     std::lock_guard<std::mutex> write_lock(write_mu_);
@@ -1174,6 +1052,85 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
   IOTDB_RETURN_NOT_OK(WriteManifest());
   RemoveObsoleteFiles();
   return Status::OK();
+}
+
+Status KVStore::BuildFlushOutputs(MemTable* imm, uint64_t table_number,
+                                  std::vector<vlog::VlogFileInfo>* vlog_outputs,
+                                  uint64_t* vlog_records,
+                                  std::shared_ptr<FileMeta>* meta) {
+  IOTDB_ASSIGN_OR_RETURN(auto file,
+                         env_->NewWritableFile(TableFileName(table_number)));
+  Options table_options = options_;
+  table_options.comparator = &icmp_;
+  TableBuilder builder(table_options, file.get());
+
+  // Large values go to vlog files of this flush in key order, so the rows
+  // a scan reads together lie together. Each file is synced as it is
+  // finished, before the table is: no installed pointer outlives its record.
+  std::unique_ptr<vlog::VlogWriter> vlog_writer;
+  auto finish_vlog = [&]() -> Status {
+    if (vlog_writer == nullptr) return Status::OK();
+    Status vs = vlog_writer->Finish();
+    if (vs.ok()) {
+      vlog_outputs->push_back(
+          vlog::VlogFileInfo{vlog_writer->file_no(), vlog_writer->offset(), 0});
+    }
+    vlog_writer.reset();
+    return vs;
+  };
+
+  Status s;
+  std::string pointer_key;
+  std::string pointer;
+  auto iter = imm->NewIterator();
+  for (iter->SeekToFirst(); s.ok() && iter->Valid(); iter->Next()) {
+    const Slice key = iter->key();
+    const Slice value = iter->value();
+    ParsedInternalKey ikey;
+    if (value.size() < options_.min_value_size ||
+        !ParseInternalKey(key, &ikey) || ikey.type != ValueType::kValue) {
+      builder.Add(key, value);
+      continue;
+    }
+    if (vlog_writer != nullptr &&
+        vlog_writer->offset() >= options_.vlog_file_size) {
+      s = finish_vlog();
+      if (!s.ok()) break;
+    }
+    if (vlog_writer == nullptr) {
+      const uint64_t number =
+          next_file_number_.fetch_add(1, std::memory_order_relaxed);
+      auto vlog_file = env_->NewWritableFile(VlogName(number));
+      if (!vlog_file.ok()) {
+        s = vlog_file.status();
+        break;
+      }
+      vlog_writer = std::make_unique<vlog::VlogWriter>(
+          std::move(vlog_file).MoveValueUnsafe(), number);
+    }
+    vlog::ValuePointer ptr;
+    s = vlog_writer->Add(ikey.user_key, value, &ptr);
+    if (!s.ok()) break;
+    ++*vlog_records;
+    pointer_key.assign(ikey.user_key.data(), ikey.user_key.size());
+    PutFixed64(&pointer_key, PackSequenceAndType(ikey.sequence,
+                                                 ValueType::kValuePointer));
+    pointer.clear();
+    vlog::EncodeValuePointer(&pointer, ptr);
+    builder.Add(Slice(pointer_key), Slice(pointer));
+  }
+  if (s.ok()) s = finish_vlog();
+  if (!s.ok() || builder.NumEntries() == 0) {
+    builder.Abandon();
+    file->Close();
+    if (s.ok()) env_->RemoveFile(TableFileName(table_number)).ok();
+    return s;
+  }
+  s = builder.Finish();
+  if (s.ok()) s = file->Sync();
+  if (s.ok()) s = file->Close();
+  if (s.ok()) s = OpenTable(table_number, meta);
+  return s;
 }
 
 bool KVStore::NeedsCompaction() const {
@@ -1354,7 +1311,7 @@ Status KVStore::RunCompactionAtLevel(int level,
                    ikey.sequence <= smallest_snapshot &&
                    IsBaseLevelForKey(output_level, ikey.user_key)) {
           drop = true;  // tombstone with nothing underneath
-        } else if (newest_of_key && ikey.type == ValueType::kValue &&
+        } else if (newest_of_key && ikey.type != ValueType::kDeletion &&
                    ikey.sequence <= smallest_snapshot &&
                    options_.compaction_filter != nullptr &&
                    IsBaseLevelForKey(output_level, ikey.user_key) &&
@@ -1369,11 +1326,10 @@ Status KVStore::RunCompactionAtLevel(int level,
       }
 
       if (drop) {
-        if (options_.value_separation) {
-          vlog::ValuePointer ptr;
-          if (vlog::DecodeValuePointer(merged->value(), &ptr)) {
-            vlog_dead[ptr.file_no] += ptr.size;
-          }
+        vlog::ValuePointer ptr;
+        if (ikey.type == ValueType::kValuePointer &&
+            vlog::DecodeValuePointer(merged->value(), &ptr)) {
+          vlog_dead[ptr.file_no] += ptr.size;
         }
         continue;
       }
@@ -1465,8 +1421,8 @@ struct GetState {
 
   bool found = false;
   SequenceNumber best_sequence = 0;
-  bool is_deletion = false;
-  std::string value;
+  ValueType type = ValueType::kDeletion;
+  std::string value;  // stored: a kValuePointer entry's is the pointer
 };
 
 void GetHandler(void* arg, const Slice& internal_key, const Slice& v) {
@@ -1481,11 +1437,51 @@ void GetHandler(void* arg, const Slice& internal_key, const Slice& v) {
   if (state->found && parsed.sequence <= state->best_sequence) return;
   state->found = true;
   state->best_sequence = parsed.sequence;
-  state->is_deletion = (parsed.type == ValueType::kDeletion);
-  if (!state->is_deletion) state->value.assign(v.data(), v.size());
+  state->type = parsed.type;
+  if (parsed.type != ValueType::kDeletion) state->value.assign(v.data(), v.size());
 }
 
 }  // namespace
+
+/// Resolves the pointer entries of one read (an iterator or a Get) through a
+/// VlogCursor and holds the read's pin: GC defers deleting the vlog files
+/// it reclaims until no resolver that could still read them is left. Its
+/// owner counts it in open_readers_, under mu_ and before the read takes
+/// its snapshot: GC holds mu_ from its re-puts to its deletions, so a file
+/// it deletes before the pin was superseded at or below that snapshot.
+class KVStore::VlogResolver final : public ValueResolver {
+ public:
+  explicit VlogResolver(KVStore* store)
+      : store_(store), cursor_(store->vlog_reader_.get()) {}
+
+  ~VlogResolver() override {
+    store_->counters_.vlog_dereferences.Add(derefs_);
+    store_->obs_.vlog_dereferences->Add(derefs_);
+    store_->OnIteratorClosed();
+  }
+
+  Status Resolve(const Slice& user_key, const Slice& pointer,
+                 Slice* value) override {
+    vlog::ValuePointer ptr;
+    if (!vlog::DecodeValuePointer(pointer, &ptr)) {
+      return Status::Corruption("malformed value pointer");
+    }
+    ++derefs_;
+    Status s = cursor_.Read(ptr, user_key, value);
+    if (s.IsCorruption()) {
+      // A rotten record poisons the whole file's trust: quarantine it so no
+      // later read trips over it. The cluster layer fails the read over to
+      // a healthy replica and repairs from there.
+      store_->QuarantineVlogFile(ptr.file_no, s);
+    }
+    return s;
+  }
+
+ private:
+  KVStore* const store_;
+  vlog::VlogCursor cursor_;
+  uint64_t derefs_ = 0;
+};
 
 Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
   MemTable* mem;
@@ -1493,28 +1489,25 @@ Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
   std::vector<std::shared_ptr<FileMeta>> candidates;
   counters_.gets.Increment();
   obs_.gets->Increment();
-  // Snapshot before pinning any source: the visible prefix only grows, so
-  // a memtable pinned afterwards holds every entry <= snapshot it ever
-  // will (entries published later carry larger sequences and filter out).
-  const SequenceNumber snapshot = VisibleSequence();
-  // Under separation, pin the read so GC defers physical deletion of vlog
-  // files this lookup may still dereference into (local classes share the
-  // enclosing member function's access).
-  struct ReadPin {
-    KVStore* store = nullptr;
-    ~ReadPin() {
-      if (store != nullptr) store->OnIteratorClosed();
-    }
-  } pin;
-  {
-    std::lock_guard<std::mutex> write_lock(write_mu_);
-    mem = mem_;
-    mem->Ref();
-    imm = imm_;
-    if (imm != nullptr) imm->Ref();
-  }
+  // Counted in open_readers_ right below; nothing returns before that.
+  VlogResolver resolver(this);
+  SequenceNumber snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    open_readers_++;
+    // Snapshot before pinning any source: the visible prefix only grows,
+    // so a memtable pinned afterwards holds every entry <= snapshot it ever
+    // will (entries published later carry larger sequences and filter
+    // out), and a table collected after the memtables holds whatever they
+    // lost to a flush meanwhile.
+    snapshot = VisibleSequence();
+    {
+      std::lock_guard<std::mutex> write_lock(write_mu_);
+      mem = mem_;
+      mem->Ref();
+      imm = imm_;
+      if (imm != nullptr) imm->Ref();
+    }
     for (int level = 0; level < kNumLevels; ++level) {
       for (const auto& f : levels_.files[level]) {
         if (FileOverlapsRange(icmp_, *f, key, key)) {
@@ -1522,12 +1515,9 @@ Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
         }
       }
     }
-    if (options_.value_separation) {
-      open_readers_++;
-      pin.store = this;
-    }
   }
 
+  // Memtables hold full values only: a flush separates them.
   std::string value;
   Status s;
   Result<std::string> result = Status::NotFound("key not found");
@@ -1543,14 +1533,7 @@ Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
   }
   mem->Unref();
   if (imm != nullptr) imm->Unref();
-  if (done) {
-    if (result.ok() && options_.value_separation) {
-      std::string raw = std::move(result).MoveValueUnsafe();
-      IOTDB_RETURN_NOT_OK(MaterializeValue(key, &raw));
-      return raw;
-    }
-    return result;
-  }
+  if (done) return result;
 
   GetState state;
   state.icmp = &icmp_;
@@ -1570,82 +1553,29 @@ Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
       return ts;
     }
   }
-  if (!state.found || state.is_deletion) {
+  if (!state.found || state.type == ValueType::kDeletion) {
     return Status::NotFound("key not found");
   }
-  if (options_.value_separation) {
-    IOTDB_RETURN_NOT_OK(MaterializeValue(key, &state.value));
+  if (state.type == ValueType::kValuePointer) {
+    Slice resolved;
+    IOTDB_RETURN_NOT_OK(resolver.Resolve(key, Slice(state.value), &resolved));
+    return resolved.ToString();
   }
   return std::move(state.value);
 }
 
-/// Lazily dereferences value pointers for iteration: keys stream straight
-/// from the LSM; the vlog record is only read when value() is called.
-/// A failed dereference surfaces through status() and yields an empty
-/// value. Registered with the store so GC defers physical deletion of
-/// reclaimed vlog files while any iterator might still point into them.
-class VlogDerefIterator final : public Iterator {
- public:
-  VlogDerefIterator(KVStore* store, std::unique_ptr<Iterator> inner)
-      : store_(store), inner_(std::move(inner)) {}
-
-  ~VlogDerefIterator() override {
-    inner_.reset();
-    store_->OnIteratorClosed();
-  }
-
-  bool Valid() const override { return inner_->Valid(); }
-  void SeekToFirst() override {
-    inner_->SeekToFirst();
-    materialized_valid_ = false;
-  }
-  void Seek(const Slice& target) override {
-    inner_->Seek(target);
-    materialized_valid_ = false;
-  }
-  void Next() override {
-    inner_->Next();
-    materialized_valid_ = false;
-  }
-  Slice key() const override { return inner_->key(); }
-
-  Slice value() const override {
-    if (!materialized_valid_) {
-      materialized_ = inner_->value().ToString();
-      Status s = store_->MaterializeValue(inner_->key(), &materialized_);
-      if (!s.ok()) {
-        if (deref_status_.ok()) deref_status_ = s;
-        materialized_.clear();
-      }
-      materialized_valid_ = true;
-    }
-    return materialized_;
-  }
-
-  Status status() const override {
-    if (!deref_status_.ok()) return deref_status_;
-    return inner_->status();
-  }
-
- private:
-  KVStore* const store_;
-  std::unique_ptr<Iterator> inner_;
-  mutable std::string materialized_;
-  mutable bool materialized_valid_ = false;
-  mutable Status deref_status_;
-};
-
 std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
-    const Slice& start, const Slice& end,
+    const Slice& start, const Slice& end_exclusive,
     std::vector<std::shared_ptr<FileMeta>>* opened) {
   std::vector<std::unique_ptr<Iterator>> children;
   std::vector<std::shared_ptr<FileMeta>> pinned_tables;
   std::vector<MemTable*> pinned_mems;
-  // Snapshot before pinning sources (see Get for the ordering argument).
-  const SequenceNumber snapshot = VisibleSequence();
-  bool separated = false;
+  SequenceNumber snapshot;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Pin, then snapshot, then sources (see Get for the ordering argument).
+    open_readers_++;  // released by the resolver
+    snapshot = VisibleSequence();
     // Newest sources first so the merger prefers them on ties.
     {
       std::lock_guard<std::mutex> write_lock(write_mu_);
@@ -1658,29 +1588,23 @@ std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
         pinned_mems.push_back(imm_);
       }
     }
-    // A table with no user key in [start, end] holds no row, tombstone or
-    // older version the bounded walk could meet, so it is never opened.
+    // A table with no user key in [start, end_exclusive] holds no row,
+    // tombstone or older version the bounded walk could meet, so it is
+    // never opened.
     for (int level = 0; level < kNumLevels; ++level) {
       for (const auto& f : levels_.files[level]) {
-        if (!FileOverlapsRange(icmp_, *f, start, end)) continue;
+        if (!FileOverlapsRange(icmp_, *f, start, end_exclusive)) continue;
         children.push_back(f->table->NewIterator());
         pinned_tables.push_back(f);
       }
     }
-    if (options_.value_separation) {
-      open_readers_++;
-      separated = true;
-    }
   }
   if (opened != nullptr) *opened = pinned_tables;
   auto db_iter = NewDBIterator(
-      &icmp_, NewMergingIterator(&icmp_, std::move(children)), snapshot);
-  auto pinned = std::make_unique<PinningIterator>(
+      &icmp_, NewMergingIterator(&icmp_, std::move(children)), snapshot,
+      std::make_unique<VlogResolver>(this), end_exclusive);
+  return std::make_unique<PinningIterator>(
       std::move(db_iter), std::move(pinned_tables), std::move(pinned_mems));
-  if (separated) {
-    return std::make_unique<VlogDerefIterator>(this, std::move(pinned));
-  }
-  return pinned;
 }
 
 std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions&) {
@@ -1692,15 +1616,11 @@ Status KVStore::Scan(const Slice& start, const Slice& end_exclusive,
   counters_.scans.Increment();
   obs_.scans->Increment();
   std::vector<std::shared_ptr<FileMeta>> opened;
+  // The iterator stops before end_exclusive.
   auto iter = NewBoundedIterator(start, end_exclusive, &opened);
-  const Comparator* ucmp = icmp_.user_comparator();
   size_t rows = 0;
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
        iter->Valid(); iter->Next()) {
-    if (!end_exclusive.empty() &&
-        ucmp->Compare(iter->key(), end_exclusive) >= 0) {
-      break;
-    }
     sink->Add(iter->key(), iter->value());
     if (limit > 0 && ++rows >= limit) break;
   }
@@ -1709,7 +1629,8 @@ Status KVStore::Scan(const Slice& start, const Slice& end_exclusive,
   if (s.IsCorruption()) {
     // As in Get, evict the damaged table so it never serves another read.
     // The merged status does not say which table failed, so verify every
-    // one the scan opened, as the scrub does.
+    // one the scan opened, as the scrub does. (A record that failed its
+    // checks already quarantined its vlog file.)
     ScrubReport report;
     std::unique_lock<std::mutex> lock(mu_);
     QuarantineCorruptTables(&lock, opened, &report);
@@ -1791,7 +1712,10 @@ Status KVStore::CompactAll() {
 
 void KVStore::WaitForBackgroundWork() {
   std::unique_lock<std::mutex> lock(mu_);
-  while (background_scheduled_ || has_imm_.load(std::memory_order_acquire)) {
+  // After a hard error the imm never drains (see MaybeScheduleBackgroundWork).
+  while (background_scheduled_ ||
+         (has_imm_.load(std::memory_order_acquire) &&
+          BackgroundErrorSnapshot().ok())) {
     background_work_finished_cv_.wait(lock);
   }
 }
@@ -1813,8 +1737,6 @@ KVStoreStats KVStore::GetStats() {
   stats.vlog_appended_bytes = counters_.vlog_appended_bytes.Value();
   stats.vlog_dereferences = counters_.vlog_dereferences.Value();
   stats.vlog_gc_reclaimed_bytes = counters_.vlog_gc_reclaimed_bytes.Value();
-  stats.vlog_recovery_dropped_pointers =
-      counters_.vlog_recovery_dropped_pointers.Value();
   {
     // The level file lists and vlog set still need the store mutex.
     std::lock_guard<std::mutex> lock(mu_);
@@ -1822,9 +1744,8 @@ KVStoreStats KVStore::GetStats() {
       stats.num_files[level] = static_cast<int>(levels_.NumFiles(level));
       stats.level_bytes[level] = levels_.LevelBytes(level);
     }
-    std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-    stats.vlog_files =
-        vlog_files_.size() + (vlog_writer_ != nullptr ? 1 : 0);
+    stats.vlog_files = vlog_files_.size();
+    for (const auto& vf : vlog_files_) stats.vlog_dead_bytes += vf.dead_bytes;
   }
   return stats;
 }
@@ -1844,197 +1765,11 @@ std::string KVStore::VlogName(uint64_t number) const {
   return vlog::VlogFileName(dbname_, number);
 }
 
-Status KVStore::RecoverVlogFiles() {
-  // Vlog files on disk that the manifest does not list as sealed: at most
-  // one should exist in practice — the file that was active when the
-  // previous incarnation died. Seal it at its valid record prefix; WAL
-  // replay drops any pointer past that prefix (torn tail).
-  IOTDB_ASSIGN_OR_RETURN(auto files, env_->ListDir(dbname_));
-  for (const std::string& name : files) {
-    uint64_t number;
-    std::string suffix;
-    if (!ParseFileName(name, &number, &suffix) || suffix != "vlog") continue;
-    bool known = false;
-    for (const auto& vf : vlog_files_) {
-      if (vf.number == number) {
-        known = true;
-        break;
-      }
-    }
-    if (known) continue;
-    std::string contents;
-    IOTDB_RETURN_NOT_OK(
-        env_->ReadFileToString(dbname_ + "/" + name, &contents));
-    Slice input(contents);
-    uint64_t valid = 0;
-    while (!input.empty()) {
-      Slice key, value;
-      uint32_t record_size = 0;
-      if (!vlog::ParseRecord(&input, &key, &value, &record_size).ok()) break;
-      valid += record_size;
-    }
-    if (valid == 0) {
-      env_->RemoveFile(dbname_ + "/" + name).ok();
-      continue;
-    }
-    if (valid < contents.size()) {
-      IOTDB_LOG(Warn) << dbname_ << ": sealing crashed vlog " << name
-                      << " at " << valid << "/" << contents.size()
-                      << " valid bytes";
-    }
-    vlog_files_.push_back(vlog::VlogFileInfo{number, valid, 0});
-  }
-  std::sort(vlog_files_.begin(), vlog_files_.end(),
-            [](const auto& a, const auto& b) { return a.number < b.number; });
-  for (const auto& vf : vlog_files_) {
-    // Recovery is single-threaded; a plain max-update suffices.
-    if (vf.number + 1 > next_file_number_.load(std::memory_order_relaxed)) {
-      next_file_number_.store(vf.number + 1, std::memory_order_relaxed);
-    }
-  }
-  return Status::OK();
-}
-
-Status KVStore::OpenVlogWriterLocked() {
-  std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-  return OpenVlogWriterVlogHeld();
-}
-
-Status KVStore::OpenVlogWriterVlogHeld() {
-  uint64_t number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
-  IOTDB_ASSIGN_OR_RETURN(auto file, env_->NewWritableFile(VlogName(number)));
-  vlog_writer_ =
-      std::make_unique<vlog::VlogWriter>(std::move(file), number, 0);
-  return Status::OK();
-}
-
-Status KVStore::SealActiveVlogLocked() {
-  // Called with mu_ held. vlog_mu_ excludes concurrent leader appends for
-  // the duration of the seal.
-  uint64_t number;
-  uint64_t size;
-  {
-    std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-    if (vlog_writer_ == nullptr) return Status::OK();
-    IOTDB_RETURN_NOT_OK(vlog_writer_->Sync());
-    number = vlog_writer_->file_no();
-    size = vlog_writer_->offset();
-    vlog_writer_.reset();
-  }
-  if (size == 0) {
-    // Nothing was ever written: drop the empty file instead of sealing it.
-    env_->RemoveFile(VlogName(number)).ok();
-    return Status::OK();
-  }
-  vlog_files_.push_back(vlog::VlogFileInfo{number, size, 0});
-  if (options_.background_scrub) pending_vlog_scrub_.push_back(number);
-  return Status::OK();
-}
-
-Status KVStore::MaybeRollVlogLocked() {
-  {
-    std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-    if (vlog_writer_ == nullptr ||
-        vlog_writer_->offset() < options_.vlog_file_size) {
-      return Status::OK();
-    }
-  }
-  IOTDB_RETURN_NOT_OK(SealActiveVlogLocked());
-  IOTDB_RETURN_NOT_OK(OpenVlogWriterLocked());
-  IOTDB_RETURN_NOT_OK(WriteManifest());
-  MaybeScheduleBackgroundWork();  // the sealed file queued a scrub
-  return Status::OK();
-}
-
-Status KVStore::SeparateBatch(WriteBatch* updates, WriteBatch* out) {
-  // Called under vlog_mu_ by the commit leader. Values at or above
-  // min_value_size divert into the active vlog; everything the LSM stores
-  // carries a one-byte tag so inline values and pointers coexist.
-  class Separator final : public WriteBatch::Handler {
-   public:
-    Separator(KVStore* store, WriteBatch* out) : store_(store), out_(out) {}
-
-    void Put(const Slice& key, const Slice& value) override {
-      stored_.clear();
-      if (value.size() >= store_->options_.min_value_size) {
-        vlog::ValuePointer ptr;
-        Status s = store_->vlog_writer_->Add(key, value, &ptr);
-        if (!s.ok()) {
-          if (status_.ok()) status_ = s;
-          return;
-        }
-        vlog::EncodeValuePointer(&stored_, ptr);
-        separated_records_++;
-        separated_bytes_ += ptr.size;
-      } else {
-        stored_.reserve(value.size() + 1);
-        stored_.push_back(vlog::kInlineTag);
-        stored_.append(value.data(), value.size());
-      }
-      out_->Put(key, Slice(stored_));
-    }
-
-    void Delete(const Slice& key) override { out_->Delete(key); }
-
-    const Status& status() const { return status_; }
-    uint64_t separated_records() const { return separated_records_; }
-    uint64_t separated_bytes() const { return separated_bytes_; }
-
-   private:
-    KVStore* const store_;
-    WriteBatch* const out_;
-    std::string stored_;
-    Status status_;
-    uint64_t separated_records_ = 0;
-    uint64_t separated_bytes_ = 0;
-  };
-
-  out->Clear();
-  Separator sep(this, out);
-  IOTDB_RETURN_NOT_OK(updates->Iterate(&sep));
-  IOTDB_RETURN_NOT_OK(sep.status());
-  out->SetSequence(updates->sequence());
-  if (sep.separated_records() > 0) {
-    counters_.vlog_appended_bytes.Add(sep.separated_bytes());
-    obs_.vlog_appended_records->Add(sep.separated_records());
-    obs_.vlog_appended_bytes->Add(sep.separated_bytes());
-  }
-  return Status::OK();
-}
-
-Status KVStore::MaterializeValue(const Slice& user_key, std::string* value) {
-  if (value->empty()) {
-    return Status::Corruption("separated value missing tag byte");
-  }
-  if ((*value)[0] == vlog::kInlineTag) {
-    value->erase(0, 1);
-    return Status::OK();
-  }
-  vlog::ValuePointer ptr;
-  if (!vlog::DecodeValuePointer(Slice(*value), &ptr)) {
-    return Status::Corruption("malformed value pointer");
-  }
-  std::string out;
-  Status s = vlog_reader_->Get(ptr, user_key, &out);
-  counters_.vlog_dereferences.Increment();
-  obs_.vlog_dereferences->Increment();
-  if (!s.ok()) {
-    // A rotten record poisons the whole file's trust: quarantine it so no
-    // later read trips over it, and surface the error — the cluster layer
-    // fails the read over to a healthy replica and repairs from there.
-    if (s.IsCorruption()) QuarantineVlogFile(ptr.file_no, s);
-    return s;
-  }
-  *value = std::move(out);
-  return Status::OK();
-}
-
 Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
-                             bool* found, std::string* raw_value) {
-  // Newest LSM version of `user_key`, tag byte and all — no vlog
-  // dereference. Used by GC to decide record liveness. The caller holds
-  // mu_ plus write_mu_ with no leader active, so the memtables can be read
-  // without re-locking.
+                             bool* found, ValueType* type,
+                             std::string* raw_value) {
+  // The caller holds mu_ plus write_mu_ with no leader active, so the
+  // memtables can be read without re-locking.
   *found = false;
   std::string value;
   Status s;
@@ -2043,6 +1778,7 @@ Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
     if (s.IsNotFound()) return Status::OK();  // newest version: tombstone
     IOTDB_RETURN_NOT_OK(s);
     *found = true;
+    *type = ValueType::kValue;
     *raw_value = std::move(value);
     return Status::OK();
   }
@@ -2058,8 +1794,9 @@ Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
           f->table->InternalGet(Slice(lookup_key), &state, GetHandler));
     }
   }
-  if (state.found && !state.is_deletion) {
+  if (state.found && state.type != ValueType::kDeletion) {
     *found = true;
+    *type = state.type;
     *raw_value = std::move(state.value);
   }
   return Status::OK();
@@ -2069,8 +1806,7 @@ bool KVStore::IsVlogLiveLocked(uint64_t number) const {
   for (const auto& vf : vlog_files_) {
     if (vf.number == number) return true;
   }
-  std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-  return vlog_writer_ != nullptr && vlog_writer_->file_no() == number;
+  return false;
 }
 
 bool KVStore::IsLiveVlogFile(const std::string& path) {
@@ -2078,14 +1814,11 @@ bool KVStore::IsLiveVlogFile(const std::string& path) {
   for (const auto& vf : vlog_files_) {
     if (VlogName(vf.number) == path) return true;
   }
-  std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-  return vlog_writer_ != nullptr && VlogName(vlog_writer_->file_no()) == path;
+  return false;
 }
 
 bool KVStore::NeedsVlogGcLocked() const {
-  if (!options_.value_separation || !options_.background_vlog_gc) {
-    return false;
-  }
+  if (!options_.background_vlog_gc) return false;
   if (vlog_gc_running_ || vlog_files_.empty()) return false;
   const vlog::VlogFileInfo& tail = vlog_files_.front();
   if (tail.size == 0) return false;
@@ -2097,7 +1830,6 @@ bool KVStore::NeedsVlogGcLocked() const {
 Status KVStore::GarbageCollect(uint64_t chunk_size,
                                uint64_t* reclaimed_bytes) {
   if (reclaimed_bytes != nullptr) *reclaimed_bytes = 0;
-  if (!options_.value_separation) return Status::OK();
   std::unique_lock<std::mutex> lock(mu_);
   while (vlog_gc_running_) {
     background_work_finished_cv_.wait(lock);
@@ -2122,9 +1854,8 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
   uint64_t reclaimed_total = 0;
   uint64_t scanned_total = 0;
   uint64_t rewritten = 0;
-  // One pass covers at most the files sealed when it started. GC re-puts
-  // land in the active vlog, which may roll and seal *new* files mid-pass;
-  // chasing those (all-live by construction) would never terminate.
+  // One pass covers at most the files installed when it started: the
+  // flushes of its own re-puts install newer ones.
   const uint64_t pass_limit =
       vlog_files_.empty() ? 0 : vlog_files_.back().number;
   Status status;
@@ -2134,7 +1865,7 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
     if (tail.number > pass_limit) break;
 
     lock->unlock();
-    // The tail file is sealed (immutable): scan it without the lock.
+    // Installed vlog files are immutable: scan the tail without the lock.
     std::vector<vlog::GcRecord> records;
     uint64_t file_scanned = 0;
     Status scan = vlog::ScanFileForGc(env_, dbname_, tail.number, tail.size,
@@ -2166,46 +1897,34 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
       write_cv_.wait(write_lock, [this] { return !leader_active_; });
       WriteBatch rebatch;
       uint64_t live_bytes = 0;
-      {
-        std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-        if (vlog_writer_ == nullptr) {
-          status = OpenVlogWriterVlogHeld();
+      // No commit is in flight, so the published prefix is every committed
+      // entry.
+      const SequenceNumber read_snapshot = VisibleSequence();
+      for (const auto& rec : records) {
+        // Live iff the newest version of the key is exactly this pointer;
+        // overwritten and deleted keys fail the comparison, and so does a
+        // key whose newest version is a memtable's full value.
+        bool found = false;
+        ValueType type = ValueType::kDeletion;
+        std::string raw;
+        status = RawGetFrozen(Slice(rec.key), read_snapshot, &found, &type,
+                              &raw);
+        if (!status.ok()) break;
+        vlog::ValuePointer newest;
+        if (!found || type != ValueType::kValuePointer ||
+            !vlog::DecodeValuePointer(Slice(raw), &newest) ||
+            !(newest == rec.ptr)) {
+          continue;  // dead record
         }
-        if (status.ok()) {
-          // No commit is in flight, so the published prefix is every
-          // committed entry.
-          const SequenceNumber read_snapshot = VisibleSequence();
-          for (const auto& rec : records) {
-            // Live iff the newest LSM version of the key is exactly this
-            // pointer; overwritten and deleted keys fail the comparison.
-            std::string expect;
-            vlog::EncodeValuePointer(&expect, rec.ptr);
-            bool found = false;
-            std::string raw;
-            status =
-                RawGetFrozen(Slice(rec.key), read_snapshot, &found, &raw);
-            if (!status.ok()) break;
-            if (!found || raw != expect) continue;  // dead record
-            vlog::ValuePointer fresh;
-            status =
-                vlog_writer_->Add(Slice(rec.key), Slice(rec.value), &fresh);
-            if (!status.ok()) break;
-            std::string stored;
-            vlog::EncodeValuePointer(&stored, fresh);
-            rebatch.Put(Slice(rec.key), Slice(stored));
-            live_bytes += rec.ptr.size;
-          }
-          if (status.ok() && rebatch.Count() > 0) {
-            // Vlog bytes durable before any WAL record that references
-            // them.
-            status = vlog_writer_->Sync();
-          }
-        }
+        // An ordinary full-value write: the next flush separates it again.
+        rebatch.Put(Slice(rec.key), Slice(rec.value));
+        live_bytes += rec.ptr.size;
       }
       if (!status.ok()) break;
 
       if (rebatch.Count() > 0) {
         // Commit the re-puts like a write: WAL record, then the memtable.
+        // Synced, because the file they replace is dropped below.
         const uint64_t count = rebatch.Count();
         const SequenceNumber first_seq = VisibleSequence() + 1;
         rebatch.SetSequence(first_seq);
@@ -2232,11 +1951,6 @@ Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
     vlog_pending_delete_.push_back(tail.number);
     vlog_reader_->Evict(tail.number);
     MaybeDeleteVlogFilesLocked();
-
-    Status roll = MaybeRollVlogLocked();
-    if (!roll.ok()) {
-      IOTDB_LOG(Error) << "vlog roll during GC failed: " << roll.ToString();
-    }
     status = WriteManifest();
   }
 
@@ -2258,24 +1972,6 @@ void KVStore::QuarantineVlogFile(uint64_t number, const Status& cause) {
 }
 
 void KVStore::QuarantineVlogFileLocked(uint64_t number, const Status& cause) {
-  {
-    std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-    if (vlog_writer_ != nullptr && vlog_writer_->file_no() == number) {
-      // Seal first so no leader appends to a path that quarantine just
-      // renamed away (vlog_mu_ excludes appends for this scope). Sync is
-      // best effort — the file is being retired anyway.
-      vlog_writer_->Sync().ok();
-      vlog_files_.push_back(
-          vlog::VlogFileInfo{number, vlog_writer_->offset(), 0});
-      vlog_writer_.reset();
-      Status reopen = OpenVlogWriterVlogHeld();
-      if (!reopen.ok()) {
-        // The next leader's commit retries the reopen.
-        IOTDB_LOG(Error) << "vlog reopen after quarantine failed: "
-                         << reopen.ToString();
-      }
-    }
-  }
   bool was_live = false;
   for (auto it = vlog_files_.begin(); it != vlog_files_.end(); ++it) {
     if (it->number == number) {
@@ -2296,9 +1992,8 @@ void KVStore::QuarantineVlogFileLocked(uint64_t number, const Status& cause) {
 
 void KVStore::VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
                               ScrubReport* report) {
-  // Snapshot the sealed set plus the active file's flushed prefix; the
-  // walk itself runs without the lock (readers and writers proceed, new
-  // appends land past each file's recorded limit).
+  // Snapshot the installed set; the walk itself runs without the lock
+  // (installed files never change, so readers and writers proceed).
   struct Target {
     uint64_t number;
     uint64_t limit;
@@ -2306,14 +2001,6 @@ void KVStore::VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
   std::vector<Target> targets;
   for (const auto& vf : vlog_files_) {
     targets.push_back({vf.number, vf.size});
-  }
-  {
-    std::lock_guard<std::mutex> vlog_lock(vlog_mu_);
-    if (vlog_writer_ != nullptr && vlog_writer_->offset() > 0) {
-      if (vlog_writer_->Flush().ok()) {
-        targets.push_back({vlog_writer_->file_no(), vlog_writer_->offset()});
-      }
-    }
   }
 
   lock->unlock();

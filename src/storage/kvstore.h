@@ -29,7 +29,6 @@
 #include "storage/version.h"
 #include "storage/vlog_gc.h"
 #include "storage/vlog_reader.h"
-#include "storage/vlog_writer.h"
 #include "storage/write_batch.h"
 
 namespace iotdb {
@@ -52,12 +51,14 @@ struct KVStoreStats {
   uint64_t wal_recovery_dropped_bytes = 0;
   uint64_t scrubbed_files = 0;
   uint64_t quarantined_files = 0;
-  // Key-value separation (zero when Options::value_separation is off).
-  uint64_t vlog_files = 0;  // live vlog files (sealed + active)
+  // Key-value separation: vlog files and bytes written at flush.
+  uint64_t vlog_files = 0;  // live vlog files
   uint64_t vlog_appended_bytes = 0;
   uint64_t vlog_dereferences = 0;
   uint64_t vlog_gc_reclaimed_bytes = 0;
-  uint64_t vlog_recovery_dropped_pointers = 0;
+  /// Bytes of live vlog files whose records compaction dropped (the
+  /// estimate that paces GC).
+  uint64_t vlog_dead_bytes = 0;
   /// Always 100: the store has a single write queue, so there is no skew
   /// to report. Kept only because the repository benchmark (kitbench/)
   /// reads it.
@@ -82,8 +83,9 @@ struct KvEntry {
 };
 
 /// A single-node LSM key-value store (the HBase region-server storage
-/// analogue): WAL + memtable + leveled SSTables. Thread-safe: any number of
-/// concurrent readers and writers.
+/// analogue): WAL + memtable + leveled SSTables, with large values
+/// separated into value-log files when a memtable flushes. Thread-safe: any
+/// number of concurrent readers and writers.
 ///
 /// Writes go through one queue, like an HBase region server's single WAL:
 /// one memtable pair, one WAL and one group-commit leader that writes a
@@ -138,7 +140,8 @@ class KVStore {
   /// them when limit > 0, each where it lies (see RowSink). Reads the
   /// memtables plus only the tables whose key range overlaps the bounds. A
   /// Corruption status quarantines every table of the scan that fails
-  /// verification, as Get does; the sink may have received some rows.
+  /// verification, or the vlog file of a record that fails its checks, as
+  /// Get does; the sink may have received some rows.
   Status Scan(const Slice& start, const Slice& end_exclusive, size_t limit,
               RowSink* sink);
 
@@ -159,7 +162,7 @@ class KVStore {
   Status CompactAll();
 
   /// Scrub: checksum-walks every live SSTable (footer, index, filter, and
-  /// every data block) plus the live WAL tail.
+  /// every data block), every live vlog file, and the live WAL tail.
   /// Files that fail verification are atomically quarantined — renamed to
   /// `<name>.quarantined`, dropped from the version set, and reported via
   /// Options::corruption_reporter — so they never serve another read.
@@ -173,23 +176,24 @@ class KVStore {
   /// fresh read.
   bool IsLiveTableFile(const std::string& path);
 
-  /// True iff `path` names a vlog file still in the live set (sealed or
-  /// active). GC-reclaimed and quarantined vlog files are not live.
+  /// True iff `path` names a vlog file a flush installed that is still in
+  /// the live set. GC-reclaimed and quarantined vlog files are not live.
   bool IsLiveVlogFile(const std::string& path);
 
-  /// Value-log garbage collection: walks sealed vlog files from the tail
-  /// (oldest first), re-puts records whose pointer is still the newest
-  /// version of its key, and drops the file. Stops once at least
-  /// `chunk_size` bytes of vlog files were processed (0 = the whole tail).
-  /// Physical deletion is deferred while iterators or snapshots are open.
-  /// No-op unless Options::value_separation is on. Also paced
-  /// automatically in idle background cycles when
+  /// Value-log garbage collection: walks vlog files from the tail (oldest
+  /// first), re-puts each record whose pointer is still the newest version
+  /// of its key as an ordinary full-value write (the next flush separates
+  /// it again), and drops the file. Stops once at least `chunk_size` bytes
+  /// of vlog files were processed (0 = the whole tail). Physical deletion
+  /// is deferred while iterators, point lookups or snapshots are open.
+  /// Also paced automatically in idle background cycles when
   /// Options::background_vlog_gc is set and the tail file's dead ratio
   /// crosses Options::vlog_gc_dead_ratio.
   Status GarbageCollect(uint64_t chunk_size = 0,
                         uint64_t* reclaimed_bytes = nullptr);
 
-  /// Blocks until no background work is queued or running.
+  /// Blocks until no background work is queued or running, or until a hard
+  /// background error has stopped it.
   void WaitForBackgroundWork();
 
   KVStoreStats GetStats();
@@ -205,11 +209,10 @@ class KVStore {
   int num_write_shards() const { return 1; }
 
  private:
-  friend class VlogDerefIterator;
-
   KVStore(const Options& options, const std::string& name);
 
   struct WriterState;
+  class VlogResolver;
 
   std::string LogFileName(uint64_t number) const;
   std::string TableFileName(uint64_t number) const;
@@ -218,24 +221,23 @@ class KVStore {
 
   Status Recover();
   Status ReplayLogFile(uint64_t number, uint64_t* dropped_bytes,
-                       uint64_t* dropped_pointers,
                        SequenceNumber* max_sequence);
-  Status ReplayBatch(const Slice& contents, uint64_t* dropped_pointers,
-                     SequenceNumber* max_sequence);
+  Status ReplayBatch(const Slice& contents, SequenceNumber* max_sequence);
   Status OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta);
 
-  // Key-value separation. Locked variants require mu_; the vlog writer
-  // pointer and its appends are guarded by vlog_mu_ (taken by the commit
-  // leader with no other lock held, or nested under mu_).
-  Status RecoverVlogFiles();
-  Status OpenVlogWriterLocked();    // mu_ held; takes vlog_mu_ inside
-  Status OpenVlogWriterVlogHeld();  // vlog_mu_ held
-  Status SealActiveVlogLocked();
-  Status MaybeRollVlogLocked();
-  Status SeparateBatch(WriteBatch* updates, WriteBatch* out);  // vlog_mu_
-  Status MaterializeValue(const Slice& user_key, std::string* value);
+  // Key-value separation. Locked variants require mu_.
+  // Writes the table of `imm` and the vlog files of its large values, and
+  // syncs both; appends the vlog files it wrote to *vlog_outputs and counts
+  // their records in *vlog_records. *meta stays null for an empty imm.
+  Status BuildFlushOutputs(MemTable* imm, uint64_t table_number,
+                           std::vector<vlog::VlogFileInfo>* vlog_outputs,
+                           uint64_t* vlog_records,
+                           std::shared_ptr<FileMeta>* meta);
+  // The newest entry of `user_key` at `snapshot`, its type and its stored
+  // value (a pointer is not resolved). Used by GC to decide record
+  // liveness; needs mu_ plus write_mu_ with no leader active.
   Status RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
-                      bool* found, std::string* raw_value);
+                      bool* found, ValueType* type, std::string* raw_value);
   bool IsVlogLiveLocked(uint64_t number) const;
   bool NeedsVlogGcLocked() const;
   Status GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
@@ -302,12 +304,13 @@ class KVStore {
       const Slice& end_user_key) const;  // mu_ held
 
   // The one iterator builder: both memtables plus every table whose user-key
-  // range overlaps [start, end] (an empty bound is open). Rows outside
-  // [start, end] may be missing or stale, so only Scan, which stops at its
-  // bounds, passes any; NewIterator is the unbounded case. `opened`, when
-  // non-null, receives the tables the iterator reads.
+  // range overlaps [start, end_exclusive] (an empty bound is open). The
+  // iterator ends before end_exclusive; rows before `start` may be missing
+  // or stale, so only Scan, which seeks to its start, passes one.
+  // NewIterator is the unbounded case. `opened`, when non-null, receives
+  // the tables the iterator reads.
   std::unique_ptr<Iterator> NewBoundedIterator(
-      const Slice& start, const Slice& end,
+      const Slice& start, const Slice& end_exclusive,
       std::vector<std::shared_ptr<FileMeta>>* opened);
 
   Options options_;
@@ -321,8 +324,8 @@ class KVStore {
   /// The write queue: one memtable pair, one WAL and the group-commit
   /// queue, guarded by write_mu_. Kept apart from mu_ so commits never
   /// wait on flush/compaction bookkeeping. Lock order: mu_ before
-  /// write_mu_; vlog_mu_ and error_mu_ are leaves (never take mu_ while
-  /// holding write_mu_).
+  /// write_mu_; error_mu_ is a leaf (never take mu_ while holding
+  /// write_mu_).
   std::mutex write_mu_;
   /// Signals leader handoff, imm drain and stall release.
   std::condition_variable write_cv_;
@@ -336,7 +339,6 @@ class KVStore {
   uint64_t logfile_number_ = 0;       // active WAL; guarded by write_mu_
   std::deque<WriterState*> writers_;  // guarded by write_mu_
   WriteBatch tmp_batch_;              // leader-only group scratch
-  WriteBatch sep_batch_;              // leader-only separation scratch
   /// True while the leader performs WAL/memtable work outside write_mu_;
   /// memtable switches and the GC re-put commit must wait on it.
   bool leader_active_ = false;  // guarded by write_mu_
@@ -346,16 +348,14 @@ class KVStore {
   /// take mu_ while holding write_mu_ (L0 write stalls).
   std::atomic<uint64_t> l0_files_{0};
 
-  // Key-value separation state. The active writer (pointer + appends) is
-  // guarded by vlog_mu_: the commit leader takes it with no other lock held;
-  // maintenance paths (seal/roll, GC, scrub, quarantine) take it nested
-  // under mu_. vlog_files_ holds sealed files, oldest (GC tail) first, and
-  // is persisted in the manifest (guarded by mu_).
-  mutable std::mutex vlog_mu_;
+  // Key-value separation state, guarded by mu_. vlog_files_ holds the vlog
+  // files flushes installed, oldest (GC tail) first, and is persisted in
+  // the manifest. A file a flush is still writing is in none of these
+  // lists; flushes and compactions run one at a time, so RemoveObsoleteFiles
+  // never meets one.
   std::unique_ptr<vlog::VlogReader> vlog_reader_;
-  std::unique_ptr<vlog::VlogWriter> vlog_writer_;
   std::vector<vlog::VlogFileInfo> vlog_files_;
-  // Sealed vlog files awaiting a paced background checksum walk.
+  // Installed vlog files awaiting a paced background checksum walk.
   std::deque<uint64_t> pending_vlog_scrub_;
   // GC-reclaimed files whose deletion waits until no reader can still hold
   // a pointer into them: open iterators, in-flight point Gets, snapshots.
@@ -410,7 +410,6 @@ class KVStore {
     obs::Counter vlog_appended_bytes;
     obs::Counter vlog_dereferences;
     obs::Counter vlog_gc_reclaimed_bytes;
-    obs::Counter vlog_recovery_dropped_pointers;
   };
   StoreCounters counters_;
 
@@ -444,7 +443,6 @@ class KVStore {
     obs::Counter* vlog_gc_scanned_bytes;
     obs::Counter* vlog_gc_reclaimed_bytes;
     obs::Counter* vlog_gc_rewritten_records;
-    obs::Counter* vlog_recovery_dropped_pointers;
   };
   ObsInstruments obs_;
 };

@@ -82,6 +82,10 @@ bool MemTable::Get(const Slice& user_key, SequenceNumber seq,
     case ValueType::kDeletion:
       *s = Status::NotFound("deleted");
       return true;
+    case ValueType::kValuePointer:
+      // Only a flush writes pointers, and it writes them to tables.
+      *s = Status::Corruption("value pointer in memtable");
+      return true;
   }
   return false;
 }

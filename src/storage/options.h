@@ -67,19 +67,20 @@ struct Options {
   /// KVStore::VerifyIntegrity() is always available regardless.
   bool background_scrub = false;
 
-  /// WiscKey-style key-value separation: values of at least min_value_size
-  /// bytes are appended to a `.vlog` file and the LSM stores a fixed-width
-  /// value pointer instead, cutting compaction write amplification for the
-  /// TPCx-IoT 1 KB-payload / ~30 B-key workload. The flag is a property of
-  /// the on-disk store: it is persisted in the manifest, and an Open with a
-  /// mismatching flag adopts the manifest's value. See vlog_format.h.
-  bool value_separation = false;
+  /// Key-value separation is always on: when a memtable flushes, every
+  /// value of at least min_value_size bytes goes, in key order, to value-log
+  /// files of that flush, and the table stores a pointer to it (DESIGN.md,
+  /// "Key-value separation"). Compaction then moves ~60-byte pointer entries
+  /// instead of 1 KiB rows. The constant remains only because the repository
+  /// benchmark (kitbench/) reports it; for an all-inline ablation set
+  /// min_value_size = SIZE_MAX.
+  static constexpr bool value_separation = true;
 
   /// Values smaller than this stay inline in the LSM (pointer overhead
   /// would dominate them).
   size_t min_value_size = 256;
 
-  /// Active vlog file is sealed and a new one started past this size.
+  /// A flush starts a new vlog file once the current one reaches this size.
   uint64_t vlog_file_size = 4 * 1024 * 1024;
 
   /// Background GC starts on the tail vlog file once its compaction-

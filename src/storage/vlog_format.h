@@ -22,25 +22,21 @@ namespace vlog {
 /// The checksum covers everything after itself (keylen..value) and is masked
 /// with the same rotation the WAL uses, so a vlog record embedded verbatim in
 /// another checksummed stream cannot collide trivially. The key is stored
-/// with the value so garbage collection and crash recovery can re-associate
-/// a record with its LSM entry without a reverse index.
+/// with the value so garbage collection can re-associate a record with its
+/// LSM entry, and a read can check that a pointer names its own key's
+/// record, without a reverse index.
 ///
-/// The LSM tree never stores the separated value itself; it stores a
-/// fixed-width encoded ValuePointer in the value slot. When
-/// Options::value_separation is on, *every* stored LSM value carries a
-/// one-byte tag so inline (small) values and pointers coexist:
+/// A memtable flush writes every value of at least Options::min_value_size
+/// bytes to vlog files of its own, in key order, and the table stores a
+/// fixed-width ValuePointer under ValueType::kValuePointer instead:
 ///
-///   kInlineTag  | raw value bytes
-///   kPointerTag | file_no (fixed64) | offset (fixed64) | size (fixed32)
+///   file_no (fixed64) | offset (fixed64) | size (fixed32)
 ///
 /// `size` is the full record size (header included), so a dereference is one
 /// positional read of exactly `size` bytes followed by a checksum check.
 
-constexpr char kInlineTag = 0x00;
-constexpr char kPointerTag = 0x01;
-
-/// Tag byte + file_no + offset + record size.
-constexpr size_t kValuePointerEncodedSize = 1 + 8 + 8 + 4;
+/// file_no + offset + record size.
+constexpr size_t kValuePointerEncodedSize = 8 + 8 + 4;
 
 /// Fixed-size crc32c header preceding each record's payload.
 constexpr size_t kRecordHeaderSize = 4;
@@ -57,41 +53,36 @@ struct ValuePointer {
   }
 };
 
-/// Appends kPointerTag + the fixed-width pointer encoding to *dst.
+/// Appends the fixed-width pointer encoding to *dst.
 inline void EncodeValuePointer(std::string* dst, const ValuePointer& ptr) {
-  dst->push_back(kPointerTag);
   PutFixed64(dst, ptr.file_no);
   PutFixed64(dst, ptr.offset);
   PutFixed32(dst, ptr.size);
 }
 
-/// True when a stored LSM value (under value_separation) is a pointer.
-inline bool IsValuePointer(const Slice& stored_value) {
-  return stored_value.size() == kValuePointerEncodedSize &&
-         stored_value[0] == kPointerTag;
-}
-
-/// Decodes a stored pointer value; returns false when malformed.
+/// Decodes the value of a kValuePointer entry; false when malformed.
 inline bool DecodeValuePointer(const Slice& stored_value, ValuePointer* ptr) {
-  if (!IsValuePointer(stored_value)) return false;
-  const char* p = stored_value.data() + 1;
+  if (stored_value.size() != kValuePointerEncodedSize) return false;
+  const char* p = stored_value.data();
   ptr->file_no = DecodeFixed64(p);
   ptr->offset = DecodeFixed64(p + 8);
   ptr->size = DecodeFixed32(p + 16);
   return true;
 }
 
-/// Appends one record for (key, value) to *dst and returns its size.
+/// Appends one record for (key, value) to *dst and returns its size. The
+/// record is built in place: the checksum is computed over the bytes just
+/// appended and written into the header slot reserved ahead of them.
 inline uint32_t AppendRecord(std::string* dst, const Slice& key,
                              const Slice& value) {
-  size_t start = dst->size();
-  std::string payload;
-  payload.reserve(key.size() + value.size() + 10);
-  PutLengthPrefixedSlice(&payload, key);
-  PutLengthPrefixedSlice(&payload, value);
-  uint32_t crc = crc32c::Value(payload.data(), payload.size());
-  PutFixed32(dst, crc32c::Mask(crc));
-  dst->append(payload);
+  const size_t start = dst->size();
+  dst->append(kRecordHeaderSize, '\0');
+  PutLengthPrefixedSlice(dst, key);
+  PutLengthPrefixedSlice(dst, value);
+  char* header = dst->data() + start;
+  const uint32_t crc = crc32c::Value(header + kRecordHeaderSize,
+                                     dst->size() - start - kRecordHeaderSize);
+  EncodeFixed32(header, crc32c::Mask(crc));
   return static_cast<uint32_t>(dst->size() - start);
 }
 

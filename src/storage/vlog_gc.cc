@@ -13,7 +13,7 @@ Status ScanFileForGc(Env* env, const std::string& dir, uint64_t file_no,
   IOTDB_RETURN_NOT_OK(
       env->ReadFileToString(VlogFileName(dir, file_no), &contents));
   if (contents.size() < limit) {
-    return Status::Corruption("vlog file shorter than sealed size");
+    return Status::Corruption("vlog file shorter than recorded size");
   }
 
   Slice input(contents.data(), static_cast<size_t>(limit));

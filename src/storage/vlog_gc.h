@@ -13,16 +13,16 @@ namespace iotdb {
 namespace storage {
 namespace vlog {
 
-/// Version-set bookkeeping for one sealed (no longer written) vlog file.
-/// Persisted in the manifest as `vlog <number> <size> <dead_bytes>` so the
-/// head/tail state and scrub limits survive a restart. `dead_bytes` is the
+/// Version-set bookkeeping for one vlog file a flush installed. Persisted
+/// in the manifest as `vlog <number> <size> <dead_bytes>` so the head/tail
+/// state and scrub limits survive a restart. `dead_bytes` is the
 /// compaction-estimated garbage in the file: every time a compaction drops
 /// a shadowed or aged-out value pointer, the pointed-to record's size is
 /// credited here; background GC starts on the tail file once its dead ratio
 /// crosses Options::vlog_gc_dead_ratio.
 struct VlogFileInfo {
   uint64_t number = 0;
-  uint64_t size = 0;        // sealed size: records occupy [0, size)
+  uint64_t size = 0;        // records occupy [0, size)
   uint64_t dead_bytes = 0;  // estimate; reset to 0 on crash (re-learned)
 };
 

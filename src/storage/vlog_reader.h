@@ -16,9 +16,9 @@ namespace iotdb {
 namespace storage {
 namespace vlog {
 
-/// Dereferences ValuePointers and checksum-walks whole vlog files. Keeps
-/// the open RandomAccessFile handle per file number; every dereference
-/// reads and verifies its record from the file. Thread-safe.
+/// Opens vlog files and checksum-walks them. Keeps the open
+/// RandomAccessFile handle per file number; a VlogCursor reads records
+/// through it. Thread-safe.
 class VlogReader {
  public:
   VlogReader(Env* env, std::string dir);
@@ -26,16 +26,9 @@ class VlogReader {
   VlogReader(const VlogReader&) = delete;
   VlogReader& operator=(const VlogReader&) = delete;
 
-  /// Reads the record named by `ptr`, verifies its checksum and that its
-  /// embedded key equals `expected_key`, and sets *value to the record's
-  /// value. Returns Corruption on any mismatch, leaving *value unspecified;
-  /// the caller decides whether to quarantine.
-  Status Get(const ValuePointer& ptr, const Slice& expected_key,
-             std::string* value);
-
-  /// Sequentially parses every record of file `file_no` from offset 0 to
-  /// `limit` (its current durable size when the walk starts, so a
-  /// concurrently-appended tail is not misread as torn). Adds the bytes
+  /// Parses every record of file `file_no` from offset 0 to `limit` in
+  /// bounded reads, verifying each where it lies; a record that crosses
+  /// the end of one read is read again, whole, by the next. Adds the bytes
   /// walked to *bytes_checked even on failure. Returns Corruption at the
   /// first bad record.
   Status VerifyFile(uint64_t file_no, uint64_t limit,
@@ -45,14 +38,48 @@ class VlogReader {
   /// dereferences re-probe the filesystem (and fail cleanly).
   void Evict(uint64_t file_no);
 
- private:
+  /// The cached handle of `file_no`, opened on first use.
   Status GetFile(uint64_t file_no, std::shared_ptr<RandomAccessFile>* file);
 
+  /// Bytes VerifyFile reads at a time: one MemEnv chunk, so a read that
+  /// starts on a chunk boundary is handed out in place.
+  static constexpr size_t kVerifyReadBytes = kMemEnvChunkSize;
+
+ private:
   Env* const env_;
   const std::string dir_;
 
   std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<RandomAccessFile>> files_;
+};
+
+/// Dereferences the value pointers of one reader (an iterator or a point
+/// lookup); every dereference reads and verifies its record. It keeps the
+/// handle of the file it read last, so a run of pointers into one file, as
+/// a scan of rows one flush wrote meets, takes no lock, map lookup or
+/// refcount per record. Not thread-safe.
+class VlogCursor {
+ public:
+  explicit VlogCursor(VlogReader* reader) : reader_(reader) {}
+
+  VlogCursor(const VlogCursor&) = delete;
+  VlogCursor& operator=(const VlogCursor&) = delete;
+
+  /// Reads the record `ptr` names, verifies its checksum and that its key
+  /// is `expected_key`, and points *value at the record's value. The bytes
+  /// lie where the env hands them out (in place in a MemEnv chunk) or, for
+  /// a record that crosses a chunk, in a buffer the cursor owns; they stay
+  /// valid until the next Read or the cursor's destruction. Returns
+  /// Corruption on any mismatch.
+  Status Read(const ValuePointer& ptr, const Slice& expected_key,
+              Slice* value);
+
+ private:
+  VlogReader* const reader_;
+  uint64_t file_no_ = 0;
+  std::shared_ptr<RandomAccessFile> file_;  // of file_no_, once opened
+  std::unique_ptr<char[]> scratch_;
+  size_t scratch_size_ = 0;
 };
 
 /// "<dir>/<file_no as %08u>.vlog" — same zero-padded naming as .sst/.log.

@@ -4,9 +4,10 @@ namespace iotdb {
 namespace storage {
 namespace vlog {
 
-VlogWriter::VlogWriter(std::unique_ptr<WritableFile> file, uint64_t file_no,
-                       uint64_t initial_offset)
-    : file_(std::move(file)), file_no_(file_no), offset_(initial_offset) {}
+VlogWriter::VlogWriter(std::unique_ptr<WritableFile> file, uint64_t file_no)
+    : file_(std::move(file)), file_no_(file_no) {
+  buffer_.reserve(kFlushBytes + 4096);
+}
 
 Status VlogWriter::Add(const Slice& key, const Slice& value,
                        ValuePointer* ptr) {
@@ -14,20 +15,20 @@ Status VlogWriter::Add(const Slice& key, const Slice& value,
   ptr->offset = offset_;
   ptr->size = AppendRecord(&buffer_, key, value);
   offset_ += ptr->size;
+  if (buffer_.size() >= kFlushBytes) {
+    IOTDB_RETURN_NOT_OK(file_->Append(buffer_));
+    buffer_.clear();
+  }
   return Status::OK();
 }
 
-Status VlogWriter::Flush() {
+Status VlogWriter::Finish() {
   if (!buffer_.empty()) {
     IOTDB_RETURN_NOT_OK(file_->Append(buffer_));
     buffer_.clear();
   }
-  return file_->Flush();
-}
-
-Status VlogWriter::Sync() {
-  IOTDB_RETURN_NOT_OK(Flush());
-  return file_->Sync();
+  IOTDB_RETURN_NOT_OK(file_->Sync());
+  return file_->Close();
 }
 
 }  // namespace vlog

@@ -14,41 +14,38 @@ namespace iotdb {
 namespace storage {
 namespace vlog {
 
-/// Appends records to one value-log file. Not thread-safe: the store
-/// serialises access (the group-commit leader owns it outside the store
-/// mutex; GC and recovery use it under the mutex with the leader quiesced).
+/// Writes one value-log file. A memtable flush owns one at a time and
+/// writes its large values through it in key order; no other thread sees
+/// the file until the flush installs it. Not thread-safe.
 ///
-/// Offsets handed out by Add() are stable immediately, but the bytes are
-/// only readable by others after Flush() (the store flushes once per write
-/// batch, before the WAL record that references the offsets is written).
+/// Records are built in a buffer that goes to the file whenever it passes
+/// kFlushBytes, so a file of any size costs one bounded buffer.
 class VlogWriter {
  public:
-  VlogWriter(std::unique_ptr<WritableFile> file, uint64_t file_no,
-             uint64_t initial_offset);
+  VlogWriter(std::unique_ptr<WritableFile> file, uint64_t file_no);
 
   VlogWriter(const VlogWriter&) = delete;
   VlogWriter& operator=(const VlogWriter&) = delete;
 
-  /// Buffers one record and returns the pointer naming it. The record is
-  /// not durable (or even visible to readers) until Flush()/Sync().
+  /// Appends one record and returns the pointer naming it. The record is
+  /// durable only after Finish().
   Status Add(const Slice& key, const Slice& value, ValuePointer* ptr);
 
-  /// Pushes buffered records to the file (readable via the env after this).
-  Status Flush();
-
-  /// Flush + fsync. Called before a synchronous WAL write so a synced WAL
-  /// record never references an unsynced vlog record.
-  Status Sync();
+  /// Writes out the buffer, syncs and closes the file.
+  Status Finish();
 
   uint64_t file_no() const { return file_no_; }
 
-  /// Bytes in the file once buffered data is flushed.
+  /// Bytes in the file once buffered data is written.
   uint64_t offset() const { return offset_; }
 
  private:
+  /// Buffered bytes that trigger a write to the file.
+  static constexpr size_t kFlushBytes = 256 * 1024;
+
   std::unique_ptr<WritableFile> file_;
   const uint64_t file_no_;
-  uint64_t offset_;
+  uint64_t offset_ = 0;
   std::string buffer_;
 };
 

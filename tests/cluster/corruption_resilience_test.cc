@@ -105,13 +105,12 @@ TEST(CorruptionResilienceTest, ScrubQuarantineReadRepairAndRecopy) {
   EXPECT_NE(cluster->Describe().find("integrity:"), std::string::npos);
 }
 
-// Same drill against the value log: with key-value separation on, bit-rot
-// in a .vlog file must be detected by the scrub, quarantined, fenced, and
-// healed by a shard re-copy exactly like a rotten SSTable.
+// Same drill against the value log: bit-rot in a .vlog file a flush wrote
+// must be detected by the scrub, quarantined, fenced, and healed by a shard
+// re-copy exactly like a rotten SSTable.
 TEST(CorruptionResilienceTest, VlogQuarantineReadRepairAndRecopy) {
   const int kKeys = 300;
   ClusterOptions options = CorruptibleClusterOptions(3);
-  options.storage_options.value_separation = true;
   options.storage_options.min_value_size = 256;
   options.storage_options.vlog_file_size = 16 * 1024;
   auto cluster = Cluster::Start(options).MoveValueUnsafe();
@@ -154,7 +153,7 @@ TEST(CorruptionResilienceTest, VlogQuarantineReadRepairAndRecopy) {
   EXPECT_GT(stats.read_repairs, 0u);
 
   // Shard re-copy heals the replica; the re-copied values separate into
-  // fresh vlog files and the store verifies clean.
+  // fresh vlog files at their flush, and the store verifies clean.
   ASSERT_TRUE(cluster->RunPendingRepairs().ok());
   EXPECT_FALSE(victim->under_repair());
   stats = cluster->GetFaultRecoveryStats();

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -155,6 +157,82 @@ TEST(KvpCodecTest, DecodeTimestampFromRowKey) {
   std::string key = KvpCodec::EncodeKey("s", "x", 77777);
   EXPECT_EQ(KvpCodec::DecodeTimestamp(key).ValueOrDie(), 77777u);
   EXPECT_FALSE(KvpCodec::DecodeTimestamp(Slice("short")).ok());
+}
+
+// Encode writes the sensor value as snprintf's "%.4f" and the timestamp as
+// its "%017" PRIu64 (truncated to the field, as the old snprintf into a
+// 17-digit buffer did), byte for byte.
+TEST(KvpCodecTest, FormattingMatchesSnprintf) {
+  Reading reading;
+  reading.substation_key = "sub0001";
+  reading.sensor_key = "pmu_freq_000";
+  reading.unit = "Hz";
+  auto value_field = [](const Kvp& kvp) {
+    return kvp.value.substr(0, kvp.value.find(KvpCodec::kValueSeparator));
+  };
+  auto expect_value = [&](double v) {
+    char buf[512];
+    snprintf(buf, sizeof(buf), "%.4f", v);
+    reading.value = v;
+    ASSERT_EQ(value_field(KvpCodec::Encode(reading, 1)), buf)
+        << std::bit_cast<uint64_t>(v);
+  };
+  for (double v : {0.0, -0.0, 0.00005, 0.00015, -0.00025, 1.00005, 2.5e-5,
+                   0.5, 1e-300, 1e27, -1e27, 123456789.123456789, -1e300,
+                   1.7976931348623157e308}) {
+    expect_value(v);
+  }
+  // Seeded sweep over magnitudes from 1e-6 to 1e30, both signs.
+  uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int i = 0; i < 300000; ++i) {
+    const double mantissa =
+        static_cast<double>(next() % 10000000000ull) / 1e10;
+    const int exponent = static_cast<int>(next() % 37) - 6;
+    const double v = (next() & 1 ? -1.0 : 1.0) * mantissa *
+                     std::pow(10.0, static_cast<double>(exponent));
+    expect_value(v);
+    if (HasFailure()) return;
+  }
+  // Ties at the fifth decimal, where rounding must agree exactly.
+  for (int i = -20000; i <= 20000; ++i) {
+    expect_value(i / 1e4 + 0.00005);
+    if (HasFailure()) return;
+  }
+
+  for (uint64_t ts : {uint64_t{0}, uint64_t{1}, uint64_t{1234567890123456},
+                      uint64_t{99999999999999999}, uint64_t{100000000000000000},
+                      uint64_t{1234567890123456789},
+                      uint64_t{12345678901234567890u}, UINT64_MAX}) {
+    char buf[KvpCodec::kTimestampDigits + 1];
+    snprintf(buf, sizeof(buf), "%017" PRIu64, ts);
+    const std::string key = KvpCodec::EncodeKey("s", "x", ts);
+    EXPECT_EQ(key.substr(4), buf) << ts;
+  }
+}
+
+// A reading whose "%.4f" form is long (1e27 has 28 integer digits) still
+// encodes to exactly 1 KiB and decodes to the same value.
+TEST(KvpCodecTest, HugeReadingRoundTrips) {
+  for (double v : {1e27, -1e27, -1e300}) {
+    Reading reading;
+    reading.substation_key = "sub0001";
+    reading.sensor_key = "leakage_003";
+    reading.timestamp_micros = 42;
+    reading.value = v;
+    reading.unit = "mA";
+    Kvp kvp = KvpCodec::Encode(reading, 3);
+    EXPECT_EQ(kvp.key.size() + kvp.value.size(), KvpCodec::kKvpBytes);
+    auto decoded = KvpCodec::Decode(kvp.key, kvp.value);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.ValueOrDie().value, v);
+    EXPECT_EQ(decoded.ValueOrDie().unit, "mA");
+  }
 }
 
 TEST(KvpCodecTest, MalformedInputsRejected) {

@@ -24,7 +24,6 @@ uint64_t StageHistCount(Stage stage) {
 
 TEST(StageTest, NamesAreStableSlugs) {
   EXPECT_STREQ(StageName(Stage::kCommitQueueWait), "commit_queue_wait");
-  EXPECT_STREQ(StageName(Stage::kVlog), "vlog");
   EXPECT_STREQ(StageName(Stage::kWalSync), "wal_sync");
   EXPECT_STREQ(StageName(Stage::kCommitWait), "commit_wait");
   EXPECT_STREQ(StageName(Stage::kFanoutSend), "fanout_send");
@@ -44,12 +43,12 @@ TEST(StageTest, ClusterGroupIsTheDriverPathGroup) {
 
 TEST(BreadcrumbTest, AddStageMicrosWithoutBreadcrumbIsNoOp) {
   ASSERT_EQ(CurrentBreadcrumb(), nullptr);
-  AddStageMicros(Stage::kVlog, 123);  // must not crash or record anywhere
+  AddStageMicros(Stage::kWalSync, 123);  // must not crash or record anywhere
 }
 
 TEST(BreadcrumbTest, CollectsStagesAndRecordsOnComplete) {
   uint64_t wal_before = StageHistCount(Stage::kWalSync);
-  uint64_t vlog_before = StageHistCount(Stage::kVlog);
+  uint64_t commit_before = StageHistCount(Stage::kCommitWait);
   {
     ScopedOpBreadcrumb breadcrumb("test.op", 7, 100);
     ASSERT_NE(CurrentBreadcrumb(), nullptr);
@@ -64,7 +63,7 @@ TEST(BreadcrumbTest, CollectsStagesAndRecordsOnComplete) {
   EXPECT_EQ(CurrentBreadcrumb(), nullptr);
   // Only the stage the op passed through entered its distribution.
   EXPECT_EQ(StageHistCount(Stage::kWalSync), wal_before + 1);
-  EXPECT_EQ(StageHistCount(Stage::kVlog), vlog_before);
+  EXPECT_EQ(StageHistCount(Stage::kCommitWait), commit_before);
 }
 
 TEST(BreadcrumbTest, NeverCompletedRecordsNothing) {

@@ -9,6 +9,7 @@
 #include "storage/compaction_filter.h"
 #include "storage/env.h"
 #include "storage/kvstore.h"
+#include "storage/vlog_format.h"
 
 namespace iotdb {
 namespace storage {
@@ -97,22 +98,42 @@ TEST(RetentionFilterTest, EndToEndAgeOut) {
   ManualClock clock(10000ull * 1000000);
   iot::SensorDataRetentionFilter filter(1000ull * 1000000, &clock);  // 1000s
 
-  auto env = NewMemEnv();
-  Options options;
-  options.env = env.get();
-  options.compaction_filter = &filter;
-  auto store = KVStore::Open(options, "/ret").MoveValueUnsafe();
+  // Short readings stay inline; 1 KiB kvps are separated when the memtable
+  // flushes, so the filter must age out pointer entries too, and each
+  // dropped pointer's record turns into dead vlog bytes.
+  for (bool kvp_values : {false, true}) {
+    SCOPED_TRACE(kvp_values ? "1 KiB kvps" : "short values");
+    auto env = NewMemEnv();
+    Options options;
+    options.env = env.get();
+    options.compaction_filter = &filter;
+    options.background_vlog_gc = false;  // keep the dead bytes in view
+    auto store = KVStore::Open(options, "/ret").MoveValueUnsafe();
 
-  // 50 readings: half older than the retention window, half inside it.
-  for (int i = 0; i < 50; ++i) {
-    uint64_t age_seconds = (i < 25) ? (2000 + i) : (10 + i);
-    std::string key = iot::KvpCodec::EncodeKey(
-        "sub1", "ltc_gas_000",
-        clock.NowMicros() - age_seconds * 1000000);
-    ASSERT_TRUE(store->Put(WriteOptions(), key, "reading").ok());
+    // 50 readings: half older than the retention window, half inside it.
+    uint64_t aged_out_record_bytes = 0;
+    for (int i = 0; i < 50; ++i) {
+      uint64_t age_seconds = (i < 25) ? (2000 + i) : (10 + i);
+      iot::Reading reading;
+      reading.substation_key = "sub1";
+      reading.sensor_key = "ltc_gas_000";
+      reading.timestamp_micros = clock.NowMicros() - age_seconds * 1000000;
+      reading.value = 17.5 + i;
+      reading.unit = "ppm";
+      const iot::Kvp kvp = iot::KvpCodec::Encode(reading, i);
+      const std::string value = kvp_values ? kvp.value : "reading";
+      ASSERT_TRUE(store->Put(WriteOptions(), kvp.key, value).ok());
+      if (kvp_values && i < 25) {
+        std::string record;
+        aged_out_record_bytes += vlog::AppendRecord(&record, kvp.key, value);
+      }
+    }
+    ASSERT_TRUE(store->CompactAll().ok());
+    EXPECT_EQ(store->CountKeysSlow(), 25u);
+    const KVStoreStats stats = store->GetStats();
+    EXPECT_EQ(stats.vlog_files, kvp_values ? 1u : 0u);
+    EXPECT_EQ(stats.vlog_dead_bytes, aged_out_record_bytes);
   }
-  ASSERT_TRUE(store->CompactAll().ok());
-  EXPECT_EQ(store->CountKeysSlow(), 25u);
 }
 
 }  // namespace

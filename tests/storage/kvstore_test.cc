@@ -235,6 +235,10 @@ TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
   TableReadCountingEnv env(env_.get());
   options_.env = &env;
   options_.write_buffer_size = 1024 * 1024;
+  // The 1000-byte values stay inline, so the rows fill enough tables for
+  // pruning to show (separated, they would leave only a few pointer
+  // tables).
+  options_.min_value_size = 1001;
   auto store = KVStore::Open(options_, "/bounded").MoveValueUnsafe();
   const std::string value(1000, 'v');
   const int kKeys = 12000;

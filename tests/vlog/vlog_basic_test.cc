@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -9,6 +10,8 @@
 #include "storage/env.h"
 #include "storage/kvstore.h"
 #include "storage/vlog_format.h"
+#include "storage/vlog_reader.h"
+#include "storage/vlog_writer.h"
 
 namespace iotdb {
 namespace storage {
@@ -85,18 +88,119 @@ TEST(VlogFormatTest, ValuePointerRoundTrip) {
   std::string encoded;
   vlog::EncodeValuePointer(&encoded, ptr);
   ASSERT_EQ(encoded.size(), vlog::kValuePointerEncodedSize);
-  ASSERT_TRUE(vlog::IsValuePointer(encoded));
 
   vlog::ValuePointer decoded;
   ASSERT_TRUE(vlog::DecodeValuePointer(encoded, &decoded));
   EXPECT_TRUE(decoded == ptr);
+  EXPECT_FALSE(vlog::DecodeValuePointer(Slice(encoded.data(), 19), &decoded));
+  EXPECT_FALSE(vlog::DecodeValuePointer(encoded + "x", &decoded));
 }
 
 TEST(VlogFormatTest, InlineTaggedValueIsNotAPointer) {
-  // An inline value of exactly pointer size must not be mistaken for one.
-  std::string inline_value(1, vlog::kInlineTag);
-  inline_value.append(vlog::kValuePointerEncodedSize - 1, 'x');
-  EXPECT_FALSE(vlog::IsValuePointer(inline_value));
+  // The entry's type, not its bytes, says whether a value is a pointer: an
+  // inline value that is exactly the encoding of a valid pointer (here to
+  // another key's record) reads back verbatim, before and after a flush.
+  auto env = NewMemEnv();
+  Options options;
+  options.env = env.get();
+  options.min_value_size = 64;
+  auto store = KVStore::Open(options, "/db").MoveValueUnsafe();
+  ASSERT_TRUE(store->Put(WriteOptions(), "a", std::string(100, 'v')).ok());
+  ASSERT_TRUE(store->FlushMemTable().ok());
+  auto listing = env->ListDir("/db");
+  ASSERT_TRUE(listing.ok());
+  uint64_t vlog_number = 0;
+  for (const auto& name : listing.ValueOrDie()) {
+    if (name.find(".vlog") != std::string::npos) {
+      vlog_number = std::stoull(name.substr(0, name.find('.')));
+    }
+  }
+  ASSERT_NE(vlog_number, 0u);
+  std::string record;
+  vlog::ValuePointer ptr;
+  ptr.file_no = vlog_number;
+  ptr.offset = 0;
+  ptr.size = vlog::AppendRecord(&record, "a", std::string(100, 'v'));
+  std::string lookalike;
+  vlog::EncodeValuePointer(&lookalike, ptr);
+  ASSERT_LT(lookalike.size(), options.min_value_size);
+
+  ASSERT_TRUE(store->Put(WriteOptions(), "b", lookalike).ok());
+  EXPECT_EQ(store->Get(ReadOptions(), "b").ValueOrDie(), lookalike);
+  ASSERT_TRUE(store->FlushMemTable().ok());
+  EXPECT_EQ(store->Get(ReadOptions(), "b").ValueOrDie(), lookalike);
+  auto iter = store->NewIterator(ReadOptions());
+  iter->Seek("b");
+  ASSERT_TRUE(iter->Valid());
+  EXPECT_EQ(iter->value(), Slice(lookalike));
+}
+
+// ---------------------------------------------------------------------------
+// Scrub walk: VlogReader::VerifyFile reads a file in bounded pieces
+
+class VlogVerifyTest : public ::testing::Test {
+ protected:
+  // Writes `records` records of ~1000 bytes to vlog file 7 and returns the
+  // pointers naming them.
+  std::vector<vlog::ValuePointer> WriteFile(int records) {
+    auto file = env_->NewWritableFile(vlog::VlogFileName("/db", 7));
+    EXPECT_TRUE(file.ok());
+    vlog::VlogWriter writer(std::move(file).MoveValueUnsafe(), 7);
+    std::vector<vlog::ValuePointer> ptrs;
+    for (int i = 0; i < records; ++i) {
+      char key[32];
+      snprintf(key, sizeof(key), "key%06d", i);
+      vlog::ValuePointer ptr;
+      EXPECT_TRUE(writer.Add(key, std::string(990 + i % 17, 'a' + i % 26),
+                             &ptr)
+                      .ok());
+      ptrs.push_back(ptr);
+    }
+    EXPECT_TRUE(writer.Finish().ok());
+    size_ = writer.offset();
+    return ptrs;
+  }
+
+  std::unique_ptr<Env> env_ = NewMemEnv();
+  uint64_t size_ = 0;
+};
+
+TEST_F(VlogVerifyTest, CleanFileOfSeveralReadsPasses) {
+  WriteFile(300);
+  ASSERT_GT(size_, 4 * vlog::VlogReader::kVerifyReadBytes);
+  vlog::VlogReader reader(env_.get(), "/db");
+  uint64_t checked = 0;
+  ASSERT_TRUE(reader.VerifyFile(7, size_, &checked).ok());
+  EXPECT_EQ(checked, size_);
+  // A limit short of the file's end stops the walk there.
+  checked = 0;
+  EXPECT_TRUE(reader.VerifyFile(7, size_ - 1, &checked).IsCorruption());
+}
+
+TEST_F(VlogVerifyTest, RotInRecordAcrossReadBoundaryIsFound) {
+  const std::vector<vlog::ValuePointer> ptrs = WriteFile(300);
+  const uint64_t boundary = 2 * vlog::VlogReader::kVerifyReadBytes;
+  const vlog::ValuePointer* straddler = nullptr;
+  for (const auto& ptr : ptrs) {
+    if (ptr.offset < boundary && ptr.offset + ptr.size > boundary) {
+      straddler = &ptr;
+    }
+  }
+  ASSERT_NE(straddler, nullptr);
+  // Flip a byte past the boundary, in the part of the record the walk
+  // reads only when it carries the record over into its next read.
+  const std::string path = vlog::VlogFileName("/db", 7);
+  std::string contents;
+  ASSERT_TRUE(env_->ReadFileToString(path, &contents).ok());
+  const uint64_t at = boundary + (straddler->offset + straddler->size -
+                                  boundary) / 2;
+  const char flipped = static_cast<char>(contents[at] ^ 0x10);
+  ASSERT_TRUE(env_->OverwriteFileRange(path, at, Slice(&flipped, 1)).ok());
+
+  vlog::VlogReader reader(env_.get(), "/db");
+  uint64_t checked = 0;
+  EXPECT_TRUE(reader.VerifyFile(7, size_, &checked).IsCorruption());
+  EXPECT_EQ(checked, straddler->offset) << "the walk stops at the record";
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +212,6 @@ class VlogStoreTest : public ::testing::Test {
     env_ = NewMemEnv();
     options_.env = env_.get();
     options_.write_buffer_size = 64 * 1024;
-    options_.value_separation = true;
     options_.min_value_size = 64;
     options_.background_vlog_gc = false;
     Open();
@@ -150,10 +253,16 @@ class VlogStoreTest : public ::testing::Test {
 TEST_F(VlogStoreTest, LargeValuesAreSeparatedSmallStayInline) {
   ASSERT_TRUE(store_->Put(WriteOptions(), "small", "tiny").ok());
   ASSERT_TRUE(store_->Put(WriteOptions(), "large", BigValue(1)).ok());
+  // The commit path writes no vlog: values separate when the memtable
+  // flushes.
+  EXPECT_EQ(store_->GetStats().vlog_appended_bytes, 0u);
+  EXPECT_EQ(store_->GetStats().vlog_files, 0u);
+  EXPECT_EQ(Get("large"), BigValue(1));
 
+  ASSERT_TRUE(store_->FlushMemTable().ok());
   auto stats = store_->GetStats();
   EXPECT_GT(stats.vlog_appended_bytes, 0u);
-  EXPECT_GE(stats.vlog_files, 1u);
+  EXPECT_EQ(stats.vlog_files, 1u);
 
   EXPECT_EQ(Get("small"), "tiny");
   EXPECT_EQ(Get("large"), BigValue(1));
@@ -164,7 +273,85 @@ TEST_F(VlogStoreTest, NoVlogTrafficWhenAllValuesSmall) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), "small").ok());
   }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
   EXPECT_EQ(store_->GetStats().vlog_appended_bytes, 0u);
+  EXPECT_EQ(store_->GetStats().vlog_files, 0u);
+}
+
+// A flush writes its large values in key order, whatever order they were
+// written in, so the rows of one key range lie together in its vlog files.
+TEST_F(VlogStoreTest, FlushWritesValuesInKeyOrder) {
+  options_.vlog_file_size = 8 * 1024;
+  options_.write_buffer_size = 1024 * 1024;  // one flush
+  Reopen();
+  std::vector<int> order(300);
+  for (int i = 0; i < 300; ++i) order[i] = i;
+  Random rng(7);
+  for (int i = 299; i > 0; --i) {
+    std::swap(order[i], order[rng.Uniform(static_cast<uint32_t>(i + 1))]);
+  }
+  std::map<std::string, std::string> model;
+  for (int i : order) {
+    const std::string value = (i % 5 == 0) ? "small" : BigValue(i);
+    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), value).ok());
+    model[Key(i)] = value;
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  ASSERT_GT(store_->GetStats().vlog_files, 2u);
+
+  auto listing = env_->ListDir("/db");
+  ASSERT_TRUE(listing.ok());
+  std::vector<uint64_t> numbers;
+  for (const auto& name : listing.ValueOrDie()) {
+    if (name.find(".vlog") != std::string::npos) {
+      numbers.push_back(std::stoull(name.substr(0, name.find('.'))));
+    }
+  }
+  std::sort(numbers.begin(), numbers.end());
+  std::vector<std::string> keys;
+  for (uint64_t number : numbers) {
+    std::string contents;
+    ASSERT_TRUE(
+        env_->ReadFileToString(vlog::VlogFileName("/db", number), &contents)
+            .ok());
+    Slice input(contents);
+    while (!input.empty()) {
+      Slice key, value;
+      uint32_t size = 0;
+      ASSERT_TRUE(vlog::ParseRecord(&input, &key, &value, &size).ok());
+      EXPECT_EQ(value, Slice(model[key.ToString()]));
+      keys.push_back(key.ToString());
+    }
+  }
+  std::vector<std::string> expected;
+  for (const auto& [key, value] : model) {
+    if (value != "small") expected.push_back(key);
+  }
+  EXPECT_EQ(keys, expected);
+}
+
+// The last write has the store's newest sequence, so a Get or a Seek reads
+// at exactly its own sequence. Once the flush has stored its entry as a
+// pointer, the lookup key must still sort at or before it.
+TEST_F(VlogStoreTest, GetAndSeekFindSeparatedEntryAtItsOwnSequence) {
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), BigValue(i)).ok());
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  ASSERT_GT(store_->GetStats().vlog_files, 0u);
+
+  EXPECT_EQ(Get(Key(2)), BigValue(2));
+  auto iter = store_->NewIterator(ReadOptions());
+  iter->Seek(Key(2));
+  ASSERT_TRUE(iter->Valid()) << iter->status().ToString();
+  EXPECT_EQ(iter->key(), Slice(Key(2)));
+  EXPECT_EQ(iter->value(), Slice(BigValue(2)));
+  iter.reset();
+
+  std::vector<std::pair<std::string, std::string>> rows;
+  ASSERT_TRUE(store_->Scan(ReadOptions(), Key(2), "", 0, &rows).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].second, BigValue(2));
 }
 
 TEST_F(VlogStoreTest, SeparatedValuesSurviveFlushCompactionAndReopen) {
@@ -190,15 +377,24 @@ TEST_F(VlogStoreTest, SeparatedValuesSurviveFlushCompactionAndReopen) {
 
 TEST_F(VlogStoreTest, OverwritesAndDeletesBehaveNormally) {
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", BigValue(1)).ok());
+  ASSERT_TRUE(store_->FlushMemTable().ok());
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", BigValue(2)).ok());
+  EXPECT_EQ(Get("k"), BigValue(2));
+  ASSERT_TRUE(store_->FlushMemTable().ok());
   EXPECT_EQ(Get("k"), BigValue(2));
 
   ASSERT_TRUE(store_->Delete(WriteOptions(), "k").ok());
   EXPECT_EQ(Get("k"), "NOT_FOUND");
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  EXPECT_EQ(Get("k"), "NOT_FOUND");
 
   // Big -> small transition: the newest version is inline again.
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", BigValue(3)).ok());
+  ASSERT_TRUE(store_->FlushMemTable().ok());
   ASSERT_TRUE(store_->Put(WriteOptions(), "k", "small").ok());
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  EXPECT_EQ(Get("k"), "small");
+  ASSERT_TRUE(store_->CompactAll().ok());
   EXPECT_EQ(Get("k"), "small");
 }
 
@@ -231,57 +427,25 @@ TEST_F(VlogStoreTest, IteratorAndScanDereferencePointers) {
 
 TEST_F(VlogStoreTest, ActiveVlogRollsAtFileSizeLimit) {
   options_.vlog_file_size = 8 * 1024;
+  options_.write_buffer_size = 1024 * 1024;  // one flush writes them all
   Reopen();
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), BigValue(i)).ok());
   }
-  auto stats = store_->GetStats();
-  EXPECT_GT(stats.vlog_files, 2u) << "expected several rolled vlog files";
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(Get(Key(i)), BigValue(i)) << Key(i);
-  }
-  Reopen();
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_EQ(Get(Key(i)), BigValue(i)) << Key(i);
-  }
-}
-
-TEST_F(VlogStoreTest, ManifestSeparationFlagWinsOverOptions) {
-  ASSERT_TRUE(store_->Put(WriteOptions(), "k", BigValue(1)).ok());
   ASSERT_TRUE(store_->FlushMemTable().ok());
-
-  // Reopening with the flag off must not lose access to separated values:
-  // the manifest's vlog_sep bit overrides the Options mismatch.
-  options_.value_separation = false;
-  Reopen();
-  EXPECT_EQ(Get("k"), BigValue(1));
-  ASSERT_TRUE(store_->Put(WriteOptions(), "k2", BigValue(2)).ok());
-  EXPECT_EQ(Get("k2"), BigValue(2));
-  EXPECT_GT(store_->GetStats().vlog_appended_bytes, 0u)
-      << "store must keep separating: the manifest says vlog_sep 1";
-}
-
-TEST_F(VlogStoreTest, PlainStoreStaysPlainDespiteOptionsFlag) {
-  // A store created without separation keeps rejecting it on reopen, so a
-  // fleet-wide Options change cannot silently mix formats mid-store.
-  options_.value_separation = false;
-  ASSERT_TRUE(KVStore::Destroy(options_, "/plain").ok());
-  {
-    auto result = KVStore::Open(options_, "/plain");
-    ASSERT_TRUE(result.ok());
-    auto plain = std::move(result).MoveValueUnsafe();
-    ASSERT_TRUE(plain->Put(WriteOptions(), "k", BigValue(1)).ok());
-    ASSERT_TRUE(plain->FlushMemTable().ok());
+  auto stats = store_->GetStats();
+  EXPECT_EQ(stats.memtable_flushes, 1u);
+  EXPECT_GT(stats.vlog_files, 2u) << "expected several rolled vlog files";
+  // A file is finished at the first record that reaches the limit.
+  EXPECT_LE(stats.vlog_appended_bytes,
+            stats.vlog_files * (options_.vlog_file_size + 512));
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(Get(Key(i)), BigValue(i)) << Key(i);
   }
-  options_.value_separation = true;
-  auto result = KVStore::Open(options_, "/plain");
-  ASSERT_TRUE(result.ok());
-  auto plain = std::move(result).MoveValueUnsafe();
-  ASSERT_TRUE(plain->Put(WriteOptions(), "k2", BigValue(2)).ok());
-  EXPECT_EQ(plain->GetStats().vlog_appended_bytes, 0u);
-  auto r = plain->Get(ReadOptions(), "k");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie(), BigValue(1));
+  Reopen();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_EQ(Get(Key(i)), BigValue(i)) << Key(i);
+  }
 }
 
 TEST_F(VlogStoreTest, WalReplayRestoresSeparatedValues) {
@@ -290,6 +454,8 @@ TEST_F(VlogStoreTest, WalReplayRestoresSeparatedValues) {
     ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), BigValue(i)).ok());
   }
   Reopen();
+  // Recovery flushes the replayed memtable, which separates the values.
+  EXPECT_GT(store_->GetStats().vlog_files, 0u);
   for (int i = 0; i < 50; ++i) {
     ASSERT_EQ(Get(Key(i)), BigValue(i)) << Key(i);
   }

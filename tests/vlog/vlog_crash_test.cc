@@ -14,11 +14,12 @@ namespace iotdb {
 namespace storage {
 namespace {
 
-// Crash-recovery property for key-value separation: after an abrupt crash
-// that tears the unsynced tails of both the WAL and the value log, every
-// key must read as NotFound or a previously committed value — never
-// garbage, and never a dangling pointer error. Synced writes must survive
-// exactly.
+// Crash-recovery property for flush-time key-value separation: a crash
+// anywhere in a flush — while its vlog files are synced, after they are
+// but before the table is, or before the manifest write that installs
+// both — loses no synced write and serves no garbage. Every key reads as
+// NotFound or a committed value, and after reopen no file the crashed
+// flush wrote survives outside the live set.
 class VlogCrashTest : public ::testing::TestWithParam<uint64_t> {
  protected:
   static std::string Key(int i) {
@@ -42,9 +43,9 @@ TEST_P(VlogCrashTest, TornVlogTailNeverServesGarbage) {
 
   Options options;
   options.env = &fenv;
-  options.write_buffer_size = 256 * 1024;  // keep everything in WAL + vlog
-  options.value_separation = true;
+  options.write_buffer_size = 1024 * 1024;  // flushes only when asked
   options.min_value_size = 64;
+  options.vlog_file_size = 4 * 1024;  // one flush writes several vlog files
   options.background_vlog_gc = false;
 
   const int kSynced = 40;
@@ -73,8 +74,38 @@ TEST_P(VlogCrashTest, TornVlogTailNeverServesGarbage) {
       if (i >= kSynced) allowed[Key(i)].insert("");  // may be lost entirely
     }
 
-    // Abrupt death: background threads can no longer touch the disk, then
-    // every unsynced tail is torn (WAL and vlog alike).
+    // The flush fails at a point the seed picks, and the process dies
+    // there: 0 = a vlog file's sync (each fails with probability 1/2, so
+    // the seed also picks which file, and now and then none fails),
+    // 1 = the table's sync, after every vlog file is synced, 2 = the
+    // manifest write, after the table is synced too.
+    FaultRates rates;
+    FileClass target = FileClass::kVlog;
+    switch (seed % 3) {
+      case 0:
+        rates.sync_error = 0.5;
+        break;
+      case 1:
+        target = FileClass::kSSTable;
+        rates.sync_error = 1.0;
+        break;
+      default:
+        target = FileClass::kManifest;
+        rates.append_error = 1.0;
+        break;
+    }
+    fenv.SetRates(target, rates);
+    fenv.SetInjectionEnabled(true);
+    // FlushMemTable returns once the memtable is out, which may be before
+    // the manifest write: wait for the whole flush.
+    store->FlushMemTable().ok();
+    store->WaitForBackgroundWork();
+    fenv.SetInjectionEnabled(false);
+    if (seed % 3 != 0) {
+      EXPECT_FALSE(store->Put(WriteOptions(), "probe", "x").ok())
+          << "the injected fault should have failed the flush";
+    }
+
     fenv.MarkCrashed("/db");
     store.reset();
     ASSERT_TRUE(fenv.Crash("/db").ok());
@@ -103,18 +134,31 @@ TEST_P(VlogCrashTest, TornVlogTailNeverServesGarbage) {
         << got.substr(0, 32) << "...\" (seed " << seed << ")";
   }
 
+  // No orphan: every table and vlog file on disk is live. The crashed
+  // flush's synced outputs, which no manifest names, are gone.
+  auto listing = fenv.ListDir("/db");
+  ASSERT_TRUE(listing.ok());
+  for (const std::string& name : listing.ValueOrDie()) {
+    const std::string path = "/db/" + name;
+    if (ClassifyFile(path) == FileClass::kVlog) {
+      EXPECT_TRUE(store->IsLiveVlogFile(path)) << "orphan " << path;
+    } else if (ClassifyFile(path) == FileClass::kSSTable) {
+      EXPECT_TRUE(store->IsLiveTableFile(path)) << "orphan " << path;
+    }
+  }
+
   // The recovered store is internally consistent: a full scrub of tables,
-  // WAL tail and vlog files finds nothing to quarantine (the torn vlog
-  // tail was sealed at its last valid record during recovery).
+  // WAL tail and vlog files finds nothing to quarantine.
   ScrubReport report;
   ASSERT_TRUE(store->VerifyIntegrity(&report).ok());
   EXPECT_EQ(report.corrupt_files, 0u);
   EXPECT_EQ(report.quarantined_files, 0u);
 
-  // And it keeps working as a store.
+  // And it keeps working as a store, flushes included.
   for (int i = 0; i < kTotal; ++i) {
     ASSERT_TRUE(store->Put(WriteOptions(), Key(i), Value(i, 3)).ok());
   }
+  ASSERT_TRUE(store->FlushMemTable().ok());
   for (int i = 0; i < kTotal; ++i) {
     auto r = store->Get(ReadOptions(), Key(i));
     ASSERT_TRUE(r.ok()) << Key(i);
@@ -126,86 +170,77 @@ INSTANTIATE_TEST_SUITE_P(Seeds, VlogCrashTest,
                          ::testing::Values(1, 7, 21, 42, 1234, 9999, 31337,
                                            20260808));
 
-// Deterministic pointer-loss drill: truncate the value log behind the WAL's
-// back so replay sees intact pointer records whose vlog bytes are gone.
-// Recovery must drop exactly those pointers (NotFound), keep earlier keys
-// readable, and count the drops.
-TEST(VlogTruncationTest, ReplayDropsPointersIntoTruncatedVlog) {
+// A vlog file cut short behind the store's back: a read of a lost record
+// fails closed with Corruption (never garbage, never a NotFound that would
+// pass for an absent key) and quarantines the file, so every later read of
+// it fails too and the cluster fails it over to a healthy replica.
+TEST(VlogTruncationTest, ReadsOfTruncatedVlogFailClosed) {
   auto env = NewMemEnv();
   Options options;
   options.env = env.get();
-  options.write_buffer_size = 256 * 1024;
-  options.value_separation = true;
   options.min_value_size = 64;
   options.background_vlog_gc = false;
 
   const int kN = 60;
+  auto key = [](int i) {
+    char buf[32];
+    snprintf(buf, sizeof(buf), "key%06d", i);
+    return std::string(buf);
+  };
   auto value = [](int i) {
     std::string v = "val" + std::to_string(i) + ":";
     v.append(200, 'x');
     return v;
   };
-
   {
     auto result = KVStore::Open(options, "/db");
     ASSERT_TRUE(result.ok());
     auto store = std::move(result).MoveValueUnsafe();
     for (int i = 0; i < kN; ++i) {
-      char key[32];
-      snprintf(key, sizeof(key), "key%06d", i);
-      ASSERT_TRUE(store->Put(WriteOptions(), key, value(i)).ok());
+      ASSERT_TRUE(store->Put(WriteOptions(), key(i), value(i)).ok());
     }
-    // No flush, no clean shutdown bookkeeping needed: state = WAL + vlog.
+    ASSERT_TRUE(store->FlushMemTable().ok());
+    ASSERT_EQ(store->GetStats().vlog_files, 1u);
   }
 
-  // Truncate the (single, active) vlog file to half its size. The WAL still
-  // replays all kN records; the second half's pointers now dangle.
   auto listing = env->ListDir("/db");
   ASSERT_TRUE(listing.ok());
   std::string vlog_path;
   for (const auto& name : listing.ValueOrDie()) {
-    if (name.size() > 5 && name.compare(name.size() - 5, 5, ".vlog") == 0) {
-      ASSERT_TRUE(vlog_path.empty()) << "expected exactly one vlog file";
-      vlog_path = "/db/" + name;
-    }
+    if (ClassifyFile(name) == FileClass::kVlog) vlog_path = "/db/" + name;
   }
   ASSERT_FALSE(vlog_path.empty());
   std::string contents;
   ASSERT_TRUE(env->ReadFileToString(vlog_path, &contents).ok());
   ASSERT_TRUE(env->RemoveFile(vlog_path).ok());
-  ASSERT_TRUE(
-      env->WriteStringToFile(
-             vlog_path, Slice(contents.data(), contents.size() / 2))
-          .ok());
+  ASSERT_TRUE(env->WriteStringToFile(
+                     vlog_path, Slice(contents.data(), contents.size() / 2))
+                  .ok());
 
   auto result = KVStore::Open(options, "/db");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   auto store = std::move(result).MoveValueUnsafe();
-
-  int found = 0, dropped = 0;
-  bool saw_drop_after_keep = false, last_was_drop = false;
+  int found = 0;
+  int failed = 0;
   for (int i = 0; i < kN; ++i) {
-    char key[32];
-    snprintf(key, sizeof(key), "key%06d", i);
-    auto r = store->Get(ReadOptions(), key);
+    auto r = store->Get(ReadOptions(), key(i));
     if (r.ok()) {
-      EXPECT_EQ(r.ValueOrDie(), value(i)) << key;
-      EXPECT_FALSE(last_was_drop)
-          << key << ": keys were written in vlog order, so survivors must "
-                    "form a prefix";
+      EXPECT_EQ(r.ValueOrDie(), value(i)) << key(i);
+      EXPECT_EQ(failed, 0) << key(i) << ": the flush wrote the file in key "
+                                        "order, so survivors form a prefix";
       ++found;
     } else {
-      ASSERT_TRUE(r.status().IsNotFound()) << r.status().ToString();
-      last_was_drop = true;
-      saw_drop_after_keep = true;
-      ++dropped;
+      EXPECT_FALSE(r.status().IsNotFound()) << r.status().ToString();
+      if (failed == 0) {
+        EXPECT_TRUE(r.status().IsCorruption()) << r.status().ToString();
+      }
+      ++failed;
     }
   }
   EXPECT_GT(found, 0);
-  EXPECT_GT(dropped, 0);
-  EXPECT_TRUE(saw_drop_after_keep);
-  EXPECT_GE(store->GetStats().vlog_recovery_dropped_pointers,
-            static_cast<uint64_t>(dropped));
+  EXPECT_GT(failed, 0);
+  EXPECT_FALSE(store->IsLiveVlogFile(vlog_path));
+  EXPECT_EQ(store->GetStats().quarantined_files, 1u);
 }
 
 }  // namespace

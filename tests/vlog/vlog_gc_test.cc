@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -20,9 +23,8 @@ class VlogGcTest : public ::testing::Test {
     env_ = NewMemEnv();
     options_.env = env_.get();
     options_.write_buffer_size = 64 * 1024;
-    options_.value_separation = true;
     options_.min_value_size = 64;
-    options_.vlog_file_size = 8 * 1024;  // small: many sealed files
+    options_.vlog_file_size = 8 * 1024;  // small: many vlog files per flush
     options_.background_vlog_gc = false;  // tests drive GC explicitly
     Open();
   }
@@ -100,8 +102,8 @@ TEST_F(VlogGcTest, ReclaimsDeadBytesAndKeepsSurvivorsReadable) {
   uint64_t reclaimed = 0;
   ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
 
-  // At least ~90% of round 1 is dead; allow slack for records straddling
-  // the still-active file and for pointer re-encoding.
+  // About 90% of round 1 is dead; the round-2 files are all live, so GC
+  // re-puts their records and reclaims nothing from them.
   EXPECT_GE(reclaimed, round1_bytes * 8 / 10)
       << "round1_bytes=" << round1_bytes;
   auto stats = store_->GetStats();
@@ -126,16 +128,23 @@ TEST_F(VlogGcTest, ReclaimsDeadBytesAndKeepsSurvivorsReadable) {
   }
 }
 
+// min_value_size = SIZE_MAX keeps every value inline: no vlog file, so
+// nothing for GC to do.
 TEST_F(VlogGcTest, GcIsNoOpWithoutValueSeparation) {
   Options plain;
   plain.env = env_.get();
+  plain.min_value_size = SIZE_MAX;
   auto result = KVStore::Open(plain, "/plain");
   ASSERT_TRUE(result.ok());
   auto store = std::move(result).MoveValueUnsafe();
   ASSERT_TRUE(store->Put(WriteOptions(), "k", std::string(500, 'v')).ok());
+  ASSERT_TRUE(store->FlushMemTable().ok());
+  EXPECT_EQ(store->GetStats().vlog_files, 0u);
   uint64_t reclaimed = 123;
   ASSERT_TRUE(store->GarbageCollect(0, &reclaimed).ok());
   EXPECT_EQ(reclaimed, 0u);
+  EXPECT_EQ(store->Get(ReadOptions(), "k").ValueOrDie(),
+            std::string(500, 'v'));
 }
 
 TEST_F(VlogGcTest, ChunkedGcProcessesTailIncrementally) {
@@ -148,16 +157,23 @@ TEST_F(VlogGcTest, ChunkedGcProcessesTailIncrementally) {
   }
   ASSERT_TRUE(store_->FlushMemTable().ok());
 
-  // A 1-byte chunk processes exactly one tail file per call.
+  // A 1-byte chunk processes exactly one tail file per call: its live
+  // records go back to the memtable as full values, not to a vlog file.
   const uint64_t files_before = store_->GetStats().vlog_files;
   ASSERT_GT(files_before, 2u);
   uint64_t reclaimed = 0;
   ASSERT_TRUE(store_->GarbageCollect(1, &reclaimed).ok());
   EXPECT_EQ(store_->GetStats().vlog_files, files_before - 1);
 
-  // Draining the whole tail leaves only the active file plus whatever the
-  // GC re-puts rolled into.
+  // Draining the whole tail leaves no vlog file until the next flush
+  // separates the re-put values again.
   ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
+  EXPECT_EQ(store_->GetStats().vlog_files, 0u);
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  EXPECT_GT(store_->GetStats().vlog_files, 0u);
   for (int i = 0; i < kN; ++i) {
     ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
   }
@@ -251,6 +267,85 @@ TEST_F(VlogGcTest, BackgroundGcTriggersAfterCompaction) {
   }
 }
 
+// Readers dereference vlog files while flushes install new ones, compaction
+// credits dead bytes, and GC (explicit and background) retires files and
+// defers their deletion: every Get and Scan still returns its key's value.
+TEST_F(VlogGcTest, ReadersRaceFlushesAndGc) {
+  options_.background_vlog_gc = true;
+  options_.vlog_gc_dead_ratio = 0.3;
+  store_.reset();
+  ASSERT_TRUE(KVStore::Destroy(options_, "/db").ok());
+  Open();
+
+  const int kKeys = 200;
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 0)).ok());
+  }
+  // Some version of key i's value: "v<version>:<key>:" plus 180 bytes.
+  auto matches = [](int i, const Slice& value) {
+    const std::string v = value.ToString();
+    const size_t at = v.find(":" + Key(i) + ":");
+    return v[0] == 'v' && at != std::string::npos &&
+           v.size() == at + Key(i).size() + 2 + 180;
+  };
+
+  std::atomic<bool> done{false};
+  std::atomic<int> bad{0};
+  std::string first_error;
+  std::mutex error_mu;
+  auto fail = [&](const std::string& what) {
+    if (bad.fetch_add(1) == 0) {
+      std::lock_guard<std::mutex> lock(error_mu);
+      first_error = what;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 2; ++t) {
+    readers.emplace_back([&, t] {
+      uint32_t x = 17 + t;
+      while (!done.load()) {
+        x = x * 1103515245 + 12345;
+        const int i = static_cast<int>((x >> 8) % kKeys);
+        auto r = store_->Get(ReadOptions(), Key(i));
+        if (!r.ok() || !matches(i, r.ValueOrDie())) {
+          fail("Get " + Key(i) + ": " + r.status().ToString());
+        }
+        const int first = i % (kKeys - 20);
+        std::vector<std::pair<std::string, std::string>> rows;
+        Status s = store_->Scan(ReadOptions(), Key(first), Key(first + 20), 0,
+                                &rows);
+        if (!s.ok() || rows.size() != 20) {
+          fail("Scan " + Key(first) + ": " + s.ToString());
+          continue;
+        }
+        for (int k = 0; k < 20; ++k) {
+          if (rows[k].first != Key(first + k) ||
+              !matches(first + k, rows[k].second)) {
+            fail("Scan row " + rows[k].first);
+          }
+        }
+      }
+    });
+  }
+  for (int round = 1; round <= 12; ++round) {
+    for (int i = 0; i < kKeys; ++i) {
+      ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, round)).ok());
+    }
+    if (round % 4 == 0) {
+      ASSERT_TRUE(store_->CompactAll().ok());
+      uint64_t reclaimed = 0;
+      ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
+    }
+  }
+  done.store(true);
+  for (auto& r : readers) r.join();
+  EXPECT_EQ(bad.load(), 0) << first_error;
+  EXPECT_GT(store_->GetStats().vlog_gc_reclaimed_bytes, 0u);
+  for (int i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(Get(Key(i)), Value(i, 12)) << Key(i);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Scrub integration: corruption in vlog files is detected by the integrity
 // walk, counted under the scrub byte metric, and quarantined.
@@ -262,7 +357,6 @@ class VlogScrubTest : public ::testing::Test {
     fenv_ = std::make_unique<FaultInjectionEnv>(base_env_.get(), 77);
     options_.env = fenv_.get();
     options_.write_buffer_size = 64 * 1024;
-    options_.value_separation = true;
     options_.min_value_size = 64;
     options_.vlog_file_size = 8 * 1024;
     options_.background_vlog_gc = false;
@@ -368,18 +462,21 @@ TEST_F(VlogScrubTest, GcQuarantinesCorruptTailInsteadOfDeleting) {
   auto victim = fenv_->CorruptRandomFile("/db", FileClass::kVlog, 64);
   ASSERT_TRUE(victim.ok());
 
-  // GC scans every sealed file from the tail; hitting the corrupt one must
+  // GC scans every vlog file from the tail; hitting the corrupt one must
   // quarantine it (preserving the evidence) rather than resurrect garbage
   // or delete it as "collected".
   uint64_t reclaimed = 0;
   Status s = store_->GarbageCollect(0, &reclaimed);
-  if (store_->IsLiveVlogFile(victim.ValueOrDie())) {
-    // The victim was the still-active file, which GC does not walk; the
-    // pass legitimately succeeds then.
-    EXPECT_TRUE(s.ok()) << s.ToString();
-  } else {
-    EXPECT_GE(store_->GetStats().quarantined_files, 1u);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_FALSE(store_->IsLiveVlogFile(victim.ValueOrDie()));
+  EXPECT_EQ(store_->GetStats().quarantined_files, 1u);
+  auto listing = base_env_->ListDir("/db");
+  ASSERT_TRUE(listing.ok());
+  bool kept = false;
+  for (const auto& name : listing.ValueOrDie()) {
+    kept |= ("/db/" + name == victim.ValueOrDie() + ".quarantined");
   }
+  EXPECT_TRUE(kept) << "the corrupt file must be kept aside, not deleted";
   // Either way the store stays usable.
   ASSERT_TRUE(store_->Put(WriteOptions(), "after", value).ok());
   auto r = store_->Get(ReadOptions(), "after");

@@ -3,6 +3,7 @@
 // DESIGN.md's substrate claims.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -43,7 +44,8 @@ struct StoreFixture {
 
 // sep=0: values inline in the LSM (min_value_size = SIZE_MAX). sep=1: the
 // shipped key-value separation, where a flush moves the 1 KiB payload to a
-// vlog file and the tree keeps a 20-byte pointer. Puts take the same write
+// vlog file and the tree keeps a 20-byte pointer and the value's 16-byte
+// head. Puts take the same write
 // path either way; they differ only in what their flushes write.
 void BM_KVStorePut1KiB(benchmark::State& state) {
   StoreFixture fixture(state.range(0) != 0);
@@ -102,24 +104,41 @@ void BM_KVStoreGet(benchmark::State& state) {
 }
 BENCHMARK(BM_KVStoreGet)->ArgName("sep")->Arg(0)->Arg(1);
 
-/// Sums the value sizes of the rows it is handed, copying nothing.
+/// Sums the value sizes of the rows it is handed, copying nothing. With
+/// `take_heads` it takes each separated row by its head instead, so the
+/// scan reads no vlog record.
 class ValueBytesSink final : public iotdb::RowSink {
  public:
+  explicit ValueBytesSink(bool take_heads) : take_heads_(take_heads) {}
+
   void Add(const iotdb::Slice& /*key*/, const iotdb::Slice& value) override {
     bytes += value.size();
+  }
+  bool AddHead(const iotdb::Slice& /*key*/,
+               const iotdb::Slice& head) override {
+    if (take_heads_) bytes += head.size();
+    return take_heads_;
   }
   void Clear() override { bytes = 0; }
 
   uint64_t bytes = 0;
+
+ private:
+  const bool take_heads_;
 };
 
+// The cost per row dereference, over the shipped layout: a flush moves each
+// 1000-byte value to a vlog file and the table keeps its pointer and head.
 // compacted=0: the three L0 tables the flushes leave. compacted=1:
-// CompactAll first, which leaves ~10 disjoint 2 MiB tables. Both pass the
+// CompactAll first, which leaves disjoint tables. Each scan passes the
 // window's end key, as a dashboard query does. sink=0 collects the rows
-// into a vector (a copy of every key and value); sink=1 hands them to a
-// sink that reads each in place, so the gap is per-row materialization.
+// into a vector (a copy of every key and value); sink=1 hands whole values
+// to a sink that reads each in place, one vlog record read per row; sink=2
+// hands it each row's head, and reads no record. The gap between sink=1
+// and sink=2 is the dereference cost of 100 rows; `derefs_per_row` counts
+// the records read (KVStoreStats::vlog_dereferences). Print-only.
 void BM_KVStoreScan100(benchmark::State& state) {
-  StoreFixture fixture;
+  StoreFixture fixture(/*separated=*/true);
   std::string value(1000, 'v');
   const int kKeys = 20000;
   for (int i = 0; i < kKeys; ++i) {
@@ -130,6 +149,7 @@ void BM_KVStoreScan100(benchmark::State& state) {
   fixture.store->FlushMemTable();
   if (state.range(0) != 0) fixture.store->CompactAll();
   Random rng(9);
+  const uint64_t derefs_before = fixture.store->GetStats().vlog_dereferences;
   for (auto _ : state) {
     char start[32];
     char end[32];
@@ -141,16 +161,22 @@ void BM_KVStoreScan100(benchmark::State& state) {
       benchmark::DoNotOptimize(
           fixture.store->Scan(ReadOptions(), start, end, 100, &rows));
     } else {
-      ValueBytesSink sink;
+      ValueBytesSink sink(/*take_heads=*/state.range(1) == 2);
       benchmark::DoNotOptimize(fixture.store->Scan(start, end, 100, &sink));
       benchmark::DoNotOptimize(sink.bytes);
     }
   }
+  const uint64_t derefs =
+      fixture.store->GetStats().vlog_dereferences - derefs_before;
+  state.counters["derefs_per_row"] =
+      static_cast<double>(derefs) /
+      static_cast<double>(std::max<uint64_t>(state.iterations() * 100, 1));
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_KVStoreScan100)
     ->ArgNames({"compacted", "sink"})
-    ->ArgsProduct({{0, 1}, {0, 1}});
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_BloomFilterBuild(benchmark::State& state) {
   std::vector<std::string> keys;

@@ -33,7 +33,8 @@ NodeInstruments& Instruments() {
   return instruments;
 }
 
-/// Forwards a scan's rows to the caller's sink and counts them.
+/// Forwards a scan's rows to the caller's sink and counts them, those the
+/// caller's sink takes by their heads included.
 class CountingRowSink final : public RowSink {
  public:
   explicit CountingRowSink(RowSink* inner) : inner_(inner) {}
@@ -41,6 +42,11 @@ class CountingRowSink final : public RowSink {
   void Add(const Slice& key, const Slice& value) override {
     inner_->Add(key, value);
     rows_++;
+  }
+  bool AddHead(const Slice& key, const Slice& head) override {
+    if (!inner_->AddHead(key, head)) return false;
+    rows_++;
+    return true;
   }
   void Clear() override {
     inner_->Clear();

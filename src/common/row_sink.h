@@ -21,6 +21,19 @@ class RowSink {
   /// a row copies it.
   virtual void Add(const Slice& key, const Slice& value) = 0;
 
+  /// Offers a row whose value the store keeps apart from its table (a
+  /// separated value) by the value's head: its first bytes, at least one
+  /// and at most 16 (storage::vlog::kValueHeadSize), all of them for a
+  /// shorter value. The head lies in a checksum-verified table block.
+  /// Returning true takes the row: Add is not called for it, and it counts
+  /// as a row for the scan's limit and row counters and for Clear(), like
+  /// one handed to Add. Returning false makes the scan read and verify the
+  /// whole value and call Add with it. A sink that needs whole values keeps
+  /// this default. The slices are valid only during the call.
+  virtual bool AddHead(const Slice& /*key*/, const Slice& /*head*/) {
+    return false;
+  }
+
   /// Drops every row added so far. A scan that restarts (a retry, or a
   /// failover to another replica) calls it before the new attempt, so a
   /// failed attempt's partial rows never reach the result.

@@ -1,6 +1,7 @@
 #include "iot/query.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/row_sink.h"
 
@@ -68,6 +69,18 @@ namespace {
 class AggregateSink final : public RowSink {
  public:
   explicit AggregateSink(WindowAggregate* agg) : agg_(agg) { Clear(); }
+
+  /// The sensor value is the field before the first separator, so a head
+  /// that holds the separator holds the whole field: it folds exactly as
+  /// the whole value would. A longer reading falls back on the value.
+  bool AddHead(const Slice& key, const Slice& head) override {
+    if (memchr(head.data(), KvpCodec::kValueSeparator, head.size()) ==
+        nullptr) {
+      return false;
+    }
+    Add(key, head);
+    return true;
+  }
 
   void Add(const Slice& /*key*/, const Slice& value) override {
     if (!status_.ok()) return;

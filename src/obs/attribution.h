@@ -14,7 +14,7 @@ namespace obs {
 ///
 /// Two disjoint groups compose an op's wall time, depending on which thread
 /// executes the storage work:
-///  - storage stages (commit queue wait, vlog, WAL sync, commit wait) are
+///  - storage stages (commit queue wait, WAL sync, commit wait) are
 ///    accumulated by the thread that runs KVStore::PutMany/Write — the
 ///    driver thread in single-store mode, a replica mailbox thread under
 ///    replication;

@@ -22,9 +22,11 @@ class CompactionFilter {
   /// True when the entry should be removed from the store. `value` is the
   /// value as the table stores it: the row's bytes for a value shorter than
   /// Options::min_value_size, but for a separated row the 20-byte encoded
-  /// vlog::ValuePointer, never the row (compaction reads no vlog record). A
-  /// filter that must look at large rows cannot; the retention filter reads
-  /// only the key. A dropped pointer's record counts as dead vlog bytes.
+  /// vlog::ValuePointer followed by the row's first 16 bytes (20 to 36 bytes
+  /// in all; see vlog_format.h), never the whole row (compaction reads no
+  /// vlog record). A filter that must look past a large row's head cannot;
+  /// the retention filter reads only the key. A dropped pointer's record
+  /// counts as dead vlog bytes.
   virtual bool ShouldDrop(const Slice& user_key, const Slice& value) const
       = 0;
 

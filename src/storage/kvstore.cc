@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/attribution.h"
@@ -1042,6 +1043,10 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
   // threshold (and keeps the flushed records' WAL) or the new one plus the
   // table and its vlog files.
   log_number_ = wal_number;
+  // The imm is released only once the manifest names its table: a failed
+  // write leaves it in place, so FlushMemTable's waiter wakes to the
+  // background error this failure sets, never to an empty imm_.
+  IOTDB_RETURN_NOT_OK(WriteManifest());
   {
     std::lock_guard<std::mutex> write_lock(write_mu_);
     imm_ = nullptr;
@@ -1049,7 +1054,6 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
     write_cv_.notify_all();
   }
   imm->Unref();
-  IOTDB_RETURN_NOT_OK(WriteManifest());
   RemoveObsoleteFiles();
   return Status::OK();
 }
@@ -1116,7 +1120,7 @@ Status KVStore::BuildFlushOutputs(MemTable* imm, uint64_t table_number,
     PutFixed64(&pointer_key, PackSequenceAndType(ikey.sequence,
                                                  ValueType::kValuePointer));
     pointer.clear();
-    vlog::EncodeValuePointer(&pointer, ptr);
+    vlog::EncodeValuePointer(&pointer, ptr, value);
     builder.Add(Slice(pointer_key), Slice(pointer));
   }
   if (s.ok()) s = finish_vlog();
@@ -1449,10 +1453,16 @@ void GetHandler(void* arg, const Slice& internal_key, const Slice& v) {
 /// owner counts it in open_readers_, under mu_ and before the read takes
 /// its snapshot: GC holds mu_ from its re-puts to its deletions, so a file
 /// it deletes before the pin was superseded at or below that snapshot.
+///
+/// A scan's resolver also holds the scan's sink, and offers it each
+/// pointer entry's head before reading the record. A row the sink takes is
+/// not read: Resolve marks it, and the scan skips its Add (TakeHeadMark).
 class KVStore::VlogResolver final : public ValueResolver {
  public:
-  explicit VlogResolver(KVStore* store)
-      : store_(store), cursor_(store->vlog_reader_.get()) {}
+  explicit VlogResolver(KVStore* store, RowSink* head_sink = nullptr)
+      : store_(store),
+        cursor_(store->vlog_reader_.get()),
+        head_sink_(head_sink) {}
 
   ~VlogResolver() override {
     store_->counters_.vlog_dereferences.Add(derefs_);
@@ -1463,8 +1473,15 @@ class KVStore::VlogResolver final : public ValueResolver {
   Status Resolve(const Slice& user_key, const Slice& pointer,
                  Slice* value) override {
     vlog::ValuePointer ptr;
-    if (!vlog::DecodeValuePointer(pointer, &ptr)) {
+    Slice head;
+    if (!vlog::DecodeValuePointer(pointer, &ptr, &head)) {
       return Status::Corruption("malformed value pointer");
+    }
+    if (head_sink_ != nullptr && !head.empty() &&
+        head_sink_->AddHead(user_key, head)) {
+      took_head_ = true;
+      *value = Slice();
+      return Status::OK();
     }
     ++derefs_;
     Status s = cursor_.Read(ptr, user_key, value);
@@ -1477,9 +1494,15 @@ class KVStore::VlogResolver final : public ValueResolver {
     return s;
   }
 
+  /// True when the sink took the row the iterator last landed on by its
+  /// head; clears the mark for the next row.
+  bool TakeHeadMark() { return std::exchange(took_head_, false); }
+
  private:
   KVStore* const store_;
   vlog::VlogCursor cursor_;
+  RowSink* const head_sink_;
+  bool took_head_ = false;
   uint64_t derefs_ = 0;
 };
 
@@ -1566,7 +1589,8 @@ Result<std::string> KVStore::Get(const ReadOptions&, const Slice& key) {
 
 std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
     const Slice& start, const Slice& end_exclusive,
-    std::vector<std::shared_ptr<FileMeta>>* opened) {
+    std::vector<std::shared_ptr<FileMeta>>* opened,
+    std::unique_ptr<VlogResolver> resolver) {
   std::vector<std::unique_ptr<Iterator>> children;
   std::vector<std::shared_ptr<FileMeta>> pinned_tables;
   std::vector<MemTable*> pinned_mems;
@@ -1602,13 +1626,14 @@ std::unique_ptr<Iterator> KVStore::NewBoundedIterator(
   if (opened != nullptr) *opened = pinned_tables;
   auto db_iter = NewDBIterator(
       &icmp_, NewMergingIterator(&icmp_, std::move(children)), snapshot,
-      std::make_unique<VlogResolver>(this), end_exclusive);
+      std::move(resolver), end_exclusive);
   return std::make_unique<PinningIterator>(
       std::move(db_iter), std::move(pinned_tables), std::move(pinned_mems));
 }
 
 std::unique_ptr<Iterator> KVStore::NewIterator(const ReadOptions&) {
-  return NewBoundedIterator(Slice(), Slice(), nullptr);
+  return NewBoundedIterator(Slice(), Slice(), nullptr,
+                            std::make_unique<VlogResolver>(this));
 }
 
 Status KVStore::Scan(const Slice& start, const Slice& end_exclusive,
@@ -1616,12 +1641,17 @@ Status KVStore::Scan(const Slice& start, const Slice& end_exclusive,
   counters_.scans.Increment();
   obs_.scans->Increment();
   std::vector<std::shared_ptr<FileMeta>> opened;
-  // The iterator stops before end_exclusive.
-  auto iter = NewBoundedIterator(start, end_exclusive, &opened);
+  // The iterator stops before end_exclusive, and resolves (so offers the
+  // head of) a row only when it lands on it: no head past the bound or the
+  // limit reaches the sink.
+  auto resolver = std::make_unique<VlogResolver>(this, sink);
+  VlogResolver* const heads = resolver.get();
+  auto iter = NewBoundedIterator(start, end_exclusive, &opened,
+                                 std::move(resolver));
   size_t rows = 0;
   for (start.empty() ? iter->SeekToFirst() : iter->Seek(start);
        iter->Valid(); iter->Next()) {
-    sink->Add(iter->key(), iter->value());
+    if (!heads->TakeHeadMark()) sink->Add(iter->key(), iter->value());
     if (limit > 0 && ++rows >= limit) break;
   }
   Status s = iter->status();

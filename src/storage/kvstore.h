@@ -308,10 +308,12 @@ class KVStore {
   // iterator ends before end_exclusive; rows before `start` may be missing
   // or stale, so only Scan, which seeks to its start, passes one.
   // NewIterator is the unbounded case. `opened`, when non-null, receives
-  // the tables the iterator reads.
+  // the tables the iterator reads. The iterator resolves pointer entries
+  // through `resolver` and owns it.
   std::unique_ptr<Iterator> NewBoundedIterator(
       const Slice& start, const Slice& end_exclusive,
-      std::vector<std::shared_ptr<FileMeta>>* opened);
+      std::vector<std::shared_ptr<FileMeta>>* opened,
+      std::unique_ptr<VlogResolver> resolver);
 
   Options options_;
   Env* env_;

@@ -1,6 +1,7 @@
 #ifndef IOTDB_STORAGE_VLOG_FORMAT_H_
 #define IOTDB_STORAGE_VLOG_FORMAT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -28,15 +29,24 @@ namespace vlog {
 ///
 /// A memtable flush writes every value of at least Options::min_value_size
 /// bytes to vlog files of its own, in key order, and the table stores a
-/// fixed-width ValuePointer under ValueType::kValuePointer instead:
+/// ValuePointer under ValueType::kValuePointer instead, followed by the
+/// value's head, its first min(kValueHeadSize, value size) bytes:
 ///
-///   file_no (fixed64) | offset (fixed64) | size (fixed32)
+///   file_no (fixed64) | offset (fixed64) | size (fixed32) | head
 ///
 /// `size` is the full record size (header included), so a dereference is one
-/// positional read of exactly `size` bytes followed by a checksum check.
+/// positional read of exactly `size` bytes followed by a checksum check. The
+/// head lies in the table's data block, under that block's checksum, so a
+/// scan whose sink needs only a value's first bytes (RowSink::AddHead) reads
+/// no record. An entry written before heads existed is the bare 20-byte
+/// pointer and decodes with an empty head, which no scan offers.
 
 /// file_no + offset + record size.
 constexpr size_t kValuePointerEncodedSize = 8 + 8 + 4;
+
+/// Bytes of each separated value a pointer entry repeats: enough for a
+/// TPCx-IoT reading and its separator ("-180.0000|" is ten).
+constexpr size_t kValueHeadSize = 16;
 
 /// Fixed-size crc32c header preceding each record's payload.
 constexpr size_t kRecordHeaderSize = 4;
@@ -53,20 +63,33 @@ struct ValuePointer {
   }
 };
 
-/// Appends the fixed-width pointer encoding to *dst.
-inline void EncodeValuePointer(std::string* dst, const ValuePointer& ptr) {
+/// Appends the entry of a separated value to *dst: the pointer to its
+/// record, then the head of `value`.
+inline void EncodeValuePointer(std::string* dst, const ValuePointer& ptr,
+                               const Slice& value) {
   PutFixed64(dst, ptr.file_no);
   PutFixed64(dst, ptr.offset);
   PutFixed32(dst, ptr.size);
+  dst->append(value.data(), std::min(value.size(), kValueHeadSize));
 }
 
-/// Decodes the value of a kValuePointer entry; false when malformed.
-inline bool DecodeValuePointer(const Slice& stored_value, ValuePointer* ptr) {
-  if (stored_value.size() != kValuePointerEncodedSize) return false;
+/// Decodes the value of a kValuePointer entry, 20 to 36 bytes; false when
+/// malformed. *head, when non-null, points at the value's head inside
+/// `stored_value` (empty for a bare pointer).
+inline bool DecodeValuePointer(const Slice& stored_value, ValuePointer* ptr,
+                               Slice* head = nullptr) {
+  if (stored_value.size() < kValuePointerEncodedSize ||
+      stored_value.size() > kValuePointerEncodedSize + kValueHeadSize) {
+    return false;
+  }
   const char* p = stored_value.data();
   ptr->file_no = DecodeFixed64(p);
   ptr->offset = DecodeFixed64(p + 8);
   ptr->size = DecodeFixed32(p + 16);
+  if (head != nullptr) {
+    *head = Slice(p + kValuePointerEncodedSize,
+                  stored_value.size() - kValuePointerEncodedSize);
+  }
   return true;
 }
 

@@ -158,6 +158,67 @@ TEST(ClusterTest, ShardedScanStaysOrderedWithinShard) {
   EXPECT_EQ(rows.back().second, "v1029");
 }
 
+// A batch reaches every replica's store, not only the primary's: each
+// replica of a row returns it from its own store, and after a flush every
+// replica of a sensor's shard scans the same rows.
+TEST(ClusterTest, EveryReplicaStoresEveryBatchedRow) {
+  ClusterOptions options = SmallClusterOptions(4);
+  options.shard_key_fn = iot::TpcxIotShardKey;
+  auto cluster = Cluster::Start(options).MoveValueUnsafe();
+  Client client(cluster.get());
+
+  const int kSensors = 16;
+  const int kReadings = 25;
+  std::vector<std::vector<std::pair<std::string, std::string>>> by_sensor(
+      kSensors);
+  std::vector<std::pair<std::string, std::string>> kvps;
+  std::set<int> primaries;
+  for (int s = 0; s < kSensors; ++s) {
+    for (int t = 0; t < kReadings; ++t) {
+      iot::Reading r;
+      r.substation_key = "sub1";
+      r.sensor_key = "sensor_" + std::to_string(s);
+      r.timestamp_micros = 1000 + t;
+      r.value = s * 100 + t;
+      r.unit = "kW";
+      iot::Kvp kvp = iot::KvpCodec::Encode(r, t);
+      by_sensor[s].emplace_back(kvp.key, kvp.value);
+      kvps.emplace_back(kvp.key, kvp.value);
+    }
+    primaries.insert(cluster->PrimaryNodeFor(by_sensor[s][0].first));
+  }
+  ASSERT_EQ(primaries.size(), 4u) << "every node must lead some sensor";
+  ASSERT_TRUE(client.PutBatch(kvps).ok());
+  ASSERT_TRUE(cluster->WaitReplicationIdle().ok());
+
+  for (const auto& [key, value] : kvps) {
+    const std::vector<int> replicas = cluster->ReplicaNodesFor(key);
+    ASSERT_EQ(replicas.size(), 3u);
+    for (int n : replicas) {
+      auto r = cluster->node(n)->store()->Get(storage::ReadOptions(), key);
+      ASSERT_TRUE(r.ok()) << "node " << n << " " << key << ": "
+                          << r.status().ToString();
+      ASSERT_EQ(r.ValueOrDie(), value) << "node " << n << " " << key;
+    }
+  }
+
+  ASSERT_TRUE(cluster->FlushAll().ok());
+  for (int s = 0; s < kSensors; ++s) {
+    const std::string shard(
+        iot::KvpCodec::ShardPrefixOf(Slice(by_sensor[s][0].first))
+            .ToStringView());
+    for (int n : cluster->ReplicaNodesForShardKey(shard)) {
+      std::vector<std::pair<std::string, std::string>> rows;
+      VectorRowSink sink(&rows);
+      ASSERT_TRUE(cluster->node(n)
+                      ->store()
+                      ->Scan(shard + ".", shard + "/", 0, &sink)
+                      .ok());
+      EXPECT_EQ(rows, by_sensor[s]) << "node " << n << " " << shard;
+    }
+  }
+}
+
 TEST(ClusterTest, PurgeAllEmptiesEveryNode) {
   auto cluster = Cluster::Start(SmallClusterOptions(3)).MoveValueUnsafe();
   Client client(cluster.get());

@@ -206,9 +206,48 @@ TEST(CorruptionResilienceTest, ScanFailsOverFromUnderRepairReplica) {
   EXPECT_FALSE(victim->under_repair());
 }
 
+// Takes every head it is offered and counts the rows it holds by how they
+// arrived.
+class HeadCountingSink final : public RowSink {
+ public:
+  void Add(const Slice& /*key*/, const Slice& /*value*/) override { whole++; }
+  bool AddHead(const Slice& key, const Slice& head) override {
+    heads.emplace_back(key.ToString(), head.ToString());
+    return true;
+  }
+  void Clear() override {
+    whole = 0;
+    heads.clear();
+  }
+
+  size_t whole = 0;
+  std::vector<std::pair<std::string, std::string>> heads;
+};
+
+// Complements one byte in the middle of the node's only table: a data block
+// about halfway through the shard fails its CRC.
+void RotMiddleOfOnlyTable(Cluster* cluster, Node* node) {
+  storage::Env* env = cluster->fault_env();
+  const auto files = env->ListDir(node->data_dir()).MoveValueUnsafe();
+  std::string sst;
+  for (const auto& f : files) {
+    if (storage::ClassifyFile(f) == storage::FileClass::kSSTable) {
+      ASSERT_TRUE(sst.empty()) << "expected one table";
+      sst = node->data_dir() + "/" + f;
+    }
+  }
+  ASSERT_FALSE(sst.empty());
+  std::string contents;
+  ASSERT_TRUE(env->ReadFileToString(sst, &contents).ok());
+  const size_t offset = contents.size() / 2;
+  const char flipped = static_cast<char>(~contents[offset]);
+  ASSERT_TRUE(env->OverwriteFileRange(sst, offset, Slice(&flipped, 1)).ok());
+}
+
 // A replica whose table rots mid-window hands the sink the rows before the
 // bad block, then fails with Corruption. The failover must drop those rows,
-// not append the next replica's full window after them.
+// not append the next replica's full window after them; rows a sink took
+// by their heads included.
 TEST(CorruptionResilienceTest, ScanFailoverDropsPartialRowsOfCorruptReplica) {
   ClusterOptions options = CorruptibleClusterOptions(3);
   options.shard_key_fn = SensorShardKey;
@@ -227,24 +266,11 @@ TEST(CorruptionResilienceTest, ScanFailoverDropsPartialRowsOfCorruptReplica) {
   ASSERT_TRUE(client.PutBatch(batch).ok());
   ASSERT_TRUE(cluster->FlushAll().ok());
 
-  // Complement one byte in the middle of the primary's table: a data block
-  // about halfway through the window fails its CRC.
-  Node* victim = cluster->node(cluster->PrimaryNodeFor(batch[0].first));
-  storage::Env* env = cluster->fault_env();
-  const auto files = env->ListDir(victim->data_dir()).MoveValueUnsafe();
-  std::string sst;
-  for (const auto& f : files) {
-    if (storage::ClassifyFile(f) == storage::FileClass::kSSTable) {
-      ASSERT_TRUE(sst.empty()) << "expected one table";
-      sst = victim->data_dir() + "/" + f;
-    }
-  }
-  ASSERT_FALSE(sst.empty());
-  std::string contents;
-  ASSERT_TRUE(env->ReadFileToString(sst, &contents).ok());
-  const size_t offset = contents.size() / 2;
-  const char flipped = static_cast<char>(~contents[offset]);
-  ASSERT_TRUE(env->OverwriteFileRange(sst, offset, Slice(&flipped, 1)).ok());
+  const std::vector<int> replicas = cluster->ReplicaNodesForShardKey(shard);
+  ASSERT_EQ(replicas.size(), 3u);
+  Node* victim = cluster->node(replicas[0]);
+  ASSERT_EQ(victim, cluster->node(cluster->PrimaryNodeFor(batch[0].first)));
+  RotMiddleOfOnlyTable(cluster.get(), victim);
 
   std::vector<std::pair<std::string, std::string>> rows;
   VectorRowSink sink(&rows);
@@ -261,6 +287,28 @@ TEST(CorruptionResilienceTest, ScanFailoverDropsPartialRowsOfCorruptReplica) {
   }
   EXPECT_EQ(victim->GetStats().scan_rows_read, 0u);
   EXPECT_EQ(counted, batch.size());
+
+  // Again with a sink that takes heads, after the replica that answered
+  // rots too: the fenced primary refuses, the second replica hands over
+  // heads until its bad block, and the third answers. Every row must
+  // arrive once, as a head, through Node::Scan's counting sink.
+  Node* second = cluster->node(replicas[1]);
+  Node* third = cluster->node(replicas[2]);
+  ASSERT_EQ(second->GetStats().scan_rows_read, batch.size());
+  RotMiddleOfOnlyTable(cluster.get(), second);
+  HeadCountingSink heads;
+  ASSERT_TRUE(client.Scan(shard, shard + "#", shard + "$", /*limit=*/0,
+                          &heads)
+                  .ok());
+  EXPECT_EQ(second->files_quarantined(), 1u);
+  EXPECT_EQ(heads.whole, 0u);
+  ASSERT_EQ(heads.heads.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(heads.heads[i].first, batch[i].first);
+    EXPECT_EQ(heads.heads[i].second, batch[i].second.substr(0, 16));
+  }
+  EXPECT_EQ(second->GetStats().scan_rows_read, batch.size());
+  EXPECT_EQ(third->GetStats().scan_rows_read, batch.size());
 }
 
 TEST(CorruptionResilienceTest, RestartOfUnderRepairNodeForcesRecopy) {

@@ -2,6 +2,7 @@
 // against a real KVStore.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -291,19 +292,91 @@ TEST_F(QueryExecutionTest, MalformedValueFailsTheQuery) {
   const std::string key =
       KvpCodec::EncodeKey("sub1", "ltc_gas_000", now - 3500);
   ASSERT_TRUE(db_->Insert(key, "not-a-number|unit|pad").ok());
+  // The same on another sensor, in a value long enough that the flush below
+  // separates it: its head holds the separator, so the executor takes the
+  // head and the Corruption comes from it, with no record read.
+  InsertSeries("ltc_gas_001", now, 20);
+  std::string separated = "not-a-number|unit|";
+  separated.resize(1000, 'p');
+  ASSERT_TRUE(db_->Insert(KvpCodec::EncodeKey("sub1", "ltc_gas_001",
+                                              now - 3500),
+                          separated)
+                  .ok());
 
   Query query;
   query.type = QueryType::kAvgReading;
   query.substation_key = "sub1";
-  query.sensor_key = "ltc_gas_000";
   query.recent_start_micros = now - 5000000;
   query.recent_end_micros = now + 1;
   query.past_start_micros = 0;
   query.past_end_micros = 1;
 
   QueryExecutor executor(db_.get());
-  auto result = executor.Execute(query);
-  EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  auto expect_corruption = [&](const char* sensor) {
+    query.sensor_key = sensor;
+    auto result = executor.Execute(query);
+    EXPECT_TRUE(result.status().IsCorruption())
+        << sensor << ": " << result.status().ToString();
+  };
+  expect_corruption("ltc_gas_000");
+  expect_corruption("ltc_gas_001");
+
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  const uint64_t derefs = store_->GetStats().vlog_dereferences;
+  expect_corruption("ltc_gas_000");
+  expect_corruption("ltc_gas_001");
+  EXPECT_EQ(store_->GetStats().vlog_dereferences, derefs);
+}
+
+// A reading whose text is longer than a separated value's 16-byte head
+// (1e20 prints as 26 characters) has no separator in its head: the
+// executor declines the head and folds the whole value, read from the
+// value log. Only those rows cost a dereference, and the aggregate stays
+// exact.
+TEST_F(QueryExecutionTest, ReadingLongerThanHeadFallsBackOnTheValue) {
+  const uint64_t now = 8000ull * 1000000;
+  WindowAggregate want;
+  int huge = 0;
+  for (int i = 0; i < 50; ++i) {
+    Reading r;
+    r.substation_key = "sub1";
+    r.sensor_key = "pmu_freq_000";
+    r.timestamp_micros = now - 5000000 + i * 100000;
+    r.value = i % 10 == 3 ? (i + 1) * 1e20 : i - 20.25;
+    r.unit = "hertz";
+    if (i % 10 == 3) huge++;
+    Kvp kvp = KvpCodec::Encode(r, i);
+    ASSERT_TRUE(db_->Insert(kvp.key, kvp.value).ok());
+    want.min = i == 0 ? r.value : std::min(want.min, r.value);
+    want.max = i == 0 ? r.value : std::max(want.max, r.value);
+    want.sum += r.value;
+    want.count++;
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+
+  Query query;
+  query.substation_key = "sub1";
+  query.sensor_key = "pmu_freq_000";
+  query.recent_start_micros = now - 5000000;
+  query.recent_end_micros = now;
+  query.past_start_micros = 0;
+  query.past_end_micros = 1;
+  QueryExecutor executor(db_.get());
+  for (QueryType type : {QueryType::kMaxReading, QueryType::kMinReading,
+                         QueryType::kAvgReading, QueryType::kReadingCount}) {
+    query.type = type;
+    const uint64_t derefs = store_->GetStats().vlog_dereferences;
+    auto result = executor.Execute(query);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(store_->GetStats().vlog_dereferences - derefs,
+              static_cast<uint64_t>(huge));
+    const WindowAggregate& got = result.ValueOrDie().recent;
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.sum, want.sum);
+  }
+  EXPECT_EQ(want.max, 44e20);
 }
 
 TEST_F(QueryExecutionTest, EmptyWindowsAreZero) {

@@ -6,11 +6,13 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/random.h"
+#include "common/row_sink.h"
 #include "storage/env.h"
 #include "storage/kvstore.h"
 
@@ -26,6 +28,9 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
     options_.write_buffer_size = 16 * 1024;
     options_.block_size = 512;
     options_.l0_compaction_trigger = 3;
+    // Values of 64 bytes and more (up to 120) separate at flush, so the
+    // checks cover pointer entries and their heads too.
+    options_.min_value_size = 64;
     Open();
   }
 
@@ -82,7 +87,9 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
     // Bounded scans: the model's [lower_bound(start), lower_bound(end))
     // slice, capped at `limit` rows (0 = no cap). Equal and inverted bounds
     // select nothing. Some scans append to rows the caller already holds;
-    // those stay as they were and do not count against `limit`.
+    // those stay as they were and do not count against `limit`. Every
+    // second scan goes to a sink that takes each head it is offered; a
+    // head must be the model value's first min(16, size) bytes.
     using Rows = std::vector<std::pair<std::string, std::string>>;
     const size_t kLimits[] = {0, 1, 7};
     for (int i = 0; i < 50; ++i) {
@@ -93,7 +100,13 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
       const size_t held = bounds_rng_.OneIn(2) ? bounds_rng_.Uniform(9) : 0;
       const Rows sentinels(held, {"sentinel", "row"});
       Rows rows = sentinels;
-      ASSERT_TRUE(store_->Scan(ReadOptions(), start, end, limit, &rows).ok());
+      HeadTakingSink heads(&rows);
+      if (i % 2 == 0) {
+        ASSERT_TRUE(
+            store_->Scan(ReadOptions(), start, end, limit, &rows).ok());
+      } else {
+        ASSERT_TRUE(store_->Scan(start, end, limit, &heads).ok());
+      }
       ASSERT_GE(rows.size(), held);
       ASSERT_EQ(Rows(rows.begin(), rows.begin() + held), sentinels);
       rows.erase(rows.begin(), rows.begin() + held);
@@ -102,12 +115,46 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
            it != model.end() && (end.empty() || it->first < end) &&
            (limit == 0 || want.size() < limit);
            ++it) {
-        want.emplace_back(it->first, it->second);
+        want.emplace_back(it->first, heads.TookHead(it->first)
+                                         ? it->second.substr(0, 16)
+                                         : it->second);
       }
       ASSERT_EQ(rows, want) << "[" << start << ", " << end << ") limit "
-                            << limit << " after " << held << " held rows";
+                            << limit << " after " << held << " held rows"
+                            << (i % 2 == 0 ? "" : ", heads taken");
+      heads_taken_ += heads.heads();
     }
   }
+
+  // Collects whole rows like VectorRowSink, and takes every head it is
+  // offered in the value's place, noting which keys arrived as heads.
+  class HeadTakingSink final : public RowSink {
+   public:
+    explicit HeadTakingSink(std::vector<std::pair<std::string, std::string>>*
+                                out)
+        : rows_(out) {}
+
+    void Add(const Slice& key, const Slice& value) override {
+      rows_.Add(key, value);
+    }
+    bool AddHead(const Slice& key, const Slice& head) override {
+      rows_.Add(key, head);
+      head_keys_.insert(key.ToString());
+      return true;
+    }
+    void Clear() override {
+      rows_.Clear();
+      head_keys_.clear();
+    }
+    bool TookHead(const std::string& key) const {
+      return head_keys_.count(key) > 0;
+    }
+    size_t heads() const { return head_keys_.size(); }
+
+   private:
+    VectorRowSink rows_;
+    std::set<std::string> head_keys_;
+  };
 
   std::unique_ptr<Env> env_;
   Options options_;
@@ -115,6 +162,7 @@ class KVStorePropertyTest : public ::testing::TestWithParam<uint64_t> {
   // Apart from the op stream's generator, so the checks leave the op
   // sequence of each seed unchanged.
   Random bounds_rng_{GetParam() + 1};
+  size_t heads_taken_ = 0;  // rows bounded scans received as heads
 };
 
 TEST_P(KVStorePropertyTest, MatchesReferenceModel) {
@@ -164,6 +212,7 @@ TEST_P(KVStorePropertyTest, MatchesReferenceModel) {
   // Final durability check: everything survives a reopen.
   Reopen();
   CheckEverythingMatches(model);
+  EXPECT_GT(heads_taken_, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KVStorePropertyTest,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
@@ -160,15 +161,10 @@ TEST_F(KVStoreTest, CompactAllMovesDataDown) {
   EXPECT_EQ(Get("key001999"), value);
 }
 
-// Forwards to a base Env and counts RandomAccessFile::Read calls on .sst
-// files: every block, footer and index read of a table is one call.
-class TableReadCountingEnv final : public Env {
+// Forwards every call to a base Env; the decorators below override one.
+class ForwardingEnv : public Env {
  public:
-  explicit TableReadCountingEnv(Env* base) : base_(base) {}
-
-  uint64_t table_reads() const {
-    return table_reads_.load(std::memory_order_relaxed);
-  }
+  explicit ForwardingEnv(Env* base) : base_(base) {}
 
   Result<std::unique_ptr<WritableFile>> NewWritableFile(
       const std::string& path) override {
@@ -176,10 +172,7 @@ class TableReadCountingEnv final : public Env {
   }
   Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
       const std::string& path) override {
-    IOTDB_ASSIGN_OR_RETURN(auto file, base_->NewRandomAccessFile(path));
-    if (!path.ends_with(".sst")) return file;
-    return std::unique_ptr<RandomAccessFile>(
-        new CountingFile(std::move(file), &table_reads_));
+    return base_->NewRandomAccessFile(path);
   }
   Result<std::unique_ptr<SequentialFile>> NewSequentialFile(
       const std::string& path) override {
@@ -208,6 +201,28 @@ class TableReadCountingEnv final : public Env {
     return base_->OverwriteFileRange(path, offset, data);
   }
 
+ protected:
+  Env* const base_;
+};
+
+// Counts RandomAccessFile::Read calls on .sst files: every block, footer
+// and index read of a table is one call.
+class TableReadCountingEnv final : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  uint64_t table_reads() const {
+    return table_reads_.load(std::memory_order_relaxed);
+  }
+
+  Result<std::unique_ptr<RandomAccessFile>> NewRandomAccessFile(
+      const std::string& path) override {
+    IOTDB_ASSIGN_OR_RETURN(auto file, base_->NewRandomAccessFile(path));
+    if (!path.ends_with(".sst")) return file;
+    return std::unique_ptr<RandomAccessFile>(
+        new CountingFile(std::move(file), &table_reads_));
+  }
+
  private:
   class CountingFile final : public RandomAccessFile {
    public:
@@ -227,7 +242,6 @@ class TableReadCountingEnv final : public Env {
     std::atomic<uint64_t>* reads_;
   };
 
-  Env* const base_;
   std::atomic<uint64_t> table_reads_{0};
 };
 
@@ -275,6 +289,70 @@ TEST_F(KVStoreTest, BoundedScanReadsOnlyOverlappingTables) {
     const uint64_t reads = env.table_reads() - before;
     EXPECT_LE(reads, 5u) << "scan from " << key(first) << " of " << tables
                          << " tables";
+  }
+}
+
+// Once armed, every append to the manifest's temporary file waits 20 ms
+// and then fails: a flush's manifest write fails well after the flush has
+// written and installed its table.
+class ManifestFailingEnv final : public ForwardingEnv {
+ public:
+  using ForwardingEnv::ForwardingEnv;
+
+  void Arm() { armed_.store(true); }
+  void Disarm() { armed_.store(false); }
+
+  Result<std::unique_ptr<WritableFile>> NewWritableFile(
+      const std::string& path) override {
+    IOTDB_ASSIGN_OR_RETURN(auto file, base_->NewWritableFile(path));
+    if (!armed_.load() || !path.ends_with("MANIFEST.tmp")) return file;
+    return std::unique_ptr<WritableFile>(new SlowFailingFile(std::move(file)));
+  }
+
+ private:
+  class SlowFailingFile final : public WritableFile {
+   public:
+    explicit SlowFailingFile(std::unique_ptr<WritableFile> file)
+        : file_(std::move(file)) {}
+
+    Status Append(const Slice&) override {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      return Status::IOError("injected manifest append failure");
+    }
+    Status Flush() override { return file_->Flush(); }
+    Status Sync() override { return file_->Sync(); }
+    Status Close() override { return file_->Close(); }
+
+   private:
+    std::unique_ptr<WritableFile> file_;
+  };
+
+  std::atomic<bool> armed_{false};
+};
+
+// A flush is done only once the manifest names its table: FlushMemTable
+// must report the failed manifest write, not return when the flush's
+// memtable is released, and the rows must survive in the WAL.
+TEST_F(KVStoreTest, FlushMemTableReportsFailedManifestWrite) {
+  ManifestFailingEnv env(env_.get());
+  options_.env = &env;
+  auto store = KVStore::Open(options_, "/manifest").MoveValueUnsafe();
+  auto key = [](int i) { return "key" + std::to_string(i); };
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(store->Put(WriteOptions(), key(i), std::string(300, 'v'))
+                    .ok());
+  }
+  env.Arm();
+  const Status s = store->FlushMemTable();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  store.reset();
+
+  env.Disarm();
+  store = KVStore::Open(options_, "/manifest").MoveValueUnsafe();
+  for (int i = 0; i < 100; ++i) {
+    auto r = store->Get(ReadOptions(), key(i));
+    ASSERT_TRUE(r.ok()) << key(i) << ": " << r.status().ToString();
+    EXPECT_EQ(r.ValueOrDie(), std::string(300, 'v'));
   }
 }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/row_sink.h"
 #include "storage/env.h"
 #include "storage/kvstore.h"
 #include "storage/vlog_format.h"
@@ -85,15 +86,35 @@ TEST(VlogFormatTest, ValuePointerRoundTrip) {
   ptr.offset = 0x99aabbccddeeff00ull;
   ptr.size = 0xdeadbeef;
 
-  std::string encoded;
-  vlog::EncodeValuePointer(&encoded, ptr);
-  ASSERT_EQ(encoded.size(), vlog::kValuePointerEncodedSize);
+  // The entry repeats the value's first min(16, size) bytes after the
+  // pointer: all of a short value, 16 bytes of a long one. A bare pointer,
+  // as tables written before heads hold, decodes with an empty head.
+  const std::string long_value = "-180.0000|deg|" + std::string(1000, 'p');
+  for (const std::string& value :
+       {std::string(), std::string("7"), long_value}) {
+    std::string encoded;
+    vlog::EncodeValuePointer(&encoded, ptr, value);
+    const size_t head_size = std::min(value.size(), vlog::kValueHeadSize);
+    ASSERT_EQ(encoded.size(), vlog::kValuePointerEncodedSize + head_size);
 
+    vlog::ValuePointer decoded;
+    Slice head("stale");
+    ASSERT_TRUE(vlog::DecodeValuePointer(encoded, &decoded, &head));
+    EXPECT_TRUE(decoded == ptr);
+    EXPECT_EQ(head, Slice(value.data(), head_size));
+    ASSERT_TRUE(vlog::DecodeValuePointer(encoded, &decoded));
+    EXPECT_TRUE(decoded == ptr);
+  }
+  EXPECT_EQ(vlog::kValueHeadSize, 16u);
+
+  std::string full;
+  vlog::EncodeValuePointer(&full, ptr, long_value);
+  ASSERT_EQ(full.size(), 36u);
   vlog::ValuePointer decoded;
-  ASSERT_TRUE(vlog::DecodeValuePointer(encoded, &decoded));
-  EXPECT_TRUE(decoded == ptr);
-  EXPECT_FALSE(vlog::DecodeValuePointer(Slice(encoded.data(), 19), &decoded));
-  EXPECT_FALSE(vlog::DecodeValuePointer(encoded + "x", &decoded));
+  Slice head;
+  EXPECT_FALSE(vlog::DecodeValuePointer(Slice(full.data(), 19), &decoded,
+                                        &head));
+  EXPECT_FALSE(vlog::DecodeValuePointer(full + "x", &decoded, &head));
 }
 
 TEST(VlogFormatTest, InlineTaggedValueIsNotAPointer) {
@@ -122,7 +143,7 @@ TEST(VlogFormatTest, InlineTaggedValueIsNotAPointer) {
   ptr.offset = 0;
   ptr.size = vlog::AppendRecord(&record, "a", std::string(100, 'v'));
   std::string lookalike;
-  vlog::EncodeValuePointer(&lookalike, ptr);
+  vlog::EncodeValuePointer(&lookalike, ptr, std::string(100, 'v'));
   ASSERT_LT(lookalike.size(), options.min_value_size);
 
   ASSERT_TRUE(store->Put(WriteOptions(), "b", lookalike).ok());
@@ -423,6 +444,109 @@ TEST_F(VlogStoreTest, IteratorAndScanDereferencePointers) {
   ASSERT_EQ(rows.size(), 4u);
   EXPECT_EQ(rows[0].second, BigValue(10));
   EXPECT_EQ(rows[1].second, "s11");
+}
+
+/// Takes every head it is offered, or none, and keeps what it receives.
+class HeadRecordingSink final : public RowSink {
+ public:
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+
+  explicit HeadRecordingSink(bool take_heads) : take_heads_(take_heads) {}
+
+  void Add(const Slice& key, const Slice& value) override {
+    rows.emplace_back(key.ToString(), value.ToString());
+  }
+  bool AddHead(const Slice& key, const Slice& head) override {
+    offered++;
+    if (!take_heads_) return false;
+    heads.emplace_back(key.ToString(), head.ToString());
+    return true;
+  }
+  void Clear() override {
+    rows.clear();
+    heads.clear();
+  }
+
+  Rows rows;
+  Rows heads;
+  size_t offered = 0;
+
+ private:
+  const bool take_heads_;
+};
+
+// A scan offers each separated row's head first and reads the record only
+// for a sink that declines it: the dereference counter counts exactly the
+// records read. No head is offered past the scan's end or its limit, and a
+// memtable row is a whole value that goes to Add.
+TEST_F(VlogStoreTest, ScanOffersHeadsAndReadsOnlyDeclinedRows) {
+  options_.write_buffer_size = 1024 * 1024;  // one flush
+  Reopen();
+  const int kRows = 300;
+  auto value = [](int i, char pad = 'p') {
+    std::string v = std::to_string(i) + ".25|kW|";
+    v.resize(1000, pad);
+    return v;
+  };
+  for (int i = 0; i < kRows; ++i) {
+    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), value(i)).ok());
+  }
+  ASSERT_TRUE(store_->FlushMemTable().ok());
+  auto derefs = [&] { return store_->GetStats().vlog_dereferences; };
+
+  {
+    SCOPED_TRACE("a sink that takes heads");
+    const uint64_t before = derefs();
+    HeadRecordingSink sink(/*take_heads=*/true);
+    ASSERT_TRUE(store_->Scan(Key(0), Key(kRows), 0, &sink).ok());
+    EXPECT_TRUE(sink.rows.empty());
+    ASSERT_EQ(sink.heads.size(), static_cast<size_t>(kRows));
+    for (int i = 0; i < kRows; ++i) {
+      EXPECT_EQ(sink.heads[i].first, Key(i));
+      EXPECT_EQ(sink.heads[i].second,
+                value(i).substr(0, vlog::kValueHeadSize));
+    }
+    EXPECT_EQ(derefs(), before);
+  }
+  {
+    SCOPED_TRACE("a sink that declines them");
+    const uint64_t before = derefs();
+    HeadRecordingSink sink(/*take_heads=*/false);
+    ASSERT_TRUE(store_->Scan(Key(0), Key(kRows), 0, &sink).ok());
+    EXPECT_EQ(sink.offered, static_cast<size_t>(kRows));
+    EXPECT_TRUE(sink.heads.empty());
+    ASSERT_EQ(sink.rows.size(), static_cast<size_t>(kRows));
+    for (int i = 0; i < kRows; ++i) {
+      EXPECT_EQ(sink.rows[i].first, Key(i));
+      EXPECT_EQ(sink.rows[i].second, value(i));
+    }
+    EXPECT_EQ(derefs() - before, static_cast<uint64_t>(kRows));
+  }
+  for (bool take : {true, false}) {
+    SCOPED_TRACE(take ? "limit, taking" : "limit, declining");
+    const uint64_t before = derefs();
+    HeadRecordingSink sink(take);
+    ASSERT_TRUE(store_->Scan(Key(10), Key(kRows), 7, &sink).ok());
+    EXPECT_EQ(sink.offered, 7u);
+    EXPECT_EQ(sink.rows.size() + sink.heads.size(), 7u);
+    EXPECT_EQ((take ? sink.heads : sink.rows).back().first, Key(16));
+    EXPECT_EQ(derefs() - before, take ? 0u : 7u);
+
+    HeadRecordingSink bounded(take);
+    ASSERT_TRUE(store_->Scan(Key(10), Key(20), 0, &bounded).ok());
+    EXPECT_EQ(bounded.offered, 10u);
+    EXPECT_EQ(bounded.rows.size() + bounded.heads.size(), 10u);
+  }
+
+  // Newer versions of two rows, still in the memtable.
+  ASSERT_TRUE(store_->Put(WriteOptions(), Key(3), value(3, 'm')).ok());
+  ASSERT_TRUE(store_->Put(WriteOptions(), Key(5), value(5, 'm')).ok());
+  HeadRecordingSink sink(/*take_heads=*/true);
+  ASSERT_TRUE(store_->Scan(Key(0), Key(10), 0, &sink).ok());
+  EXPECT_EQ(sink.heads.size(), 8u);
+  EXPECT_EQ(sink.rows,
+            HeadRecordingSink::Rows({{Key(3), value(3, 'm')},
+                                     {Key(5), value(5, 'm')}}));
 }
 
 TEST_F(VlogStoreTest, ActiveVlogRollsAtFileSizeLimit) {

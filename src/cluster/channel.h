@@ -27,6 +27,16 @@ enum class MessageKind : unsigned char {
   kHintAck = 3,       // replica -> hint service: outcome of a kHintReplay
 };
 
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+/// One batch of a shard, at the sequence the coordinator numbered it with:
+/// the unit a hint keeps and a hint replay carries.
+struct ShardBatch {
+  int shard = 0;
+  uint64_t sequence = 0;
+  std::shared_ptr<const Rows> rows;
+};
+
 /// A self-contained message. Rows are shared (immutable after send) so that a
 /// fan-out to three replicas — plus any fault-injected duplicates — does not
 /// copy the payload per delivery.
@@ -45,7 +55,12 @@ struct Message {
   /// boundary. Zero = untraced. Acks echo the request's values back.
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
-  std::shared_ptr<const std::vector<std::pair<std::string, std::string>>> rows;
+  /// A write request's batch: its shard, its first sequence and its rows.
+  int shard = 0;
+  uint64_t sequence = 0;
+  std::shared_ptr<const Rows> rows;
+  /// A hint replay's batches, each applied at its own sequence.
+  std::shared_ptr<const std::vector<ShardBatch>> batches;
   Status status;  // meaningful on acks
 };
 

@@ -66,7 +66,7 @@ struct ClusterOptions {
 
   /// Hinted handoff: writes destined for a down replica are buffered (up to
   /// this many kvps per node) and replayed when the node rejoins. Overflow
-  /// falls back to a full shard re-copy from a live replica at restart.
+  /// falls back to copying its regions from live replicas at restart.
   uint64_t max_hints_per_node = 1 << 16;
 
   /// Wraps every node's env in a shared FaultInjectionEnv (seeded with

@@ -94,32 +94,49 @@ void BenchmarkDriver::InjectScheduledCorruption() {
                     << victim << " is down";
     return;
   }
+  // Rot may land in any region of the node: the led one or a backed one.
+  const std::vector<storage::KVStore*> regions = node->regions();
   // Flush so at least one live SSTable exists to damage. (Vlog files exist
-  // as soon as separated values were written; the flush is harmless there.)
-  Status flush = node->store()->FlushMemTable();
-  if (!flush.ok()) {
-    IOTDB_LOG(Warn) << "fault schedule: flush before corruption failed: "
-                    << flush.ToString();
-    return;
+  // as soon as separated values were written; the flush is harmless there.
+  // A backed region has nothing to flush: its leader flushes and ships.)
+  for (storage::KVStore* region : regions) {
+    Status flush = region->FlushMemTable();
+    if (!flush.ok()) {
+      IOTDB_LOG(Warn) << "fault schedule: flush before corruption failed: "
+                      << flush.ToString();
+      return;
+    }
   }
   // Bit-rot can land in a file that is retired before the scrub runs (a
   // table an in-flight compaction replaces, a vlog file GC reclaims): the
   // rot dies with the obsolete file and never threatens live data. Such
   // vacuous injections are discounted and re-rolled so the schedule
   // reliably exercises detection.
-  auto is_live = [node, vlog_target](const std::string& path) {
-    return vlog_target ? node->store()->IsLiveVlogFile(path)
-                       : node->store()->IsLiveTableFile(path);
+  auto is_live = [&regions, vlog_target](const std::string& path) {
+    for (storage::KVStore* region : regions) {
+      if (vlog_target ? region->IsLiveVlogFile(path)
+                      : region->IsLiveTableFile(path)) {
+        return true;
+      }
+    }
+    return false;
   };
+  const uint64_t quarantined_before = node->files_quarantined();
   for (int attempt = 0; attempt < 5; ++attempt) {
-    // Only files the store has installed are victims: an in-flight flush or
+    // Only files a region has installed are victims: an in-flight flush or
     // compaction output is on disk before it is live, so the scrub below
     // would skip it and a later background read would find the damage.
-    auto victim_file = cluster_->fault_env()->CorruptRandomFile(
-        node->data_dir(),
-        vlog_target ? storage::FileClass::kVlog
-                    : storage::FileClass::kSSTable,
-        config_.fault_corrupt_bits, is_live);
+    // Each attempt starts at the next region, so rot reaches every one.
+    Result<std::string> victim_file = Status::NotFound("no region");
+    for (size_t i = 0; i < regions.size(); ++i) {
+      storage::KVStore* region = regions[(attempt + i) % regions.size()];
+      victim_file = cluster_->fault_env()->CorruptRandomFile(
+          region->name(),
+          vlog_target ? storage::FileClass::kVlog
+                      : storage::FileClass::kSSTable,
+          config_.fault_corrupt_bits, is_live);
+      if (!victim_file.status().IsNotFound()) break;
+    }
     if (!victim_file.ok()) {
       IOTDB_LOG(Warn) << "fault schedule: bit-rot injection failed: "
                       << victim_file.status().ToString();
@@ -129,19 +146,27 @@ void BenchmarkDriver::InjectScheduledCorruption() {
                     << config_.fault_corrupt_bits << " bits in "
                     << victim_file.ValueOrDie();
     // Detect and heal while the workload keeps running: the scrub
-    // quarantines the damaged file, the repair re-copies the node's
-    // shards from healthy replicas and lifts its read fence.
-    storage::ScrubReport report;
-    Status scrub = node->store()->VerifyIntegrity(&report);
+    // quarantines the damaged file, the repair copies the affected region
+    // from a healthy replica and lifts the node's read fence. A compaction
+    // or an install that read the file first may have quarantined it
+    // already: that is a detection too.
+    uint64_t files_checked = 0;
+    Status scrub;
+    for (storage::KVStore* region : regions) {
+      storage::ScrubReport report;
+      scrub = region->VerifyIntegrity(&report);
+      if (!scrub.ok()) break;
+      files_checked += report.files_checked;
+    }
+    const uint64_t quarantined = node->files_quarantined() - quarantined_before;
     if (!scrub.ok()) {
       IOTDB_LOG(Warn) << "fault schedule: scrub failed: "
                       << scrub.ToString();
       break;
     }
-    IOTDB_LOG(Info) << "fault schedule: scrub checked "
-                    << report.files_checked << " files, quarantined "
-                    << report.quarantined_files;
-    if (report.quarantined_files > 0) break;
+    IOTDB_LOG(Info) << "fault schedule: scrub checked " << files_checked
+                    << " files, quarantined " << quarantined;
+    if (quarantined > 0) break;
     if (is_live(victim_file.ValueOrDie())) {
       // The damaged file is live yet verified clean: a genuine miss the
       // FDR must warn about, not a race to paper over.
@@ -189,10 +214,9 @@ WorkloadExecution BenchmarkDriver::ExecuteWorkloadInternal(bool with_faults) {
     std::vector<uint64_t> dropped(
         static_cast<size_t>(cluster_->num_nodes()), 0);
     for (int i = 0; i < cluster_->num_nodes(); ++i) {
-      cluster::Node* node = cluster_->node(i);
-      if (node->is_running()) {
-        dropped[static_cast<size_t>(i)] =
-            node->store()->GetStats().wal_recovery_dropped_bytes;
+      for (storage::KVStore* region : cluster_->node(i)->regions()) {
+        dropped[static_cast<size_t>(i)] +=
+            region->GetStats().wal_recovery_dropped_bytes;
       }
     }
     return dropped;

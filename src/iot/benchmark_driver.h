@@ -79,7 +79,7 @@ struct BenchmarkConfig {
   /// of that node once fault_corrupt_at_ops primary kvps are acknowledged
   /// (a memtable flush guarantees a victim file exists), then scrubs the
   /// victim store — quarantining the damaged file — and heals it with a
-  /// shard re-copy from healthy replicas, all while ingest keeps running.
+  /// region copy from healthy replicas, all while ingest keeps running.
   /// If the threshold is never reached the injection fires at the end of
   /// the execution so the schedule always exercises detection and repair.
   /// Requires the cluster to run with fault injection enabled.
@@ -128,7 +128,7 @@ struct IntegrityStats {
   uint64_t bits_flipped = 0;
   uint64_t files_quarantined = 0;  // corrupt files detected & moved aside
   uint64_t read_repairs = 0;       // reads re-served from healthy replicas
-  uint64_t shard_recopies = 0;     // quarantines healed by shard re-copy
+  uint64_t shard_recopies = 0;     // quarantines healed by region copy
   /// Corrupt WAL bytes dropped during recovery, per node id.
   std::vector<uint64_t> node_wal_dropped_bytes;
 

@@ -64,11 +64,14 @@ CheckResult ReplicationCheck(cluster::Cluster* cluster, int probes) {
       result.detail = "replication did not quiesce: " + s.ToString();
       return result;
     }
-    std::vector<int> replicas = cluster->ReplicaNodesFor(key);
+    // Each replica holds the probe in its region of the probe's shard: the
+    // leader's LSM, or a backup's installed files plus its log.
+    const int shard = cluster->PrimaryNodeFor(key);
     int copies = 0;
-    for (int node_id : replicas) {
-      auto read = cluster->node(node_id)->store()->Get(
-          storage::ReadOptions(), key);
+    for (int node_id : cluster->ReplicaNodesFor(key)) {
+      storage::KVStore* region = cluster->node(node_id)->region(shard);
+      if (region == nullptr) continue;
+      auto read = region->Get(storage::ReadOptions(), key);
       if (read.ok() && read.ValueOrDie() == value) copies++;
     }
     int required = cluster->effective_replication();

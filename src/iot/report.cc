@@ -261,7 +261,7 @@ std::string FullDisclosureReport(const BenchmarkResult& result,
       AppendLine(&out,
                  "  Data integrity: injected %llu corrupt files (%llu bits "
                  "flipped), detected & quarantined %llu, %llu reads "
-                 "re-served from healthy replicas, %llu shard re-copies",
+                 "re-served from healthy replicas, %llu region repairs",
                  static_cast<unsigned long long>(integrity.files_corrupted),
                  static_cast<unsigned long long>(integrity.bits_flipped),
                  static_cast<unsigned long long>(

@@ -10,7 +10,7 @@ namespace storage {
 namespace log {
 
 Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum,
-               std::string name)
+               std::string name, uint64_t start_offset)
     : file_(file),
       reporter_(reporter),
       checksum_(checksum),
@@ -18,7 +18,8 @@ Reader::Reader(SequentialFile* file, Reporter* reporter, bool checksum,
       backing_store_(new char[kBlockSize]),
       buffer_(),
       eof_(false),
-      end_of_buffer_offset_(0) {}
+      end_of_buffer_offset_(start_offset),
+      next_read_(kBlockSize - start_offset % kBlockSize) {}
 
 bool Reader::ReadRecord(Slice* record, std::string* scratch) {
   scratch->clear();
@@ -96,16 +97,19 @@ unsigned int Reader::ReadPhysicalRecord(Slice* result) {
     if (buffer_.size() < static_cast<size_t>(kHeaderSize)) {
       if (!eof_) {
         buffer_.clear();
-        Status status = file_->Read(kBlockSize, &buffer_,
-                                    backing_store_.get());
+        // Reads stay block-aligned: a reader that started mid-block first
+        // reads to the end of that block.
+        const size_t want = next_read_;
+        next_read_ = kBlockSize;
+        Status status = file_->Read(want, &buffer_, backing_store_.get());
         end_of_buffer_offset_ += buffer_.size();
         if (!status.ok()) {
           buffer_.clear();
-          ReportDrop(kBlockSize, status);
+          ReportDrop(want, status);
           eof_ = true;
           return kEof;
         }
-        if (buffer_.size() < static_cast<size_t>(kBlockSize)) {
+        if (buffer_.size() < want) {
           eof_ = true;
         }
         continue;

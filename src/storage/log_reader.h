@@ -28,9 +28,11 @@ class Reader {
 
   /// file must remain live while the Reader is in use. `name` is the log's
   /// file path, used only to contextualise corruption reports; empty is
-  /// allowed.
+  /// allowed. A reader resuming where an earlier one stopped passes that
+  /// offset (LastRecordEnd()) as `start_offset`, with `file` already
+  /// skipped to it.
   Reader(SequentialFile* file, Reporter* reporter, bool checksum,
-         std::string name = "");
+         std::string name = "", uint64_t start_offset = 0);
 
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
@@ -38,6 +40,11 @@ class Reader {
   /// Reads the next record into *record (backed by *scratch). Returns false
   /// at EOF.
   bool ReadRecord(Slice* record, std::string* scratch);
+
+  /// The file offset just past the last record read.
+  uint64_t LastRecordEnd() const {
+    return end_of_buffer_offset_ - buffer_.size();
+  }
 
  private:
   // Extend RecordType with internal outcomes.
@@ -55,6 +62,7 @@ class Reader {
   Slice buffer_;
   bool eof_;
   uint64_t end_of_buffer_offset_;  // file offset just past buffer_'s bytes
+  size_t next_read_;  // bytes to the end of the block the file is in
 };
 
 }  // namespace log

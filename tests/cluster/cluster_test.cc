@@ -54,9 +54,12 @@ TEST(ClusterTest, PutReplicatesToAllReplicas) {
   // Put returns at quorum; wait for the laggard replica's async apply.
   ASSERT_TRUE(cluster->WaitReplicationIdle().ok());
 
+  // Each replica holds it in its region of the key's shard.
+  const int shard = cluster->PrimaryNodeFor("mykey");
   int copies = 0;
-  for (int n = 0; n < cluster->num_nodes(); ++n) {
-    auto r = cluster->node(n)->store()->Get(storage::ReadOptions(), "mykey");
+  for (int n : cluster->ReplicaNodesFor("mykey")) {
+    auto r = cluster->node(n)->region(shard)->Get(storage::ReadOptions(),
+                                                   "mykey");
     if (r.ok() && r.ValueOrDie() == "myvalue") copies++;
   }
   EXPECT_EQ(copies, 3);
@@ -195,7 +198,8 @@ TEST(ClusterTest, EveryReplicaStoresEveryBatchedRow) {
     const std::vector<int> replicas = cluster->ReplicaNodesFor(key);
     ASSERT_EQ(replicas.size(), 3u);
     for (int n : replicas) {
-      auto r = cluster->node(n)->store()->Get(storage::ReadOptions(), key);
+      auto r = cluster->node(n)->region(replicas[0])->Get(
+          storage::ReadOptions(), key);
       ASSERT_TRUE(r.ok()) << "node " << n << " " << key << ": "
                           << r.status().ToString();
       ASSERT_EQ(r.ValueOrDie(), value) << "node " << n << " " << key;
@@ -207,11 +211,12 @@ TEST(ClusterTest, EveryReplicaStoresEveryBatchedRow) {
     const std::string shard(
         iot::KvpCodec::ShardPrefixOf(Slice(by_sensor[s][0].first))
             .ToStringView());
-    for (int n : cluster->ReplicaNodesForShardKey(shard)) {
+    const std::vector<int> replicas = cluster->ReplicaNodesForShardKey(shard);
+    for (int n : replicas) {
       std::vector<std::pair<std::string, std::string>> rows;
       VectorRowSink sink(&rows);
       ASSERT_TRUE(cluster->node(n)
-                      ->store()
+                      ->region(replicas[0])
                       ->Scan(shard + ".", shard + "/", 0, &sink)
                       .ok());
       EXPECT_EQ(rows, by_sensor[s]) << "node " << n << " " << shard;
@@ -227,7 +232,9 @@ TEST(ClusterTest, PurgeAllEmptiesEveryNode) {
   }
   ASSERT_TRUE(cluster->PurgeAll().ok());
   for (int n = 0; n < cluster->num_nodes(); ++n) {
-    EXPECT_EQ(cluster->node(n)->store()->CountKeysSlow(), 0u);
+    for (int shard = 0; shard < cluster->num_nodes(); ++shard) {
+      EXPECT_EQ(cluster->node(n)->region(shard)->CountKeysSlow(), 0u);
+    }
   }
   EXPECT_EQ(cluster->GetAggregateStats().writes, 0u);  // counters reset
   // And the cluster remains usable.

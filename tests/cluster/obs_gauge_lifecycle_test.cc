@@ -79,8 +79,8 @@ TEST(ObsGaugeLifecycleTest, CrashDropsBufferedHintsAndResetsDepth) {
 
   ASSERT_TRUE(cluster->RestartNode(1).ok());
   EXPECT_EQ(TotalDepthGauge()->Value(), 0);
-  // The re-copy converged: the restarted node holds the crash-era writes.
-  auto r = cluster->node(1)->Get(Key(30));
+  // The region copies converged: the restarted node holds the crash-era writes.
+  auto r = cluster->node(1)->Get(cluster->PrimaryNodeFor(Key(30)), Key(30));
   ASSERT_TRUE(r.ok()) << r.status().ToString();
 }
 

@@ -65,7 +65,8 @@ TEST(QuorumNetTest, PartitionedReplicaForThirtyPercentOfRunLosesNothing) {
   EXPECT_GT(net->GetCounters().partition_blocked, 0u);
 
   // Zero acknowledged writes lost: full read-back through the client AND
-  // directly on every node's store (rf == nodes, so each node holds all).
+  // directly on every node's region of each key's shard (rf == nodes, so
+  // each node holds all).
   for (int i = 0; i < kWrites; ++i) {
     auto r = client.Get(Key(i));
     ASSERT_TRUE(r.ok()) << Key(i) << ": " << r.status().ToString();
@@ -73,8 +74,9 @@ TEST(QuorumNetTest, PartitionedReplicaForThirtyPercentOfRunLosesNothing) {
   }
   for (int n = 0; n < cluster->num_nodes(); ++n) {
     for (int i = 0; i < kWrites; ++i) {
-      auto r = cluster->node(n)->store()->Get(storage::ReadOptions(),
-                                              Key(i));
+      auto r = cluster->node(n)
+                   ->region(cluster->PrimaryNodeFor(Key(i)))
+                   ->Get(storage::ReadOptions(), Key(i));
       ASSERT_TRUE(r.ok()) << "node " << n << " misses " << Key(i);
     }
   }
@@ -144,7 +146,9 @@ TEST(QuorumNetTest, PartitionHealDrainsHintsToIsolatedReplica) {
   EXPECT_GT(avail.straggler_hinted_kvps, 0u);
   // The formerly-partitioned replica converged via hint replay.
   for (int i = 0; i < 100; ++i) {
-    auto r = cluster->node(1)->store()->Get(storage::ReadOptions(), Key(i));
+    auto r = cluster->node(1)
+                 ->region(cluster->PrimaryNodeFor(Key(i)))
+                 ->Get(storage::ReadOptions(), Key(i));
     ASSERT_TRUE(r.ok()) << "node 1 misses " << Key(i);
   }
 }
@@ -167,7 +171,9 @@ TEST(QuorumNetTest, SlowReplicaIsHintedPastStragglerWindow) {
   EXPECT_EQ(avail.writes_unavailable, 0u);
   EXPECT_GT(avail.straggler_hinted_kvps, 0u);
   for (int i = 0; i < 30; ++i) {
-    auto r = cluster->node(2)->store()->Get(storage::ReadOptions(), Key(i));
+    auto r = cluster->node(2)
+                 ->region(cluster->PrimaryNodeFor(Key(i)))
+                 ->Get(storage::ReadOptions(), Key(i));
     ASSERT_TRUE(r.ok()) << "node 2 misses " << Key(i);
   }
 }
@@ -219,13 +225,15 @@ TEST(QuorumNetTest, ReplicaCrashMidFanoutHintsOrFails) {
   ASSERT_TRUE(cluster->WaitReplicationIdle().ok());
 
   // Every acknowledged write must be present on the once-crashed replica
-  // (restart replays hints / re-copies shards; rf == nodes, so node 1
+  // (restart replays hints / copies regions; rf == nodes, so node 1
   // replicates every key).
   int acked_count = 0;
   for (int i = 0; i < kWrites; ++i) {
     if (!acked[i]) continue;
     acked_count++;
-    auto r = cluster->node(1)->store()->Get(storage::ReadOptions(), Key(i));
+    auto r = cluster->node(1)
+                 ->region(cluster->PrimaryNodeFor(Key(i)))
+                 ->Get(storage::ReadOptions(), Key(i));
     ASSERT_TRUE(r.ok()) << "acked write " << Key(i)
                         << " missing from crashed replica: "
                         << r.status().ToString();

@@ -161,6 +161,31 @@ TEST_F(KVStoreTest, CompactAllMovesDataDown) {
   EXPECT_EQ(Get("key001999"), value);
 }
 
+TEST_F(KVStoreTest, OpenStartsTheCompactionItsL0Needs) {
+  // Flushed with compaction held off, the store reopens over an L0 backlog
+  // past its trigger. Open schedules the compaction: a writer that filled
+  // the memtable would otherwise stall on L0 with nothing scheduled.
+  options_.l0_compaction_trigger = 100;
+  options_.l0_stall_trigger = 100;
+  Reopen();
+  for (int flush = 0; flush < 6; ++flush) {
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(store_->Put(WriteOptions(), "key" + std::to_string(i),
+                              std::to_string(flush))
+                      .ok());
+    }
+    ASSERT_TRUE(store_->FlushMemTable().ok());
+  }
+  ASSERT_EQ(store_->GetStats().num_files[0], 6);
+
+  options_.l0_compaction_trigger = 4;
+  options_.l0_stall_trigger = 6;
+  Reopen();
+  store_->WaitForBackgroundWork();
+  EXPECT_LT(store_->GetStats().num_files[0], 4);
+  EXPECT_EQ(Get("key3"), "5");
+}
+
 // Forwards every call to a base Env; the decorators below override one.
 class ForwardingEnv : public Env {
  public:

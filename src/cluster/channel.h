@@ -4,11 +4,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "storage/write_batch.h"
 
 namespace iotdb {
 namespace cluster {
@@ -21,25 +20,24 @@ constexpr int kCoordinatorEndpoint = -1;
 constexpr int kHintServiceEndpoint = -2;
 
 enum class MessageKind : unsigned char {
-  kWriteRequest = 0,  // coordinator -> replica: apply a batch of rows
+  kWriteRequest = 0,  // coordinator -> replica: apply a shard batch
   kWriteAck = 1,      // replica -> coordinator: outcome of a kWriteRequest
-  kHintReplay = 2,    // hint service -> replica: replay buffered hint rows
+  kHintReplay = 2,    // hint service -> replica: replay buffered batches
   kHintAck = 3,       // replica -> hint service: outcome of a kHintReplay
 };
 
-using Rows = std::vector<std::pair<std::string, std::string>>;
-
-/// One batch of a shard, at the sequence the coordinator numbered it with:
-/// the unit a hint keeps and a hint replay carries.
+/// One batch of a shard: the unit a hint keeps and a hint replay carries.
+/// `batch` is the encoded WriteBatch every replica logs as is; its header
+/// holds the first sequence the coordinator numbered it with.
 struct ShardBatch {
   int shard = 0;
-  uint64_t sequence = 0;
-  std::shared_ptr<const Rows> rows;
+  std::shared_ptr<const storage::WriteBatch> batch;
 };
 
-/// A self-contained message. Rows are shared (immutable after send) so that a
-/// fan-out to three replicas — plus any fault-injected duplicates — does not
-/// copy the payload per delivery.
+/// A self-contained message. The payload is the coordinator's encoded
+/// batch, shared and immutable from the first send on: the fan-out to three
+/// replicas, every resend, fault-injected duplicate, hint and replay carry
+/// the same bytes, and each replica logs them without a copy.
 struct Message {
   MessageKind kind = MessageKind::kWriteRequest;
   uint64_t request_id = 0;
@@ -55,10 +53,9 @@ struct Message {
   /// boundary. Zero = untraced. Acks echo the request's values back.
   uint64_t trace_id = 0;
   uint64_t parent_span_id = 0;
-  /// A write request's batch: its shard, its first sequence and its rows.
+  /// A write request's shard and batch (its sequence in its header).
   int shard = 0;
-  uint64_t sequence = 0;
-  std::shared_ptr<const Rows> rows;
+  std::shared_ptr<const storage::WriteBatch> batch;
   /// A hint replay's batches, each applied at its own sequence.
   std::shared_ptr<const std::vector<ShardBatch>> batches;
   Status status;  // meaningful on acks

@@ -233,13 +233,13 @@ class Cluster {
   struct PendingWrite;
 
  private:
-  /// The write path of Client, split for pipelining: Start registers the
-  /// write and fans it out over the channel without blocking; Wait blocks
-  /// until quorum, Unavailable, or the per-request deadline. Client::PutBatch
+  /// The write path of Client, split for pipelining: Start numbers the
+  /// shard's encoded `batch` (user bytes `bytes`), registers the write and
+  /// fans it out over the channel without blocking; Wait blocks until
+  /// quorum, Unavailable, or the per-request deadline. Client::PutBatch
   /// launches every shard group before awaiting any quorum.
   std::shared_ptr<PendingWrite> QuorumWriteStart(
-      int shard, std::shared_ptr<const Rows> rows, uint64_t kvps,
-      uint64_t bytes);
+      int shard, std::shared_ptr<storage::WriteBatch> batch, uint64_t bytes);
   Status QuorumWriteWait(const std::shared_ptr<PendingWrite>& pw);
 
   /// True when the coordinator can currently reach the node over the
@@ -292,8 +292,9 @@ class Cluster {
     std::vector<int> replicas;
     std::vector<ReplicaState> states;
     std::vector<int> attempts;  // send attempts per replica slot
-    /// The batch: its shard, its first sequence and its rows.
-    ShardBatch batch;
+    /// The shard and its batch, numbered and then shared read-only by
+    /// every send, resend and hint.
+    ShardBatch shard_batch;
     uint64_t request_id = 0;
     uint64_t kvps = 0;
     uint64_t bytes = 0;

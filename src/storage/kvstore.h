@@ -146,8 +146,11 @@ class KVStore {
 
   /// Region stores: commits `batch` at the sequence it carries
   /// (WriteBatch::SetSequence) as one log record of exactly its bytes, and
-  /// returns OK without writing when the region already holds it.
-  Status WriteAt(const WriteOptions& options, WriteBatch* batch);
+  /// returns OK without writing when the region already holds it. The
+  /// batch is never modified, so replicas can share one. *applied
+  /// (optional) tells whether this call committed it.
+  Status WriteAt(const WriteOptions& options, const WriteBatch& batch,
+                 bool* applied = nullptr);
 
   /// Backup regions: brings the installed files in line with the leader's
   /// `version`. Copies the files it added (every file when `full`),
@@ -314,11 +317,10 @@ class KVStore {
   void OnIteratorClosed();
 
   // The write queue behind Write (numbers the group) and a leader
-  // region's WriteAt (`sequenced`: one batch at its own sequence).
-  Status Commit(const WriteOptions& options, WriteBatch* batch,
-                bool sequenced);
+  // region's WriteAt (a sequenced writer: one batch at its own sequence).
+  Status Commit(WriterState& w);
   // A backup's WriteAt: appends the batch to the log, and nothing else.
-  Status AppendToLog(const WriteOptions& options, WriteBatch* batch);
+  Status AppendToLog(const WriteBatch& batch, bool sync, bool* applied);
   // Appends `batch` as one record to the active log, then syncs or flushes
   // it, and records the append/sync split; *start and *end bracket it.
   // The caller owns the log: the commit leader, or write_mu_ held.

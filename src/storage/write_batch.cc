@@ -21,6 +21,11 @@ void SetCount(std::string* rep, int n) {
 }
 }  // namespace
 
+size_t WriteBatch::PutSize(const Slice& key, const Slice& value) {
+  return 1 + VarintLength(key.size()) + key.size() +
+         VarintLength(value.size()) + value.size();
+}
+
 void WriteBatch::Put(const Slice& key, const Slice& value) {
   SetCount(&rep_, Count() + 1);
   rep_.push_back(static_cast<char>(ValueType::kValue));

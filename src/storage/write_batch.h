@@ -33,6 +33,14 @@ class WriteBatch {
   int Count() const;
   size_t ApproximateSize() const { return rep_.size(); }
 
+  /// The bytes Put(key, value) adds to the encoding.
+  static size_t PutSize(const Slice& key, const Slice& value);
+  /// Makes room for `record_bytes` more bytes of records (a sum of
+  /// PutSize), so the Puts that add them never regrow the batch.
+  void Reserve(size_t record_bytes) {
+    rep_.reserve(rep_.size() + record_bytes);
+  }
+
   /// Applies the batch to a memtable, assigning sequence, sequence+1, ...
   Status InsertInto(MemTable* memtable) const;
 

@@ -96,7 +96,7 @@ class RegionStoreTest : public ::testing::Test {
     for (int b : order) {
       for (KVStore* store : stores) {
         WriteBatch batch = Batch(b, per_batch);
-        ASSERT_TRUE(store->WriteAt(WriteOptions(), &batch).ok());
+        ASSERT_TRUE(store->WriteAt(WriteOptions(), batch).ok());
       }
     }
   }
@@ -425,7 +425,7 @@ TEST_F(RegionStoreTest, RegionsNeverNumberTheirOwnWrites) {
   }
   auto plain = KVStore::Open(options_, "/r/plain").MoveValueUnsafe();
   WriteBatch batch = Batch(0, 1);
-  EXPECT_TRUE(plain->WriteAt(WriteOptions(), &batch).IsNotSupported());
+  EXPECT_TRUE(plain->WriteAt(WriteOptions(), batch).IsNotSupported());
 }
 
 TEST(LogReaderResumeTest, ResumesAtTheLastRecordEnd) {

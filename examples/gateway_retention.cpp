@@ -68,6 +68,12 @@ int main() {
   printf("  compactions run: %llu, bytes rewritten: %.1f MiB\n",
          static_cast<unsigned long long>(stats.compactions),
          stats.bytes_compacted / 1048576.0);
+  // A vlog file goes once no table links it. This day is one flush whose
+  // two vlog files each still hold live rows, so both stay whole.
+  printf("  live vlog files: %llu, %llu B (of %llu B appended)\n",
+         static_cast<unsigned long long>(stats.vlog_files),
+         static_cast<unsigned long long>(stats.vlog_bytes),
+         static_cast<unsigned long long>(stats.vlog_appended_bytes));
 
   // The freshest reading is still servable.
   std::string newest_key = iot::KvpCodec::EncodeKey(

@@ -108,7 +108,7 @@ void BenchmarkDriver::InjectScheduledCorruption() {
     }
   }
   // Bit-rot can land in a file that is retired before the scrub runs (a
-  // table an in-flight compaction replaces, a vlog file GC reclaims): the
+  // table an in-flight compaction replaces, a vlog file it unlinks): the
   // rot dies with the obsolete file and never threatens live data. Such
   // vacuous injections are discounted and re-rolled so the schedule
   // reliably exercises detection.

@@ -111,9 +111,6 @@ std::string Timeline::ToJson() const {
     out += ",\"vlog_bytes\":";
     out += std::to_string(
         interval.CounterDelta("storage.vlog.appended_bytes"));
-    out += ",\"vlog_gc_reclaimed_bytes\":";
-    out += std::to_string(
-        interval.CounterDelta("storage.vlog.gc_reclaimed_bytes"));
     out += ",\"hint_queue_depth\":";
     out += std::to_string(interval.GaugeValue("cluster.hints.queue_depth"));
     out += ",\"stall_micros\":";

@@ -64,8 +64,7 @@ struct Timeline {
   ///      "ingest_kvps":..,"ingest_rate":..,
   ///      "query_count":..,"query_p50_micros":..,"query_p99_micros":..,
   ///      "flush_bytes":..,"compaction_bytes":..,"vlog_bytes":..,
-  ///      "vlog_gc_reclaimed_bytes":..,"hint_queue_depth":..,
-  ///      "stall_micros":..,
+  ///      "hint_queue_depth":..,"stall_micros":..,
   ///      "node_kvps":{"<id>":..}},...]}
   /// `node_kvps` collects every `cluster.node<id>.primary_kvps` counter.
   std::string ToJson() const;

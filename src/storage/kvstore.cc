@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cinttypes>
 #include <map>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.h"
@@ -45,7 +47,7 @@ int HexValue(char c) {
   return -1;
 }
 
-bool FromHex(const std::string& hex, std::string* out) {
+bool FromHex(std::string_view hex, std::string* out) {
   if (hex.size() % 2 != 0) return false;
   out->clear();
   out->reserve(hex.size() / 2);
@@ -56,6 +58,30 @@ bool FromHex(const std::string& hex, std::string* out) {
     out->push_back(static_cast<char>((hi << 4) | lo));
   }
   return true;
+}
+
+/// The manifest format WriteManifest writes and LoadManifest reads. Version
+/// 2 added each table's vlog links; a version-1 manifest read as tables
+/// linking nothing would retire, and so delete, every vlog file.
+constexpr uint64_t kManifestVersion = 2;
+
+/// Parses all of `field` as a decimal number.
+bool ParseNumber(std::string_view field, uint64_t* value) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *value);
+  return ec == std::errc() && ptr == end;
+}
+
+/// The space-separated fields of one manifest line.
+std::vector<std::string_view> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  size_t pos = 0;
+  while (pos < line.size()) {
+    const size_t end = std::min(line.find(' ', pos), line.size());
+    if (end > pos) fields.push_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  return fields;
 }
 
 /// Parses "<number>.<suffix>" file names.
@@ -183,13 +209,6 @@ KVStore::KVStore(const Options& options, const std::string& name)
   obs_.vlog_appended_bytes =
       registry.GetCounter("storage.vlog.appended_bytes");
   obs_.vlog_dereferences = registry.GetCounter("storage.vlog.dereferences");
-  obs_.vlog_gc_passes = registry.GetCounter("storage.vlog.gc_passes");
-  obs_.vlog_gc_scanned_bytes =
-      registry.GetCounter("storage.vlog.gc_scanned_bytes");
-  obs_.vlog_gc_reclaimed_bytes =
-      registry.GetCounter("storage.vlog.gc_reclaimed_bytes");
-  obs_.vlog_gc_rewritten_records =
-      registry.GetCounter("storage.vlog.gc_rewritten_records");
   obs_.install_bytes = registry.GetCounter("storage.install.bytes");
 }
 
@@ -338,7 +357,7 @@ Status KVStore::Recover() {
       }
       IOTDB_RETURN_NOT_OK(FlushImmutable(&lock));
     }
-    SyncL0CountLocked();
+    LevelsChangedLocked();
     IOTDB_RETURN_NOT_OK(WriteManifest());
     RemoveObsoleteFiles();
   }
@@ -433,7 +452,7 @@ Status KVStore::OpenTable(uint64_t number, std::shared_ptr<FileMeta>* meta) {
 
 Status KVStore::WriteManifest() {
   std::ostringstream out;
-  out << "manifest_version 1\n";
+  out << "manifest_version " << kManifestVersion << "\n";
   out << "next_file " << next_file_number_.load(std::memory_order_relaxed)
       << "\n";
   out << "last_sequence " << visible_seq_.load(std::memory_order_relaxed)
@@ -445,14 +464,16 @@ Status KVStore::WriteManifest() {
     }
   }
   for (const auto& vf : vlog_files_) {
-    out << "vlog " << vf.number << " " << vf.size << " " << vf.dead_bytes
-        << "\n";
+    out << "vlog " << vf.number << " " << vf.size << "\n";
   }
+  // file <level> <number> <size> <smallest> <largest> <n> <link>...
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& f : levels_.files[level]) {
       out << "file " << level << " " << f->number << " " << f->file_size
           << " " << ToHex(Slice(f->smallest)) << " "
-          << ToHex(Slice(f->largest)) << "\n";
+          << ToHex(Slice(f->largest)) << " " << f->vlog_links.size();
+      for (uint64_t link : f->vlog_links) out << " " << link;
+      out << "\n";
     }
   }
   std::string tmp = ManifestFileName() + ".tmp";
@@ -465,60 +486,91 @@ Status KVStore::LoadManifest(bool* found) {
   if (!env_->FileExists(ManifestFileName())) return Status::OK();
   std::string contents;
   IOTDB_RETURN_NOT_OK(env_->ReadFileToString(ManifestFileName(), &contents));
+
+  // Every line must parse whole, or Open fails before it opens or deletes
+  // a file: a version cut short at a bad field would name fewer files than
+  // are live, and RemoveObsoleteFiles would delete the rest.
+  struct TableLine {
+    uint64_t level = 0;
+    uint64_t number = 0;
+    uint64_t size = 0;
+    std::string smallest, largest;
+    std::vector<uint64_t> links;
+  };
+  std::vector<TableLine> tables;
+  uint64_t version = 0, next_file = 0, last_sequence = 0;
   std::istringstream in(contents);
-  std::string tag;
-  while (in >> tag) {
-    if (tag == "manifest_version") {
-      int version;
-      in >> version;
-      if (version != 1) return Status::Corruption("bad manifest version");
-    } else if (tag == "next_file") {
-      uint64_t next_file;
-      in >> next_file;
-      next_file_number_.store(next_file, std::memory_order_relaxed);
-    } else if (tag == "last_sequence") {
-      SequenceNumber last_sequence;
-      in >> last_sequence;
-      visible_seq_.store(last_sequence, std::memory_order_relaxed);
-    } else if (tag == "log_number") {
-      in >> log_number_;
-    } else if (tag == "held") {
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::vector<std::string_view> f = SplitFields(line);
+    if (f.empty()) continue;
+    auto number = [&f](size_t i, uint64_t* value) {
+      return i < f.size() && ParseNumber(f[i], value);
+    };
+    bool ok = false;
+    if (f[0] == "manifest_version") {
+      ok = f.size() == 2 && number(1, &version);
+      if (ok && version != kManifestVersion) {
+        return Status::Corruption("manifest version " + std::to_string(version) +
+                                  ", expected " +
+                                  std::to_string(kManifestVersion));
+      }
+    } else if (f[0] == "next_file") {
+      ok = f.size() == 2 && number(1, &next_file);
+    } else if (f[0] == "last_sequence") {
+      ok = f.size() == 2 && number(1, &last_sequence);
+    } else if (f[0] == "log_number") {
+      ok = f.size() == 2 && number(1, &log_number_);
+    } else if (f[0] == "held") {
       SequenceNumber first, end;
-      in >> first >> end;
-      flushed_held_.Add(first, end);
-    } else if (tag == "vlog") {
+      ok = f.size() == 3 && number(1, &first) && number(2, &end) &&
+           first < end;
+      if (ok) flushed_held_.Add(first, end);
+    } else if (f[0] == "vlog") {
       vlog::VlogFileInfo vf;
-      in >> vf.number >> vf.size >> vf.dead_bytes;
-      vlog_files_.push_back(vf);
-    } else if (tag == "file") {
-      int level;
-      uint64_t number, size;
-      std::string smallest_hex, largest_hex;
-      in >> level >> number >> size >> smallest_hex >> largest_hex;
-      if (level < 0 || level >= kNumLevels) {
-        return Status::Corruption("bad manifest level");
+      ok = f.size() == 3 && number(1, &vf.number) && number(2, &vf.size);
+      if (ok) vlog_files_.push_back(vf);
+    } else if (f[0] == "file") {
+      TableLine t;
+      uint64_t links = 0;
+      ok = number(1, &t.level) && t.level < kNumLevels &&
+           number(2, &t.number) && number(3, &t.size) && f.size() > 6 &&
+           FromHex(f[4], &t.smallest) && FromHex(f[5], &t.largest) &&
+           number(6, &links) && f.size() - 7 == links;
+      t.links.resize(ok ? links : 0);
+      for (size_t i = 0; ok && i < t.links.size(); ++i) {
+        ok = number(7 + i, &t.links[i]);
       }
-      std::shared_ptr<FileMeta> meta;
-      Status open_status = OpenTable(number, &meta);
-      if (open_status.IsCorruption()) {
-        // Better to come up without the damaged table — the cluster layer
-        // re-replicates its keys from healthy peers — than to refuse to
-        // open the store at all.
-        QuarantinePath(TableFileName(number), open_status);
-        continue;
-      }
-      IOTDB_RETURN_NOT_OK(open_status);
-      // Trust manifest bounds if the table was empty-scanned (shouldn't
-      // happen), otherwise keep recomputed bounds.
-      if (meta->smallest.empty()) {
-        FromHex(smallest_hex, &meta->smallest);
-        FromHex(largest_hex, &meta->largest);
-      }
-      meta->file_size = size;
-      levels_.files[level].push_back(std::move(meta));
+      if (ok) tables.push_back(std::move(t));
     } else {
-      return Status::Corruption("unknown manifest tag: " + tag);
+      return Status::Corruption("unknown manifest tag: " + std::string(f[0]));
     }
+    if (!ok) return Status::Corruption("bad manifest line: " + line);
+  }
+  if (version == 0) return Status::Corruption("manifest without a version");
+  next_file_number_.store(next_file, std::memory_order_relaxed);
+  visible_seq_.store(last_sequence, std::memory_order_relaxed);
+
+  for (TableLine& t : tables) {
+    std::shared_ptr<FileMeta> meta;
+    Status open_status = OpenTable(t.number, &meta);
+    if (open_status.IsCorruption()) {
+      // Better to come up without the damaged table — the cluster layer
+      // re-replicates its keys from healthy peers — than to refuse to
+      // open the store at all.
+      QuarantinePath(TableFileName(t.number), open_status);
+      continue;
+    }
+    IOTDB_RETURN_NOT_OK(open_status);
+    // Trust manifest bounds if the table was empty-scanned (shouldn't
+    // happen), otherwise keep recomputed bounds.
+    if (meta->smallest.empty()) {
+      meta->smallest = std::move(t.smallest);
+      meta->largest = std::move(t.largest);
+    }
+    meta->file_size = t.size;
+    meta->vlog_links = std::move(t.links);
+    levels_.files[t.level].push_back(std::move(meta));
   }
   // Normalise ordering invariants.
   std::sort(levels_.files[0].begin(), levels_.files[0].end(),
@@ -530,15 +582,16 @@ Status KVStore::LoadManifest(bool* found) {
                        0;
               });
   }
-  // Oldest vlog file first: the front is the GC tail.
+  // Oldest vlog file first, as flushes append them.
   std::sort(vlog_files_.begin(), vlog_files_.end(),
             [](const auto& a, const auto& b) { return a.number < b.number; });
-  SyncL0CountLocked();
+  LevelsChangedLocked();
   *found = true;
   return Status::OK();
 }
 
 void KVStore::RemoveObsoleteFiles() {
+  MaybeDeleteVlogFilesLocked();
   std::set<uint64_t> live;
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& f : levels_.files[level]) live.insert(f->number);
@@ -555,8 +608,8 @@ void KVStore::RemoveObsoleteFiles() {
     } else if (suffix == "sst") {
       keep = (live.count(number) > 0);
     } else if (suffix == "vlog") {
-      // Live set plus files awaiting deferred deletion (GC-reclaimed while
-      // an iterator or snapshot may still dereference into them).
+      // Live set plus retired files awaiting deferred deletion (an
+      // iterator or snapshot may still dereference into them).
       keep = IsVlogLiveLocked(number) ||
              std::find(vlog_pending_delete_.begin(),
                        vlog_pending_delete_.end(),
@@ -568,8 +621,22 @@ void KVStore::RemoveObsoleteFiles() {
   }
 }
 
-void KVStore::SyncL0CountLocked() {
+void KVStore::LevelsChangedLocked() {
   l0_files_.store(levels_.NumFiles(0), std::memory_order_release);
+  std::set<uint64_t> linked;
+  for (int level = 0; level < kNumLevels; ++level) {
+    for (const auto& f : levels_.files[level]) {
+      linked.insert(f->vlog_links.begin(), f->vlog_links.end());
+    }
+  }
+  // Only live files retire: a quarantined file stays aside while tables
+  // still link it.
+  std::erase_if(vlog_files_, [&](const vlog::VlogFileInfo& vf) {
+    if (linked.count(vf.number) > 0) return false;
+    vlog_pending_delete_.push_back(vf.number);
+    std::erase(pending_vlog_scrub_, vf.number);
+    return true;
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -611,9 +678,11 @@ bool KVStore::QuarantineFileLocked(const std::shared_ptr<FileMeta>& meta,
     }
   }
   if (!removed) return false;  // already quarantined or compacted away
-  SyncL0CountLocked();
+  LevelsChangedLocked();
   QuarantinePath(TableFileName(meta->number), cause);
-  WriteManifest().ok();  // quarantine must survive a restart; best effort
+  // The quarantine must survive a restart; best effort. The vlog files only
+  // this table linked go once the manifest no longer names them.
+  if (WriteManifest().ok()) MaybeDeleteVlogFilesLocked();
   return true;
 }
 
@@ -838,8 +907,8 @@ Status KVStore::Commit(WriterState& w) {
         sequenced && held_.Overlaps(updates->sequence(),
                                     updates->sequence() + batch_count);
     if (batch_count > 0 && !held) {
-      // Only the leader (or the GC re-put, which waits it out) numbers
-      // groups, so the group continues right after the published prefix.
+      // Only the leader numbers groups, so the group continues right after
+      // the published prefix.
       if (!sequenced) group->SetSequence(VisibleSequence() + 1);
       const SequenceNumber first_seq = updates->sequence();
       const SequenceNumber last_seq =
@@ -847,8 +916,8 @@ Status KVStore::Commit(WriterState& w) {
 
       // The WAL append and memtable insert happen outside write_mu_: new
       // writers queue behind last_writer, and only the leader touches the
-      // log. leader_active_ keeps memtable switches (and the GC re-put)
-      // from pulling the memtable out from under us.
+      // log. leader_active_ keeps memtable switches from pulling the
+      // memtable out from under us.
       leader_active_ = true;
       lock.unlock();
       // One commit, two sinks, zero extra clock reads: the histograms get
@@ -1030,8 +1099,7 @@ void KVStore::MaybeScheduleBackgroundWork() {
   // flush would only spin and leave its outputs behind each time.
   if (!BackgroundErrorSnapshot().ok()) return;
   if (!has_imm_.load(std::memory_order_acquire) && !NeedsCompaction() &&
-      pending_scrub_.empty() && pending_vlog_scrub_.empty() &&
-      !NeedsVlogGcLocked()) {
+      pending_scrub_.empty() && pending_vlog_scrub_.empty()) {
     return;
   }
   background_scheduled_ = true;
@@ -1052,9 +1120,6 @@ void KVStore::BackgroundCall() {
       s = ScrubOneQueued(&lock);
     } else if (!pending_vlog_scrub_.empty()) {
       s = ScrubOneVlogQueued(&lock);
-    } else if (NeedsVlogGcLocked()) {
-      // One tail file per idle cycle, paced like the background scrub.
-      s = GarbageCollectLocked(&lock, /*chunk_size=*/1, nullptr);
     }
     if (!s.ok()) {
       IOTDB_LOG(Error) << "background work failed: " << s.ToString();
@@ -1132,7 +1197,7 @@ Status KVStore::FlushImmutable(std::unique_lock<std::mutex>* lock) {
   if (meta != nullptr) {
     // Newest L0 file goes first.
     levels_.files[0].insert(levels_.files[0].begin(), meta);
-    SyncL0CountLocked();
+    LevelsChangedLocked();
     counters_.memtable_flushes.Increment();
     counters_.bytes_flushed.Add(meta->file_size);
     obs_.memtable_flushes->Increment();
@@ -1186,7 +1251,7 @@ Status KVStore::BuildFlushOutputs(MemTable* imm, uint64_t table_number,
     Status vs = vlog_writer->Finish();
     if (vs.ok()) {
       vlog_outputs->push_back(
-          vlog::VlogFileInfo{vlog_writer->file_no(), vlog_writer->offset(), 0});
+          vlog::VlogFileInfo{vlog_writer->file_no(), vlog_writer->offset()});
     }
     vlog_writer.reset();
     return vs;
@@ -1243,6 +1308,11 @@ Status KVStore::BuildFlushOutputs(MemTable* imm, uint64_t table_number,
   if (s.ok()) s = file->Sync();
   if (s.ok()) s = file->Close();
   if (s.ok()) s = OpenTable(table_number, meta);
+  if (s.ok()) {
+    for (const auto& vf : *vlog_outputs) {
+      (*meta)->vlog_links.push_back(vf.number);
+    }
+  }
   return s;
 }
 
@@ -1343,8 +1413,8 @@ Status KVStore::RunCompactionAtLevel(int level,
         dst.begin(), dst.end(), moved, [this](const auto& a, const auto& b) {
           return icmp_.Compare(Slice(a->smallest), Slice(b->smallest)) < 0;
         });
-    dst.insert(pos, moved);
-    SyncL0CountLocked();
+    dst.insert(pos, moved);  // with its links
+    LevelsChangedLocked();
     counters_.compactions.Increment();
     obs_.compactions->Increment();
     IOTDB_RETURN_NOT_OK(WriteManifest());
@@ -1364,9 +1434,6 @@ Status KVStore::RunCompactionAtLevel(int level,
   Status s;
   std::vector<std::shared_ptr<FileMeta>> outputs;
   uint64_t bytes_read = 0;
-  // Dead-byte estimates learned from dropped value pointers; applied to the
-  // vlog bookkeeping at install time (under mu_) to gate background GC.
-  std::map<uint64_t, uint64_t> vlog_dead;
   {
     std::vector<std::unique_ptr<Iterator>> children;
     for (const auto& f : all_inputs) {
@@ -1381,6 +1448,10 @@ Status KVStore::RunCompactionAtLevel(int level,
     std::unique_ptr<WritableFile> out_file;
     std::unique_ptr<TableBuilder> builder;
     uint64_t out_number = 0;
+    // The vlog files of the pointer entries the current output keeps. The
+    // inputs' links would only grow: a file no kept entry points into must
+    // leave them, or nothing would ever retire.
+    std::vector<uint64_t> out_links;
     std::string current_user_key;
     bool has_current_user_key = false;
     SequenceNumber last_sequence_for_key = kMaxSequenceNumber;
@@ -1396,8 +1467,15 @@ Status KVStore::RunCompactionAtLevel(int level,
       if (fs.ok() && entries > 0) {
         std::shared_ptr<FileMeta> meta;
         fs = OpenTable(out_number, &meta);
-        if (fs.ok()) outputs.push_back(std::move(meta));
+        if (fs.ok()) {
+          std::sort(out_links.begin(), out_links.end());
+          out_links.erase(std::unique(out_links.begin(), out_links.end()),
+                          out_links.end());
+          meta->vlog_links = std::move(out_links);
+          outputs.push_back(std::move(meta));
+        }
       }
+      out_links.clear();
       return fs;
     };
 
@@ -1439,14 +1517,7 @@ Status KVStore::RunCompactionAtLevel(int level,
         last_sequence_for_key = ikey.sequence;
       }
 
-      if (drop) {
-        vlog::ValuePointer ptr;
-        if (ikey.type == ValueType::kValuePointer &&
-            vlog::DecodeValuePointer(merged->value(), &ptr)) {
-          vlog_dead[ptr.file_no] += ptr.size;
-        }
-        continue;
-      }
+      if (drop) continue;
 
       if (builder == nullptr) {
         out_number = next_file_number_.fetch_add(1, std::memory_order_relaxed);
@@ -1460,6 +1531,12 @@ Status KVStore::RunCompactionAtLevel(int level,
                                                  out_file.get());
       }
       builder->Add(key, merged->value());
+      vlog::ValuePointer ptr;
+      if (has_current_user_key && ikey.type == ValueType::kValuePointer &&
+          vlog::DecodeValuePointer(merged->value(), &ptr) &&
+          (out_links.empty() || out_links.back() != ptr.file_no)) {
+        out_links.push_back(ptr.file_no);
+      }
       if (builder->FileSize() >= kMaxOutputFileBytes) {
         s = finish_output();
       }
@@ -1500,19 +1577,12 @@ Status KVStore::RunCompactionAtLevel(int level,
     obs_.compaction_bytes_written->Add(out->file_size);
     if (options_.background_scrub) pending_scrub_.push_back(out->number);
   }
-  SyncL0CountLocked();
+  // Retires the vlog files only dropped entries pointed into.
+  LevelsChangedLocked();
   counters_.compactions.Increment();
   counters_.bytes_compacted.Add(bytes_read);
   obs_.compactions->Increment();
   obs_.compaction_bytes_read->Add(bytes_read);
-  for (const auto& [file_no, dead] : vlog_dead) {
-    for (auto& vf : vlog_files_) {
-      if (vf.number == file_no) {
-        vf.dead_bytes = std::min(vf.size, vf.dead_bytes + dead);
-        break;
-      }
-    }
-  }
   IOTDB_RETURN_NOT_OK(WriteManifest());
   RemoveObsoleteFiles();
   ShipLocked(lock);
@@ -1560,11 +1630,11 @@ void GetHandler(void* arg, const Slice& internal_key, const Slice& v) {
 }  // namespace
 
 /// Resolves the pointer entries of one read (an iterator or a Get) through a
-/// VlogCursor and holds the read's pin: GC defers deleting the vlog files
-/// it reclaims until no resolver that could still read them is left. Its
-/// owner counts it in open_readers_, under mu_ and before the read takes
-/// its snapshot: GC holds mu_ from its re-puts to its deletions, so a file
-/// it deletes before the pin was superseded at or below that snapshot.
+/// VlogCursor and holds the read's pin: a vlog file that a version change
+/// unlinks is deleted only once no resolver that could still read it is
+/// left. Its owner counts it in open_readers_, under mu_ and before the
+/// read collects its tables: a file retired before the pin is linked by
+/// none of them.
 ///
 /// A scan's resolver also holds the scan's sink, and offers it each
 /// pointer entry's head before reading the record. A row the sink takes is
@@ -1890,7 +1960,6 @@ KVStoreStats KVStore::GetStats() {
   stats.quarantined_files = counters_.quarantined_files.Value();
   stats.vlog_appended_bytes = counters_.vlog_appended_bytes.Value();
   stats.vlog_dereferences = counters_.vlog_dereferences.Value();
-  stats.vlog_gc_reclaimed_bytes = counters_.vlog_gc_reclaimed_bytes.Value();
   stats.install_bytes = counters_.install_bytes.Value();
   stats.indexed_batches = counters_.indexed_batches.Value();
   {
@@ -1901,7 +1970,7 @@ KVStoreStats KVStore::GetStats() {
       stats.level_bytes[level] = levels_.LevelBytes(level);
     }
     stats.vlog_files = vlog_files_.size();
-    for (const auto& vf : vlog_files_) stats.vlog_dead_bytes += vf.dead_bytes;
+    for (const auto& vf : vlog_files_) stats.vlog_bytes += vf.size;
   }
   return stats;
 }
@@ -1921,43 +1990,6 @@ std::string KVStore::VlogName(uint64_t number) const {
   return vlog::VlogFileName(dbname_, number);
 }
 
-Status KVStore::RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
-                             bool* found, ValueType* type,
-                             std::string* raw_value) {
-  // The caller holds mu_ plus write_mu_ with no leader active, so the
-  // memtables can be read without re-locking.
-  *found = false;
-  std::string value;
-  Status s;
-  if (mem_->Get(user_key, snapshot, &value, &s) ||
-      (imm_ != nullptr && imm_->Get(user_key, snapshot, &value, &s))) {
-    if (s.IsNotFound()) return Status::OK();  // newest version: tombstone
-    IOTDB_RETURN_NOT_OK(s);
-    *found = true;
-    *type = ValueType::kValue;
-    *raw_value = std::move(value);
-    return Status::OK();
-  }
-  GetState state;
-  state.icmp = &icmp_;
-  state.user_key = user_key;
-  state.snapshot = snapshot;
-  std::string lookup_key = MakeLookupKey(user_key, snapshot);
-  for (int level = 0; level < kNumLevels; ++level) {
-    for (const auto& f : levels_.files[level]) {
-      if (!FileOverlapsRange(icmp_, *f, user_key, user_key)) continue;
-      IOTDB_RETURN_NOT_OK(
-          f->table->InternalGet(Slice(lookup_key), &state, GetHandler));
-    }
-  }
-  if (state.found && state.type != ValueType::kDeletion) {
-    *found = true;
-    *type = state.type;
-    *raw_value = std::move(state.value);
-  }
-  return Status::OK();
-}
-
 bool KVStore::IsVlogLiveLocked(uint64_t number) const {
   for (const auto& vf : vlog_files_) {
     if (vf.number == number) return true;
@@ -1971,160 +2003,6 @@ bool KVStore::IsLiveVlogFile(const std::string& path) {
     if (VlogName(vf.number) == path) return true;
   }
   return false;
-}
-
-bool KVStore::NeedsVlogGcLocked() const {
-  if (region_ || !options_.background_vlog_gc) return false;
-  if (vlog_gc_running_ || vlog_files_.empty()) return false;
-  const vlog::VlogFileInfo& tail = vlog_files_.front();
-  if (tail.size == 0) return false;
-  return static_cast<double>(tail.dead_bytes) /
-             static_cast<double>(tail.size) >=
-         options_.vlog_gc_dead_ratio;
-}
-
-Status KVStore::GarbageCollect(uint64_t chunk_size,
-                               uint64_t* reclaimed_bytes) {
-  if (reclaimed_bytes != nullptr) *reclaimed_bytes = 0;
-  if (region_) {
-    // The re-put numbers its own writes, which would collide with the
-    // coordinator's.
-    return Status::NotSupported("no vlog GC on a region store");
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  while (vlog_gc_running_) {
-    background_work_finished_cv_.wait(lock);
-  }
-  return GarbageCollectLocked(&lock, chunk_size, reclaimed_bytes);
-}
-
-Status KVStore::GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
-                                     uint64_t chunk_size,
-                                     uint64_t* reclaimed_bytes) {
-  vlog_gc_running_ = true;
-  struct Running {  // clears the flag on every exit path
-    KVStore* store;
-    ~Running() {
-      store->vlog_gc_running_ = false;
-      store->background_work_finished_cv_.notify_all();
-    }
-  } running{this};
-
-  obs::TraceSpan gc_span("storage.vlog.gc", nullptr, options_.clock);
-  uint64_t processed = 0;
-  uint64_t reclaimed_total = 0;
-  uint64_t scanned_total = 0;
-  uint64_t rewritten = 0;
-  // One pass covers at most the files installed when it started: the
-  // flushes of its own re-puts install newer ones.
-  const uint64_t pass_limit =
-      vlog_files_.empty() ? 0 : vlog_files_.back().number;
-  Status status;
-  while (status.ok() && !vlog_files_.empty() && !shutting_down_) {
-    if (chunk_size > 0 && processed >= chunk_size) break;
-    vlog::VlogFileInfo tail = vlog_files_.front();
-    if (tail.number > pass_limit) break;
-
-    lock->unlock();
-    // Installed vlog files are immutable: scan the tail without the lock.
-    std::vector<vlog::GcRecord> records;
-    uint64_t file_scanned = 0;
-    Status scan = vlog::ScanFileForGc(env_, dbname_, tail.number, tail.size,
-                                      &records, &file_scanned);
-    lock->lock();
-
-    scanned_total += file_scanned;
-    if (!scan.ok()) {
-      // Records past the damage may still be live: quarantine (keeps the
-      // bytes for forensics and replica repair) rather than delete.
-      IOTDB_LOG(Error) << "vlog GC scan of file " << tail.number
-                       << " failed: " << scan.ToString();
-      if (scan.IsCorruption()) {
-        QuarantineVlogFileLocked(tail.number, scan);
-      }
-      status = scan;
-      break;
-    }
-    // The set may have changed while unlocked (concurrent quarantine).
-    if (vlog_files_.empty() || vlog_files_.front().number != tail.number) {
-      continue;
-    }
-
-    {
-      // The liveness check reads the memtables and the re-put batch must
-      // commit against the exact state it checked: hold the write queue,
-      // with any in-flight leader waited out, for the duration.
-      std::unique_lock<std::mutex> write_lock(write_mu_);
-      write_cv_.wait(write_lock, [this] { return !leader_active_; });
-      WriteBatch rebatch;
-      uint64_t live_bytes = 0;
-      // No commit is in flight, so the published prefix is every committed
-      // entry.
-      const SequenceNumber read_snapshot = VisibleSequence();
-      for (const auto& rec : records) {
-        // Live iff the newest version of the key is exactly this pointer;
-        // overwritten and deleted keys fail the comparison, and so does a
-        // key whose newest version is a memtable's full value.
-        bool found = false;
-        ValueType type = ValueType::kDeletion;
-        std::string raw;
-        status = RawGetFrozen(Slice(rec.key), read_snapshot, &found, &type,
-                              &raw);
-        if (!status.ok()) break;
-        vlog::ValuePointer newest;
-        if (!found || type != ValueType::kValuePointer ||
-            !vlog::DecodeValuePointer(Slice(raw), &newest) ||
-            !(newest == rec.ptr)) {
-          continue;  // dead record
-        }
-        // An ordinary full-value write: the next flush separates it again.
-        rebatch.Put(Slice(rec.key), Slice(rec.value));
-        live_bytes += rec.ptr.size;
-      }
-      if (!status.ok()) break;
-
-      if (rebatch.Count() > 0) {
-        // Commit the re-puts like a write: WAL record, then the memtable.
-        // Synced, because the file they replace is dropped below.
-        const uint64_t count = rebatch.Count();
-        const SequenceNumber first_seq = VisibleSequence() + 1;
-        rebatch.SetSequence(first_seq);
-        status = log_->AddRecord(rebatch.Contents());
-        if (status.ok()) status = log_file_->Sync();
-        if (status.ok()) status = rebatch.InsertInto(mem_);
-        // Publish even on failure: the sequences are burned either way.
-        visible_seq_.store(first_seq + count - 1, std::memory_order_release);
-        if (!status.ok()) break;
-        rewritten += count;
-      }
-
-      processed += tail.size;
-      reclaimed_total += tail.size - live_bytes;
-    }
-
-    // Retire the tail. Physical deletion waits for readers that may still
-    // dereference the superseded pointers.
-    vlog_files_.erase(vlog_files_.begin());
-    for (auto it = pending_vlog_scrub_.begin();
-         it != pending_vlog_scrub_.end();) {
-      it = (*it == tail.number) ? pending_vlog_scrub_.erase(it) : it + 1;
-    }
-    vlog_pending_delete_.push_back(tail.number);
-    vlog_reader_->Evict(tail.number);
-    MaybeDeleteVlogFilesLocked();
-    status = WriteManifest();
-  }
-
-  counters_.vlog_gc_reclaimed_bytes.Add(reclaimed_total);
-  obs_.vlog_gc_passes->Increment();
-  obs_.vlog_gc_scanned_bytes->Add(scanned_total);
-  obs_.vlog_gc_reclaimed_bytes->Add(reclaimed_total);
-  obs_.vlog_gc_rewritten_records->Add(rewritten);
-  gc_span.SetArg("scanned_bytes", scanned_total);
-  gc_span.SetArg("reclaimed_bytes", reclaimed_total);
-  gc_span.Stop();
-  if (reclaimed_bytes != nullptr) *reclaimed_bytes = reclaimed_total;
-  return status;
 }
 
 void KVStore::QuarantineVlogFile(uint64_t number, const Status& cause) {
@@ -2141,7 +2019,7 @@ void KVStore::QuarantineVlogFileLocked(uint64_t number, const Status& cause) {
       break;
     }
   }
-  if (!was_live) return;  // already quarantined or reclaimed
+  if (!was_live) return;  // already quarantined or retired
   for (auto it = pending_vlog_scrub_.begin();
        it != pending_vlog_scrub_.end();) {
     it = (*it == number) ? pending_vlog_scrub_.erase(it) : it + 1;
@@ -2181,7 +2059,7 @@ void KVStore::VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
   lock->lock();
 
   for (const auto& [target, cause] : corrupt) {
-    if (!IsVlogLiveLocked(target.number)) continue;  // raced GC/quarantine
+    if (!IsVlogLiveLocked(target.number)) continue;  // retired/quarantined
     QuarantineVlogFileLocked(target.number, cause);
     report->quarantined_files++;
   }
@@ -2202,7 +2080,7 @@ Status KVStore::ScrubOneVlogQueued(std::unique_lock<std::mutex>* lock) {
       }
     }
   }
-  if (!found) return Status::OK();  // reclaimed or quarantined meanwhile
+  if (!found) return Status::OK();  // retired or quarantined meanwhile
 
   lock->unlock();
   obs::TraceSpan scrub_span("storage.scrub.file", nullptr, options_.clock);
@@ -2375,6 +2253,7 @@ Status KVStore::Install(const RegionVersion& version, bool full,
       if (s.IsCorruption()) *bad_file = t.number;
       return s;
     }
+    meta->vlog_links = t.vlog_links;
     tables[t.number] = std::move(meta);
   }
   for (const auto& vf : version.vlogs) {
@@ -2400,8 +2279,19 @@ Status KVStore::Install(const RegionVersion& version, bool full,
     next.files[t.level].push_back(tables[t.number]);
   }
   levels_ = std::move(next);
-  SyncL0CountLocked();
+  // A vlog file the version dropped retires as one a compaction here
+  // unlinks would: it goes once no reader can still read it. A number the
+  // version names again was copied anew above and is live.
+  auto named = [&](uint64_t number) {
+    return std::any_of(version.vlogs.begin(), version.vlogs.end(),
+                       [&](const auto& vf) { return vf.number == number; });
+  };
+  for (const auto& vf : vlog_files_) {
+    if (!named(vf.number)) vlog_pending_delete_.push_back(vf.number);
+  }
+  std::erase_if(vlog_pending_delete_, named);
   vlog_files_ = version.vlogs;
+  LevelsChangedLocked();
   const bool advanced = version.held.Covered() > flushed_held_.Covered();
   flushed_held_ = version.held;
   IOTDB_RETURN_NOT_OK(WriteManifest());
@@ -2495,7 +2385,7 @@ void KVStore::ShipLocked(std::unique_lock<std::mutex>* lock) {
   version.dir = dbname_;
   for (int level = 0; level < kNumLevels; ++level) {
     for (const auto& f : levels_.files[level]) {
-      version.tables.push_back({level, f->number});
+      version.tables.push_back({level, f->number, f->vlog_links});
     }
   }
   version.vlogs = vlog_files_;

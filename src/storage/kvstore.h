@@ -30,7 +30,6 @@
 #include "storage/options.h"
 #include "storage/region.h"
 #include "storage/version.h"
-#include "storage/vlog_gc.h"
 #include "storage/vlog_reader.h"
 #include "storage/write_batch.h"
 
@@ -54,14 +53,13 @@ struct KVStoreStats {
   uint64_t wal_recovery_dropped_bytes = 0;
   uint64_t scrubbed_files = 0;
   uint64_t quarantined_files = 0;
-  // Key-value separation: vlog files and bytes written at flush.
-  uint64_t vlog_files = 0;  // live vlog files
+  // Key-value separation: the live vlog files, and the bytes flushes
+  // appended to vlog files. Appended minus live bytes is what the store
+  // deleted once no table linked it.
+  uint64_t vlog_files = 0;
+  uint64_t vlog_bytes = 0;
   uint64_t vlog_appended_bytes = 0;
   uint64_t vlog_dereferences = 0;
-  uint64_t vlog_gc_reclaimed_bytes = 0;
-  /// Bytes of live vlog files whose records compaction dropped (the
-  /// estimate that paces GC).
-  uint64_t vlog_dead_bytes = 0;
   /// Always 100: the store has a single write queue, so there is no skew
   /// to report. Kept only because the repository benchmark (kitbench/)
   /// reads it.
@@ -157,10 +155,11 @@ class KVStore {
   /// verifies each copy with the scrub's walk, writes the manifest, then,
   /// when the version's watermark (the covered prefix of version.held)
   /// advanced, deletes the log files at or below it and drops its read
-  /// index. A copy that fails verification is not installed: Corruption,
-  /// with the file's number in *bad_file. Aborted, before anything is
-  /// copied, when the backup lacks a file the version keeps: it needs a
-  /// full install.
+  /// index. A vlog file the version dropped is deleted once no reader or
+  /// snapshot is open, as on the leader. A copy that fails verification
+  /// is not installed: Corruption, with the file's number in *bad_file.
+  /// Aborted, before anything is copied, when the backup lacks a file the
+  /// version keeps: it needs a full install.
   Status Install(const RegionVersion& version, bool full,
                  uint64_t* bad_file);
 
@@ -231,23 +230,10 @@ class KVStore {
   /// fresh read.
   bool IsLiveTableFile(const std::string& path);
 
-  /// True iff `path` names a vlog file a flush installed that is still in
-  /// the live set. GC-reclaimed and quarantined vlog files are not live.
+  /// True iff `path` names a vlog file in the live set, one a live table
+  /// links (FileMeta::vlog_links). A quarantined file, and one no live
+  /// table links any more, are not live.
   bool IsLiveVlogFile(const std::string& path);
-
-  /// Value-log garbage collection: walks vlog files from the tail (oldest
-  /// first), re-puts each record whose pointer is still the newest version
-  /// of its key as an ordinary full-value write (the next flush separates
-  /// it again), and drops the file. Stops once at least `chunk_size` bytes
-  /// of vlog files were processed (0 = the whole tail). Physical deletion
-  /// is deferred while iterators, point lookups or snapshots are open.
-  /// Also paced automatically in idle background cycles when
-  /// Options::background_vlog_gc is set and the tail file's dead ratio
-  /// crosses Options::vlog_gc_dead_ratio.
-  /// NotSupported on a region store: its re-put would number its own
-  /// writes.
-  Status GarbageCollect(uint64_t chunk_size = 0,
-                        uint64_t* reclaimed_bytes = nullptr);
 
   /// Blocks until no background work is queued or running, or until a hard
   /// background error has stopped it.
@@ -294,20 +280,13 @@ class KVStore {
   // Key-value separation. Locked variants require mu_.
   // Writes the table of `imm` and the vlog files of its large values, and
   // syncs both; appends the vlog files it wrote to *vlog_outputs and counts
-  // their records in *vlog_records. *meta stays null for an empty imm.
+  // their records in *vlog_records. The table links those files. *meta
+  // stays null for an empty imm.
   Status BuildFlushOutputs(MemTable* imm, uint64_t table_number,
                            std::vector<vlog::VlogFileInfo>* vlog_outputs,
                            uint64_t* vlog_records,
                            std::shared_ptr<FileMeta>* meta);
-  // The newest entry of `user_key` at `snapshot`, its type and its stored
-  // value (a pointer is not resolved). Used by GC to decide record
-  // liveness; needs mu_ plus write_mu_ with no leader active.
-  Status RawGetFrozen(const Slice& user_key, SequenceNumber snapshot,
-                      bool* found, ValueType* type, std::string* raw_value);
   bool IsVlogLiveLocked(uint64_t number) const;
-  bool NeedsVlogGcLocked() const;
-  Status GarbageCollectLocked(std::unique_lock<std::mutex>* lock,
-                              uint64_t chunk_size, uint64_t* reclaimed_bytes);
   void QuarantineVlogFile(uint64_t number, const Status& cause);
   void QuarantineVlogFileLocked(uint64_t number, const Status& cause);
   void VerifyVlogFiles(std::unique_lock<std::mutex>* lock,
@@ -370,8 +349,14 @@ class KVStore {
 
   Status WriteManifest();  // mu_ held
   Status LoadManifest(bool* found);
-  void RemoveObsoleteFiles();  // mu_ held
-  void SyncL0CountLocked();    // mu_ held; refreshes the l0_files_ mirror
+  // Deletes the files the version no longer names, and the retired vlog
+  // files no reader can still read. mu_ held, after a manifest write.
+  void RemoveObsoleteFiles();
+  // mu_ held, after every change to levels_: refreshes the l0_files_
+  // mirror and retires the vlog files no live table links to
+  // vlog_pending_delete_. The caller writes the manifest before anything
+  // deletes them.
+  void LevelsChangedLocked();
 
   // Scrub & quarantine (see VerifyIntegrity).
   void QuarantinePath(const std::string& path, const Status& cause);
@@ -471,7 +456,7 @@ class KVStore {
   std::deque<WriterState*> writers_;  // guarded by write_mu_
   WriteBatch tmp_batch_;              // leader-only group scratch
   /// True while the leader performs WAL/memtable work outside write_mu_;
-  /// memtable switches and the GC re-put commit must wait on it.
+  /// memtable switches must wait on it.
   bool leader_active_ = false;  // guarded by write_mu_
 
   LevelState levels_;
@@ -480,26 +465,25 @@ class KVStore {
   std::atomic<uint64_t> l0_files_{0};
 
   // Key-value separation state, guarded by mu_. vlog_files_ holds the vlog
-  // files flushes installed, oldest (GC tail) first, and is persisted in
-  // the manifest. A file a flush is still writing is in none of these
-  // lists; flushes and compactions run one at a time, so RemoveObsoleteFiles
+  // files some live table links, oldest first, and is persisted in the
+  // manifest. A file a flush is still writing is in none of these lists;
+  // flushes and compactions run one at a time, so RemoveObsoleteFiles
   // never meets one.
   std::unique_ptr<vlog::VlogReader> vlog_reader_;
   std::vector<vlog::VlogFileInfo> vlog_files_;
   // Installed vlog files awaiting a paced background checksum walk.
   std::deque<uint64_t> pending_vlog_scrub_;
-  // GC-reclaimed files whose deletion waits until no reader can still hold
-  // a pointer into them: open iterators, in-flight point Gets, snapshots.
+  // Retired files (no live table links them) whose deletion waits until no
+  // reader can still hold a pointer into them: open iterators, in-flight
+  // point Gets, snapshots.
   std::vector<uint64_t> vlog_pending_delete_;
   int open_readers_ = 0;
-  bool vlog_gc_running_ = false;
 
   std::atomic<uint64_t> next_file_number_{1};
 
-  /// Last published sequence number. The commit leader (or the GC re-put
-  /// holding the queue) numbers its group from here and publishes the
-  /// group's last sequence after the memtable insert; readers snapshot it
-  /// without any lock.
+  /// Last published sequence number. The commit leader numbers its group
+  /// from here and publishes the group's last sequence after the memtable
+  /// insert; readers snapshot it without any lock.
   std::atomic<SequenceNumber> visible_seq_{0};
 
   /// Oldest WAL still needed for recovery (manifest `log_number`): the
@@ -540,7 +524,6 @@ class KVStore {
     obs::Counter quarantined_files;
     obs::Counter vlog_appended_bytes;
     obs::Counter vlog_dereferences;
-    obs::Counter vlog_gc_reclaimed_bytes;
     obs::Counter install_bytes;
     obs::Counter indexed_batches;
   };
@@ -572,10 +555,6 @@ class KVStore {
     obs::Counter* vlog_appended_records;
     obs::Counter* vlog_appended_bytes;
     obs::Counter* vlog_dereferences;
-    obs::Counter* vlog_gc_passes;
-    obs::Counter* vlog_gc_scanned_bytes;
-    obs::Counter* vlog_gc_reclaimed_bytes;
-    obs::Counter* vlog_gc_rewritten_records;
     obs::Counter* install_bytes;
   };
   ObsInstruments obs_;

@@ -81,16 +81,9 @@ struct Options {
   size_t min_value_size = 256;
 
   /// A flush starts a new vlog file once the current one reaches this size.
+  /// A vlog file is deleted once no live table links it, so this is also
+  /// the unit in which space comes back (DESIGN.md, "Vlog file liveness").
   uint64_t vlog_file_size = 4 * 1024 * 1024;
-
-  /// Background GC starts on the tail vlog file once its compaction-
-  /// estimated dead-byte ratio reaches this threshold.
-  double vlog_gc_dead_ratio = 0.5;
-
-  /// Pace vlog garbage collection in idle background cycles (between
-  /// compactions, like the background scrub). KVStore::GarbageCollect() is
-  /// always available regardless.
-  bool background_vlog_gc = true;
 };
 
 /// Per-read options; none yet. Every read reads and checksum-verifies each

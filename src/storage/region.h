@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "storage/dbformat.h"
-#include "storage/vlog_gc.h"
+#include "storage/vlog_format.h"
 
 namespace iotdb {
 namespace storage {
@@ -50,6 +50,8 @@ class SequenceRanges {
 struct RegionTable {
   int level = 0;
   uint64_t number = 0;
+  /// The vlog files its pointer entries point into (FileMeta::vlog_links).
+  std::vector<uint64_t> vlog_links;
 };
 
 /// A leader region's version after a flush or compaction: what a backup
@@ -59,6 +61,7 @@ struct RegionVersion {
   std::string dir;
   /// Every live table, level by level in the leader's order.
   std::vector<RegionTable> tables;
+  /// Every live vlog file.
   std::vector<vlog::VlogFileInfo> vlogs;
   /// The tables and vlog files the edits since the last ship added.
   std::vector<uint64_t> added;

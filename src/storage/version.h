@@ -22,6 +22,9 @@ struct FileMeta {
   uint64_t file_size = 0;
   std::string smallest;  // internal key
   std::string largest;   // internal key
+  /// The vlog files the table's pointer entries point into, ascending. A
+  /// vlog file stays live while a live table links it.
+  std::vector<uint64_t> vlog_links;
   std::shared_ptr<Table> table;
 };
 

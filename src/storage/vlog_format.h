@@ -23,9 +23,8 @@ namespace vlog {
 /// The checksum covers everything after itself (keylen..value) and is masked
 /// with the same rotation the WAL uses, so a vlog record embedded verbatim in
 /// another checksummed stream cannot collide trivially. The key is stored
-/// with the value so garbage collection can re-associate a record with its
-/// LSM entry, and a read can check that a pointer names its own key's
-/// record, without a reverse index.
+/// with the value so a read can check that a pointer names its own key's
+/// record.
 ///
 /// A memtable flush writes every value of at least Options::min_value_size
 /// bytes to vlog files of its own, in key order, and the table stores a
@@ -50,6 +49,14 @@ constexpr size_t kValueHeadSize = 16;
 
 /// Fixed-size crc32c header preceding each record's payload.
 constexpr size_t kRecordHeaderSize = 4;
+
+/// One vlog file of a store's live set: its records occupy [0, size). The
+/// size bounds a scrub's walk and an install's verification. Persisted in
+/// the manifest as `vlog <number> <size>`.
+struct VlogFileInfo {
+  uint64_t number = 0;
+  uint64_t size = 0;
+};
 
 /// Location of one separated value inside the log.
 struct ValuePointer {

@@ -1,7 +1,10 @@
 // Compaction-filter and retention tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "iot/kvp.h"
@@ -9,7 +12,6 @@
 #include "storage/compaction_filter.h"
 #include "storage/env.h"
 #include "storage/kvstore.h"
-#include "storage/vlog_format.h"
 
 namespace iotdb {
 namespace storage {
@@ -99,19 +101,28 @@ TEST(RetentionFilterTest, EndToEndAgeOut) {
   iot::SensorDataRetentionFilter filter(1000ull * 1000000, &clock);  // 1000s
 
   // Short readings stay inline; 1 KiB kvps are separated when the memtable
-  // flushes, so the filter must age out pointer entries too, and each
-  // dropped pointer's record turns into dead vlog bytes.
+  // flushes, so the filter must age out pointer entries too. The aged-out
+  // half is flushed on its own: once compaction drops it, no table links
+  // that flush's vlog file, and the store deletes it.
   for (bool kvp_values : {false, true}) {
     SCOPED_TRACE(kvp_values ? "1 KiB kvps" : "short values");
     auto env = NewMemEnv();
     Options options;
     options.env = env.get();
     options.compaction_filter = &filter;
-    options.background_vlog_gc = false;  // keep the dead bytes in view
     auto store = KVStore::Open(options, "/ret").MoveValueUnsafe();
+    auto vlog_files = [&] {
+      std::vector<std::string> paths;
+      const std::vector<std::string> names =
+          env->ListDir("/ret").MoveValueUnsafe();
+      for (const std::string& name : names) {
+        if (name.ends_with(".vlog")) paths.push_back("/ret/" + name);
+      }
+      return paths;
+    };
 
     // 50 readings: half older than the retention window, half inside it.
-    uint64_t aged_out_record_bytes = 0;
+    std::vector<std::string> aged_out_files;
     for (int i = 0; i < 50; ++i) {
       uint64_t age_seconds = (i < 25) ? (2000 + i) : (10 + i);
       iot::Reading reading;
@@ -123,16 +134,30 @@ TEST(RetentionFilterTest, EndToEndAgeOut) {
       const iot::Kvp kvp = iot::KvpCodec::Encode(reading, i);
       const std::string value = kvp_values ? kvp.value : "reading";
       ASSERT_TRUE(store->Put(WriteOptions(), kvp.key, value).ok());
-      if (kvp_values && i < 25) {
-        std::string record;
-        aged_out_record_bytes += vlog::AppendRecord(&record, kvp.key, value);
+      if (i == 24) {
+        ASSERT_TRUE(store->FlushMemTable().ok());
+        aged_out_files = vlog_files();
       }
     }
+    ASSERT_TRUE(store->FlushMemTable().ok());
+    std::vector<std::string> kept_files = vlog_files();
+    std::erase_if(kept_files, [&](const std::string& path) {
+      return std::find(aged_out_files.begin(), aged_out_files.end(),
+                       path) != aged_out_files.end();
+    });
+    ASSERT_EQ(aged_out_files.size(), kvp_values ? 1u : 0u);
+    ASSERT_EQ(kept_files.size(), kvp_values ? 1u : 0u);
+
     ASSERT_TRUE(store->CompactAll().ok());
     EXPECT_EQ(store->CountKeysSlow(), 25u);
-    const KVStoreStats stats = store->GetStats();
-    EXPECT_EQ(stats.vlog_files, kvp_values ? 1u : 0u);
-    EXPECT_EQ(stats.vlog_dead_bytes, aged_out_record_bytes);
+    EXPECT_EQ(store->GetStats().vlog_files, kept_files.size());
+    EXPECT_EQ(vlog_files(), kept_files);
+    for (const std::string& path : kept_files) {
+      EXPECT_TRUE(store->IsLiveVlogFile(path)) << path;
+    }
+    for (const std::string& path : aged_out_files) {
+      EXPECT_FALSE(store->IsLiveVlogFile(path)) << path;
+    }
   }
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -379,6 +382,102 @@ TEST_F(KVStoreTest, FlushMemTableReportsFailedManifestWrite) {
     ASSERT_TRUE(r.ok()) << key(i) << ": " << r.status().ToString();
     EXPECT_EQ(r.ValueOrDie(), std::string(300, 'v'));
   }
+}
+
+// A store of 100 flushed 1 KiB rows whose manifest `edit` rewrites, line
+// by line: Open must fail with Corruption and leave every file on disk.
+class ManifestDamageTest : public KVStoreTest {
+ protected:
+  void SetUp() override {
+    KVStoreTest::SetUp();
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(store_
+                      ->Put(WriteOptions(), "key" + std::to_string(1000 + i),
+                            std::string(1024, 'v'))
+                      .ok());
+    }
+    ASSERT_TRUE(store_->FlushMemTable().ok());
+    ASSERT_GT(store_->GetStats().vlog_files, 0u);
+    store_.reset();
+    ASSERT_TRUE(env_->ReadFileToString("/db/MANIFEST", &manifest_).ok());
+  }
+
+  // Writes the manifest with each line passed through `edit`, and expects
+  // Open to fail with Corruption, deleting nothing.
+  void ExpectOpenFails(
+      const std::function<std::string(const std::string&)>& edit) {
+    std::istringstream in(manifest_);
+    std::string damaged;
+    for (std::string line; std::getline(in, line);) {
+      damaged += edit(line) + "\n";
+    }
+    ASSERT_NE(damaged, manifest_);
+    ASSERT_TRUE(env_->WriteStringToFile("/db/MANIFEST", damaged).ok());
+    const std::vector<std::string> before = Listing();
+    auto result = KVStore::Open(options_, "/db");
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+    EXPECT_EQ(Listing(), before);
+
+    // The intact manifest still opens the store whole.
+    ASSERT_TRUE(env_->WriteStringToFile("/db/MANIFEST", manifest_).ok());
+    Reopen();
+    EXPECT_EQ(store_->CountKeysSlow(), 100u);
+    EXPECT_EQ(Get("key1000"), std::string(1024, 'v'));
+    store_.reset();
+  }
+
+  std::vector<std::string> Listing() {
+    std::vector<std::string> names = env_->ListDir("/db").MoveValueUnsafe();
+    std::sort(names.begin(), names.end());
+    return names;
+  }
+
+  // `line` with field `i` (0 is the tag) replaced by `field`.
+  static std::string WithField(const std::string& line, size_t i,
+                               const std::string& field) {
+    std::istringstream in(line);
+    std::vector<std::string> fields;
+    for (std::string f; in >> f;) fields.push_back(f);
+    if (i < fields.size()) fields[i] = field;
+    std::string out;
+    for (const std::string& f : fields) out += (out.empty() ? "" : " ") + f;
+    return out;
+  }
+
+  std::string manifest_;
+};
+
+TEST_F(ManifestDamageTest, DamagedFieldFailsOpenAndDeletesNothing) {
+  auto on = [](const std::string& tag, size_t i, const std::string& field) {
+    return [=](const std::string& line) {
+      return line.starts_with(tag + " ") ? WithField(line, i, field) : line;
+    };
+  };
+  ExpectOpenFails(on("log_number", 1, "x"));
+  ExpectOpenFails(on("next_file", 1, "12y"));
+  ExpectOpenFails(on("vlog", 2, "-1"));
+  ExpectOpenFails(on("file", 2, "9z"));    // table number
+  ExpectOpenFails(on("file", 4, "0g"));    // smallest key, not hex
+  ExpectOpenFails(on("file", 6, "99"));    // more links than listed
+  ExpectOpenFails([](const std::string& line) {  // a link that is no number
+    return line.starts_with("file ") ? line + "x" : line;
+  });
+}
+
+// A version-1 manifest names no table's vlog links: read as tables that
+// link nothing, it would retire and delete every vlog file.
+TEST_F(ManifestDamageTest, VersionOneManifestFailsOpen) {
+  ExpectOpenFails([](const std::string& line) {
+    std::istringstream in(line);
+    std::vector<std::string> f;
+    for (std::string field; in >> field;) f.push_back(field);
+    if (f[0] == "manifest_version") return std::string("manifest_version 1");
+    if (f[0] == "vlog") return line + " 0";  // its dead-byte field
+    if (f[0] == "file") f.resize(6);         // no links
+    std::string out;
+    for (const std::string& field : f) out += (out.empty() ? "" : " ") + field;
+    return out;
+  });
 }
 
 TEST_F(KVStoreTest, DestroyRemovesEverything) {

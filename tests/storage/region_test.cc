@@ -414,13 +414,87 @@ TEST_F(RegionStoreTest, RegionsOpenedWithAnotherLeadersFilesResync) {
   ExpectExact(b3.get(), 250);
 }
 
+TEST_F(RegionStoreTest, CompactionUnlinksOverwrittenFilesOnEveryBackup) {
+  // Round r puts keys [0, 100) at sequences from 1 + 100 r, so round 1
+  // overwrites every key round 0 wrote.
+  auto round = [](int r) {
+    WriteBatch batch;
+    for (int i = 0; i < 100; ++i) {
+      batch.Put(Key(i), std::to_string(r) + Value(i));
+    }
+    batch.SetSequence(1 + static_cast<SequenceNumber>(r) * 100);
+    return batch;
+  };
+  TestShipper shipper;
+  auto leader = Open("/r/leader", RegionRole::kLeader, &shipper);
+  auto b1 = Open("/r/b1", RegionRole::kBackup);
+  auto b2 = Open("/r/b2", RegionRole::kBackup);
+  shipper.backup = b1.get();
+  Status b2_status;
+  shipper.before_install = [&](const RegionVersion& version) {
+    uint64_t bad_file = 0;
+    b2_status = b2->Install(version, /*full=*/false, &bad_file);
+  };
+  auto write = [&](int r) {
+    const WriteBatch batch = round(r);
+    for (KVStore* store : {leader.get(), b1.get(), b2.get()}) {
+      ASSERT_TRUE(store->WriteAt(WriteOptions(), batch).ok());
+    }
+  };
+  auto installed = [&] {
+    EXPECT_TRUE(shipper.last_status.ok()) << shipper.last_status.ToString();
+    EXPECT_TRUE(b2_status.ok()) << b2_status.ToString();
+  };
+
+  write(0);
+  ASSERT_TRUE(leader->FlushMemTable().ok());
+  installed();
+  const std::vector<std::string> round0 =
+      FilesWithSuffix(env_.get(), "/r/leader", ".vlog");
+  ASSERT_FALSE(round0.empty());
+  // Reads round 0, from b1's installed files, across every install below.
+  auto iter = b1->NewIterator(ReadOptions());
+
+  write(1);
+  ASSERT_TRUE(leader->FlushMemTable().ok());
+  installed();
+  ASSERT_TRUE(leader->CompactAll().ok());  // drops every round-0 entry
+  installed();
+  const std::vector<std::string> round1 =
+      FilesWithSuffix(env_.get(), "/r/leader", ".vlog");
+  for (const std::string& name : round0) {
+    EXPECT_FALSE(leader->IsLiveVlogFile("/r/leader/" + name)) << name;
+    EXPECT_FALSE(b1->IsLiveVlogFile("/r/b1/" + name)) << name;
+    EXPECT_FALSE(b2->IsLiveVlogFile("/r/b2/" + name)) << name;
+    EXPECT_TRUE(env_->FileExists("/r/b1/" + name)) << name;  // iter's
+    EXPECT_EQ(std::count(round1.begin(), round1.end(), name), 0) << name;
+  }
+  EXPECT_EQ(FilesWithSuffix(env_.get(), "/r/b2", ".vlog"), round1);
+
+  int rows = 0;
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++rows) {
+    ASSERT_EQ(iter->key().ToString(), Key(rows));
+    ASSERT_EQ(iter->value().ToString(), "0" + Value(rows));
+  }
+  EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
+  EXPECT_EQ(rows, 100);
+  iter.reset();
+  EXPECT_EQ(FilesWithSuffix(env_.get(), "/r/b1", ".vlog"), round1);
+
+  for (KVStore* store : {leader.get(), b1.get(), b2.get()}) {
+    for (int i = 0; i < 100; ++i) {
+      auto r = store->Get(ReadOptions(), Key(i));
+      ASSERT_TRUE(r.ok()) << Key(i) << ": " << r.status().ToString();
+      EXPECT_EQ(r.ValueOrDie(), "1" + Value(i));
+    }
+  }
+}
+
 TEST_F(RegionStoreTest, RegionsNeverNumberTheirOwnWrites) {
   auto leader = Open("/r/leader", RegionRole::kLeader);
   auto backup = Open("/r/backup", RegionRole::kBackup);
   for (KVStore* store : {leader.get(), backup.get()}) {
-    // The vlog GC's re-put and a plain Put would take sequences the
-    // coordinator hands out.
-    EXPECT_TRUE(store->GarbageCollect().IsNotSupported());
+    // A plain Put would take a sequence the coordinator hands out.
     EXPECT_TRUE(store->Put(WriteOptions(), "k", "v").IsNotSupported());
   }
   auto plain = KVStore::Open(options_, "/r/plain").MoveValueUnsafe();

@@ -234,7 +234,6 @@ class VlogStoreTest : public ::testing::Test {
     options_.env = env_.get();
     options_.write_buffer_size = 64 * 1024;
     options_.min_value_size = 64;
-    options_.background_vlog_gc = false;
     Open();
   }
 

@@ -46,7 +46,6 @@ TEST_P(VlogCrashTest, TornVlogTailNeverServesGarbage) {
   options.write_buffer_size = 1024 * 1024;  // flushes only when asked
   options.min_value_size = 64;
   options.vlog_file_size = 4 * 1024;  // one flush writes several vlog files
-  options.background_vlog_gc = false;
 
   const int kSynced = 40;
   const int kTotal = 120;
@@ -179,7 +178,6 @@ TEST(VlogTruncationTest, ReadsOfTruncatedVlogFailClosed) {
   Options options;
   options.env = env.get();
   options.min_value_size = 64;
-  options.background_vlog_gc = false;
 
   const int kN = 60;
   auto key = [](int i) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
@@ -17,6 +18,8 @@ namespace iotdb {
 namespace storage {
 namespace {
 
+// A vlog file lives while a live table links it: once compaction drops
+// every pointer entry into it, the store deletes it, behind the reader pins.
 class VlogGcTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -25,12 +28,11 @@ class VlogGcTest : public ::testing::Test {
     options_.write_buffer_size = 64 * 1024;
     options_.min_value_size = 64;
     options_.vlog_file_size = 8 * 1024;  // small: many vlog files per flush
-    options_.background_vlog_gc = false;  // tests drive GC explicitly
     Open();
   }
 
-  void Open() {
-    auto result = KVStore::Open(options_, "/db");
+  void Open(const std::string& dir = "/db") {
+    auto result = KVStore::Open(options_, dir);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     store_ = std::move(result).MoveValueUnsafe();
   }
@@ -52,39 +54,45 @@ class VlogGcTest : public ::testing::Test {
     return r.ok() ? r.ValueOrDie() : "NOT_FOUND";
   }
 
-  uint64_t CountVlogFilesOnDisk() {
-    auto listing = env_->ListDir("/db");
-    EXPECT_TRUE(listing.ok());
-    uint64_t n = 0;
-    for (const auto& name : listing.ValueOrDie()) {
-      if (name.size() > 5 &&
-          name.compare(name.size() - 5, 5, ".vlog") == 0) {
-        ++n;
-      }
+  // Writes keys [0, n) at `version`, then flushes.
+  void WriteRound(int n, int version) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(
+          store_->Put(WriteOptions(), Key(i), Value(i, version)).ok());
     }
-    return n;
+    ASSERT_TRUE(store_->FlushMemTable().ok());
   }
+
+  std::vector<std::string> VlogFilesOnDisk(const std::string& dir = "/db") {
+    auto listing = env_->ListDir(dir);
+    EXPECT_TRUE(listing.ok());
+    std::vector<std::string> paths;
+    for (const auto& name : listing.ValueOrDie()) {
+      if (name.ends_with(".vlog")) paths.push_back(dir + "/" + name);
+    }
+    std::sort(paths.begin(), paths.end());
+    return paths;
+  }
+
+  bool OnDisk(const std::string& path) { return env_->FileExists(path); }
 
   std::unique_ptr<Env> env_;
   Options options_;
   std::unique_ptr<KVStore> store_;
 };
 
-// Satellite requirement: overwrite/delete 90% of keys, run GC, and assert
-// the reclaimed-byte counter and that every survivor stays readable.
+// Every round-1 key is overwritten or deleted: after CompactAll no table
+// links a round-1 file, so each is gone from the live set and from disk,
+// while every value reads back, also after a reopen.
 TEST_F(VlogGcTest, ReclaimsDeadBytesAndKeepsSurvivorsReadable) {
   const int kN = 400;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
   const uint64_t round1_bytes = store_->GetStats().vlog_appended_bytes;
-  ASSERT_GT(round1_bytes, 0u);
+  ASSERT_GT(round1.size(), 2u);
 
-  // Kill 90% of round 1: keys % 10 == 0 survive, half of the dead are
-  // overwritten, half deleted.
+  // Even keys get a second version, odd keys a tombstone.
   for (int i = 0; i < kN; ++i) {
-    if (i % 10 == 0) continue;
     if (i % 2 == 0) {
       ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 2)).ok());
     } else {
@@ -94,189 +102,101 @@ TEST_F(VlogGcTest, ReclaimsDeadBytesAndKeepsSurvivorsReadable) {
   ASSERT_TRUE(store_->FlushMemTable().ok());
   ASSERT_TRUE(store_->CompactAll().ok());
 
-  obs::Counter* gc_reclaimed_metric =
-      obs::MetricsRegistry::Global().GetCounter(
-          "storage.vlog.gc_reclaimed_bytes");
-  const uint64_t metric_before = gc_reclaimed_metric->Value();
-
-  uint64_t reclaimed = 0;
-  ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
-
-  // About 90% of round 1 is dead; the round-2 files are all live, so GC
-  // re-puts their records and reclaims nothing from them.
-  EXPECT_GE(reclaimed, round1_bytes * 8 / 10)
-      << "round1_bytes=" << round1_bytes;
-  auto stats = store_->GetStats();
-  EXPECT_GE(stats.vlog_gc_reclaimed_bytes, reclaimed);
-  EXPECT_GE(gc_reclaimed_metric->Value() - metric_before, reclaimed);
-
-  for (int i = 0; i < kN; ++i) {
-    if (i % 10 == 0) {
-      ASSERT_EQ(Get(Key(i)), Value(i, 1)) << Key(i);
-    } else if (i % 2 == 0) {
-      ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
-    } else {
-      ASSERT_EQ(Get(Key(i)), "NOT_FOUND") << Key(i);
+  auto check = [&] {
+    const KVStoreStats stats = store_->GetStats();
+    std::vector<std::string> on_disk = VlogFilesOnDisk();
+    EXPECT_EQ(stats.vlog_files, on_disk.size());
+    EXPECT_EQ(stats.vlog_bytes + round1_bytes, stats.vlog_appended_bytes);
+    for (const std::string& path : round1) {
+      EXPECT_FALSE(store_->IsLiveVlogFile(path)) << path;
+      EXPECT_FALSE(OnDisk(path)) << path;
     }
-  }
+    for (int i = 0; i < kN; ++i) {
+      ASSERT_EQ(Get(Key(i)), i % 2 == 0 ? Value(i, 2) : "NOT_FOUND") << Key(i);
+    }
+  };
+  check();
+  ASSERT_GT(store_->GetStats().vlog_files, 0u);  // round 2's, still linked
 
-  // GC is durable: survivors still resolve after a reopen.
   store_.reset();
   Open();
-  for (int i = 0; i < kN; i += 10) {
-    ASSERT_EQ(Get(Key(i)), Value(i, 1)) << Key(i);
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(Get(Key(i)), i % 2 == 0 ? Value(i, 2) : "NOT_FOUND") << Key(i);
   }
+  for (const std::string& path : round1) EXPECT_FALSE(OnDisk(path)) << path;
 }
 
-// min_value_size = SIZE_MAX keeps every value inline: no vlog file, so
-// nothing for GC to do.
-TEST_F(VlogGcTest, GcIsNoOpWithoutValueSeparation) {
-  Options plain;
-  plain.env = env_.get();
-  plain.min_value_size = SIZE_MAX;
-  auto result = KVStore::Open(plain, "/plain");
-  ASSERT_TRUE(result.ok());
-  auto store = std::move(result).MoveValueUnsafe();
-  ASSERT_TRUE(store->Put(WriteOptions(), "k", std::string(500, 'v')).ok());
-  ASSERT_TRUE(store->FlushMemTable().ok());
-  EXPECT_EQ(store->GetStats().vlog_files, 0u);
-  uint64_t reclaimed = 123;
-  ASSERT_TRUE(store->GarbageCollect(0, &reclaimed).ok());
-  EXPECT_EQ(reclaimed, 0u);
-  EXPECT_EQ(store->Get(ReadOptions(), "k").ValueOrDie(),
-            std::string(500, 'v'));
-}
-
-TEST_F(VlogGcTest, ChunkedGcProcessesTailIncrementally) {
-  const int kN = 300;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-  }
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 2)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-
-  // A 1-byte chunk processes exactly one tail file per call: its live
-  // records go back to the memtable as full values, not to a vlog file.
-  const uint64_t files_before = store_->GetStats().vlog_files;
-  ASSERT_GT(files_before, 2u);
-  uint64_t reclaimed = 0;
-  ASSERT_TRUE(store_->GarbageCollect(1, &reclaimed).ok());
-  EXPECT_EQ(store_->GetStats().vlog_files, files_before - 1);
-
-  // Draining the whole tail leaves no vlog file until the next flush
-  // separates the re-put values again.
-  ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
-  EXPECT_EQ(store_->GetStats().vlog_files, 0u);
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  EXPECT_GT(store_->GetStats().vlog_files, 0u);
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
-  }
-}
-
+// A compaction unlinks the round-1 files while an iterator that reads them
+// is open: they leave the live set at once and the disk when it closes.
 TEST_F(VlogGcTest, PhysicalDeletionDeferredWhileIteratorOpen) {
   const int kN = 200;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
+  ASSERT_FALSE(round1.empty());
+  auto iter = store_->NewIterator(ReadOptions());  // reads round 1
+
+  WriteRound(kN, 2);
+  ASSERT_TRUE(store_->CompactAll().ok());
+  for (const std::string& path : round1) {
+    EXPECT_FALSE(store_->IsLiveVlogFile(path)) << path;
+    EXPECT_TRUE(OnDisk(path)) << path;
   }
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 2)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
 
-  auto iter = store_->NewIterator(ReadOptions());
-  iter->SeekToFirst();
-  ASSERT_TRUE(iter->Valid());
-
-  const uint64_t on_disk_before = CountVlogFilesOnDisk();
-  uint64_t reclaimed = 0;
-  ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
-  ASSERT_GT(reclaimed, 0u);
-
-  // Logically reclaimed, physically still present: the open iterator may
-  // hold pointers into the old files.
-  EXPECT_GE(CountVlogFilesOnDisk(), on_disk_before);
-
-  // The iterator still materializes every value it sees.
   int rows = 0;
-  for (; iter->Valid(); iter->Next(), ++rows) {
-    EXPECT_EQ(iter->value().size(), Value(0, 2).size());
+  for (iter->SeekToFirst(); iter->Valid(); iter->Next(), ++rows) {
+    EXPECT_EQ(iter->value().ToString(), Value(rows, 1));
   }
   EXPECT_TRUE(iter->status().ok()) << iter->status().ToString();
   EXPECT_EQ(rows, kN);
 
   iter.reset();  // last reader gone -> deferred deletions run
-  EXPECT_LT(CountVlogFilesOnDisk(), on_disk_before);
+  for (const std::string& path : round1) EXPECT_FALSE(OnDisk(path)) << path;
 }
 
+// An open snapshot defers the deletion of files a compaction unlinked.
 TEST_F(VlogGcTest, PhysicalDeletionDeferredWhileSnapshotOpen) {
   const int kN = 200;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-  }
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 2)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
+  WriteRound(kN, 2);
 
+  // Taken after round 2, so compaction still drops every round-1 entry.
   SequenceNumber snapshot = store_->GetSnapshot();
-  const uint64_t on_disk_before = CountVlogFilesOnDisk();
-  uint64_t reclaimed = 0;
-  ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
-  ASSERT_GT(reclaimed, 0u);
-  EXPECT_GE(CountVlogFilesOnDisk(), on_disk_before);
+  ASSERT_TRUE(store_->CompactAll().ok());
+  for (const std::string& path : round1) {
+    EXPECT_FALSE(store_->IsLiveVlogFile(path)) << path;
+    EXPECT_TRUE(OnDisk(path)) << path;
+  }
 
   store_->ReleaseSnapshot(snapshot);
-  EXPECT_LT(CountVlogFilesOnDisk(), on_disk_before);
+  for (const std::string& path : round1) EXPECT_FALSE(OnDisk(path)) << path;
 }
 
-// Background pacing: with background_vlog_gc on, compaction's dead-byte
-// accounting alone must eventually trigger GC of a fully-dead tail, with no
-// explicit GarbageCollect call.
+// The background compaction alone frees a wholly dead file: no call does.
 TEST_F(VlogGcTest, BackgroundGcTriggersAfterCompaction) {
-  options_.background_vlog_gc = true;
-  options_.vlog_gc_dead_ratio = 0.3;
+  options_.l0_compaction_trigger = 2;
   store_.reset();
   ASSERT_TRUE(KVStore::Destroy(options_, "/db").ok());
   Open();
 
-  const int kN = 300;
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 1)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  for (int i = 0; i < kN; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 2)).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  // Compaction drops the shadowed round-1 pointers and credits their vlog
-  // files with dead bytes, making the tail eligible.
-  ASSERT_TRUE(store_->CompactAll().ok());
+  const int kN = 150;  // a round fits one memtable: one L0 table each
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
+  ASSERT_FALSE(round1.empty());
+  WriteRound(kN, 2);  // the second L0 table schedules the compaction
   store_->WaitForBackgroundWork();
 
-  auto stats = store_->GetStats();
-  EXPECT_GT(stats.vlog_gc_reclaimed_bytes, 0u)
-      << "background GC never ran on a fully-dead tail";
+  EXPECT_GT(store_->GetStats().compactions, 0u);
+  for (const std::string& path : round1) EXPECT_FALSE(OnDisk(path)) << path;
   for (int i = 0; i < kN; ++i) {
     ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
   }
 }
 
-// Readers dereference vlog files while flushes install new ones, compaction
-// credits dead bytes, and GC (explicit and background) retires files and
-// defers their deletion: every Get and Scan still returns its key's value.
+// Readers dereference vlog files while flushes install new ones and
+// compactions (background and CompactAll) unlink old ones and defer their
+// deletion: every Get and Scan still returns its key's value.
 TEST_F(VlogGcTest, ReadersRaceFlushesAndGc) {
-  options_.background_vlog_gc = true;
-  options_.vlog_gc_dead_ratio = 0.3;
-  store_.reset();
-  ASSERT_TRUE(KVStore::Destroy(options_, "/db").ok());
-  Open();
-
   const int kKeys = 200;
   for (int i = 0; i < kKeys; ++i) {
     ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), Value(i, 0)).ok());
@@ -333,16 +253,83 @@ TEST_F(VlogGcTest, ReadersRaceFlushesAndGc) {
     }
     if (round % 4 == 0) {
       ASSERT_TRUE(store_->CompactAll().ok());
-      uint64_t reclaimed = 0;
-      ASSERT_TRUE(store_->GarbageCollect(0, &reclaimed).ok());
     }
   }
   done.store(true);
   for (auto& r : readers) r.join();
   EXPECT_EQ(bad.load(), 0) << first_error;
-  EXPECT_GT(store_->GetStats().vlog_gc_reclaimed_bytes, 0u);
+  const KVStoreStats stats = store_->GetStats();
+  EXPECT_LT(stats.vlog_bytes, stats.vlog_appended_bytes);
+  EXPECT_EQ(stats.vlog_files, VlogFilesOnDisk().size());
   for (int i = 0; i < kKeys; ++i) {
     ASSERT_EQ(Get(Key(i)), Value(i, 12)) << Key(i);
+  }
+}
+
+// A crash after a compaction's manifest write, before its deletions: the
+// store reopened from that disk deletes the files no table links and
+// reads every row.
+TEST_F(VlogGcTest, ReopenDeletesFilesUnlinkedBeforeACrash) {
+  const int kN = 200;
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
+  WriteRound(kN, 2);
+  {
+    auto iter = store_->NewIterator(ReadOptions());  // defers the deletion
+    ASSERT_TRUE(store_->CompactAll().ok());
+    // The disk at the crash: the new manifest, and the round-1 files.
+    auto names = env_->ListDir("/db");
+    ASSERT_TRUE(names.ok());
+    ASSERT_TRUE(env_->CreateDir("/crash").ok());
+    for (const std::string& name : names.ValueOrDie()) {
+      std::string contents;
+      ASSERT_TRUE(env_->ReadFileToString("/db/" + name, &contents).ok());
+      ASSERT_TRUE(env_->WriteStringToFile("/crash/" + name, contents).ok());
+    }
+  }
+  store_.reset();
+  Open("/crash");
+  for (const std::string& path : round1) {
+    const std::string copy = "/crash" + path.substr(3);
+    EXPECT_FALSE(OnDisk(copy)) << copy;
+  }
+  EXPECT_EQ(store_->GetStats().vlog_files, VlogFilesOnDisk("/crash").size());
+  for (int i = 0; i < kN; ++i) {
+    ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
+  }
+}
+
+// Each table's links are in the manifest: a reopened store and a CopyTo
+// copy keep every file the tables link, and a compaction in either still
+// frees exactly the files of the shadowed round.
+TEST_F(VlogGcTest, LinksSurviveReopenAndCopy) {
+  const int kN = 200;
+  WriteRound(kN, 1);
+  const std::vector<std::string> round1 = VlogFilesOnDisk();
+  WriteRound(kN, 2);
+  const std::vector<std::string> all = VlogFilesOnDisk();
+  ASSERT_GT(all.size(), round1.size());
+
+  store_.reset();
+  Open();
+  uint64_t kvps = 0;
+  ASSERT_TRUE(store_->CopyTo("/copy", &kvps).ok());
+  for (const std::string dir : {"/db", "/copy"}) {
+    SCOPED_TRACE(dir);
+    store_.reset();
+    Open(dir);
+    EXPECT_EQ(store_->GetStats().vlog_files, all.size());
+    ASSERT_TRUE(store_->CompactAll().ok());
+    for (const std::string& path : all) {
+      const bool in_round1 =
+          std::find(round1.begin(), round1.end(), path) != round1.end();
+      const std::string here = dir + path.substr(3);
+      EXPECT_EQ(OnDisk(here), !in_round1) << here;
+      EXPECT_EQ(store_->IsLiveVlogFile(here), !in_round1) << here;
+    }
+    for (int i = 0; i < kN; ++i) {
+      ASSERT_EQ(Get(Key(i)), Value(i, 2)) << Key(i);
+    }
   }
 }
 
@@ -359,7 +346,6 @@ class VlogScrubTest : public ::testing::Test {
     options_.write_buffer_size = 64 * 1024;
     options_.min_value_size = 64;
     options_.vlog_file_size = 8 * 1024;
-    options_.background_vlog_gc = false;
     auto result = KVStore::Open(options_, "/db");
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     store_ = std::move(result).MoveValueUnsafe();
@@ -449,39 +435,6 @@ TEST_F(VlogScrubTest, DereferenceOfCorruptRecordQuarantinesFile) {
   EXPECT_GT(failures, 0);
   EXPECT_FALSE(store_->IsLiveVlogFile(victim.ValueOrDie()));
   EXPECT_GE(store_->GetStats().quarantined_files, 1u);
-}
-
-TEST_F(VlogScrubTest, GcQuarantinesCorruptTailInsteadOfDeleting) {
-  const std::string value(200, 'v');
-  for (int i = 0; i < 300; ++i) {
-    ASSERT_TRUE(store_->Put(WriteOptions(), Key(i), value).ok());
-  }
-  ASSERT_TRUE(store_->FlushMemTable().ok());
-  ASSERT_GT(store_->GetStats().vlog_files, 2u);
-
-  auto victim = fenv_->CorruptRandomFile("/db", FileClass::kVlog, 64);
-  ASSERT_TRUE(victim.ok());
-
-  // GC scans every vlog file from the tail; hitting the corrupt one must
-  // quarantine it (preserving the evidence) rather than resurrect garbage
-  // or delete it as "collected".
-  uint64_t reclaimed = 0;
-  Status s = store_->GarbageCollect(0, &reclaimed);
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
-  EXPECT_FALSE(store_->IsLiveVlogFile(victim.ValueOrDie()));
-  EXPECT_EQ(store_->GetStats().quarantined_files, 1u);
-  auto listing = base_env_->ListDir("/db");
-  ASSERT_TRUE(listing.ok());
-  bool kept = false;
-  for (const auto& name : listing.ValueOrDie()) {
-    kept |= ("/db/" + name == victim.ValueOrDie() + ".quarantined");
-  }
-  EXPECT_TRUE(kept) << "the corrupt file must be kept aside, not deleted";
-  // Either way the store stays usable.
-  ASSERT_TRUE(store_->Put(WriteOptions(), "after", value).ok());
-  auto r = store_->Get(ReadOptions(), "after");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.ValueOrDie(), value);
 }
 
 }  // namespace

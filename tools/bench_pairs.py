@@ -14,7 +14,12 @@ both commits, the seeds, each run's metrics, and for each metric both
 sides' median and quartiles, the per-pair ratios (change / parent) and the
 pairs the change won. A metric's claim rule holds when the change wins at
 least nine tenths of the pairs and the medians differ, in the better
-direction, by more than the parent's interquartile range.
+direction, by more than the parent's interquartile range. A metric with a
+bound in BENCHMARK.json also gets a no-regression verdict: "within" when
+the change's median is no worse than the parent's by more than the bound,
+"worse" when it is, and "unresolved" when the parent's interquartile range
+exceeds the bound times its median and not every change run beats every
+parent run. Each side's attempted and failed operations are summed.
 
     python3 tools/bench_pairs.py --print BENCH_N.json
 
@@ -86,8 +91,34 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def verdict(parent, change, median_parent, median_change, iqr, higher,
+            bound):
+    """The no-regression verdict of one metric (see the module doc)."""
+    beats_all = (min(change) > max(parent) if higher
+                 else max(change) < min(parent))
+    if iqr > bound * abs(median_parent) and not beats_all:
+        return "unresolved"
+    worse = (median_change < median_parent * (1 - bound) if higher
+             else median_change > median_parent * (1 + bound))
+    return "worse" if worse else "within"
+
+
+def op_counts(runs):
+    """Each side's summed attempted and failed operations."""
+    counts = {}
+    for run in runs:
+        result = run.get("result", {})
+        side = counts.setdefault(run["side"], {"attempted": 0, "failed": 0})
+        side["attempted"] += result.get("attempted", 0)
+        side["failed"] += result.get("failed", 0)
+    for side in counts.values():
+        side["failed_share"] = (side["failed"] / side["attempted"]
+                                if side["attempted"] else None)
+    return counts
+
+
 def summarize(runs, metrics):
-    """Per-metric medians, quartiles, pair ratios and wins."""
+    """Per-metric medians, quartiles, pair ratios, wins and verdicts."""
     by_pair = {}
     for run in runs:
         if run.get("exit") != 0 or "result" not in run:
@@ -110,6 +141,9 @@ def summarize(runs, metrics):
         wins = sum(1 for p, c in zip(parent, change)
                    if (c > p if higher else c < p))
         gap = (cq[1] - pq[1]) if higher else (pq[1] - cq[1])
+        if "bound" in m:
+            summary_verdict = verdict(parent, change, pq[1], cq[1],
+                                      pq[2] - pq[0], higher, m["bound"])
         summary[name] = {
             "unit": m["unit"],
             "better": m["better"],
@@ -122,6 +156,9 @@ def summarize(runs, metrics):
             "claim_rule_met": wins * 10 >= 9 * len(pairs) and
                               gap > pq[2] - pq[0],
         }
+        if "bound" in m:
+            summary[name]["bound"] = m["bound"]
+            summary[name]["verdict"] = summary_verdict
     return summary
 
 
@@ -146,21 +183,27 @@ def print_set(s):
               not r.get("result", {}).get("correct", False)]
     print("  runs: %d, incorrect or failed: %d" % (len(s["runs"]),
                                                    len(failed)))
-    print("  %-32s %-6s %-28s %-28s %-7s %-6s %s" % (
+    for side, ops in sorted(op_counts(s["runs"]).items()):
+        share = ops["failed_share"]
+        print("  %s ops: %d attempted, %d failed (%s)" % (
+            side, ops["attempted"], ops["failed"],
+            "-" if share is None else "%.4f%%" % (100 * share)))
+    print("  %-32s %-6s %-28s %-28s %-7s %-6s %-10s %s" % (
         "metric", "unit", "parent median [q1, q3]",
-        "change median [q1, q3]", "ratio", "wins", "pair ratios"))
+        "change median [q1, q3]", "ratio", "wins", "verdict",
+        "pair ratios"))
     for name, m in s["summary"].items():
         p, c = m["parent"], m["change"]
         ratios = " ".join("%.2f" % r if r is not None else "-"
                           for r in m["pair_ratios"])
-        print("  %-32s %-6s %-28s %-28s %-7s %-6s %s%s" % (
+        print("  %-32s %-6s %-28s %-28s %-7s %-6s %-10s %s%s" % (
             name, m["unit"],
             "%s [%s, %s]" % (fmt(p["median"]), fmt(p["q1"]), fmt(p["q3"])),
             "%s [%s, %s]" % (fmt(c["median"]), fmt(c["q1"]), fmt(c["q3"])),
             "%.3fx" % m["ratio_of_medians"]
             if m["ratio_of_medians"] is not None else "-",
-            "%d/%d" % (m["wins"], m["pairs"]), ratios,
-            "  (claim rule met)" if m["claim_rule_met"] else ""))
+            "%d/%d" % (m["wins"], m["pairs"]), m.get("verdict", "-"),
+            ratios, "  (claim rule met)" if m["claim_rule_met"] else ""))
 
 
 def main():
@@ -238,6 +281,7 @@ def main():
                        "source_sha256"),
                    "build_type": build_type(args.change)},
         "runs": runs,
+        "ops": op_counts(runs),
         "summary": summarize(runs, metrics),
     }
     doc = {"pr": args.pr,
